@@ -63,8 +63,8 @@ def _resolve_epsilon(args, cfg: RunConfig) -> float:
 
 
 def _series_payload(command: str, report: SeriesReport) -> dict:
-    return {"command": command, "params": report.to_json_dict()["params"],
-            "report": report.to_json_dict()}
+    data = report.to_json_dict()
+    return {"command": command, "params": data["params"], "report": data}
 
 
 def cmd_coeff(args, cfg: RunConfig) -> dict:

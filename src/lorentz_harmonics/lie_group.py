@@ -6,6 +6,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
@@ -24,8 +25,20 @@ def _as_matrix(entries) -> np.ndarray:
     return m
 
 
-def _det(m: np.ndarray) -> complex:
-    return m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
+def _det(m: np.ndarray):
+    return m[..., 0, 0] * m[..., 1, 1] - m[..., 0, 1] * m[..., 1, 0]
+
+
+def _check_su2(m: np.ndarray, tol: float) -> None:
+    """Raise unless every matrix of the (..., 2, 2) stack has det 1 within tol
+    and is unitary within max(tol, 1e-12); non-finite entries fail both."""
+    with np.errstate(invalid="ignore"):
+        derr = np.abs(_det(m) - 1.0)
+        uerr = np.abs(m @ np.swapaxes(m.conj(), -1, -2) - np.eye(2))
+    if not np.all(derr <= tol):
+        raise MatrixInvariantError("determinant deviates from 1")
+    if not np.all(uerr <= max(tol, 1e-12)):
+        raise MatrixInvariantError(f"unitarity defect {np.max(uerr):.3e}")
 
 
 @dataclass(frozen=True)
@@ -39,7 +52,7 @@ class SL2CElement:
         m = _as_matrix(self.matrix)
         object.__setattr__(self, "matrix", m)
         d = _det(m)
-        if abs(d - 1.0) > self.tol:
+        if not abs(d - 1.0) <= self.tol:
             raise MatrixInvariantError(f"det = {d} deviates from 1 beyond tol {self.tol}")
 
     @classmethod
@@ -73,11 +86,15 @@ class SU2Element:
     def __post_init__(self) -> None:
         m = _as_matrix(self.matrix)
         object.__setattr__(self, "matrix", m)
-        if abs(_det(m) - 1.0) > self.tol:
-            raise MatrixInvariantError("determinant deviates from 1")
-        uerr = np.max(np.abs(m @ m.conj().T - np.eye(2)))
-        if uerr > max(self.tol, 1e-12):
-            raise MatrixInvariantError(f"unitarity defect {uerr:.3e}")
+        _check_su2(m, self.tol)
+
+    @classmethod
+    def _checked(cls, matrix: np.ndarray, tol: float) -> "SU2Element":
+        """Wrap a read-only matrix that has already passed _check_su2(matrix, tol)."""
+        u = object.__new__(cls)
+        object.__setattr__(u, "matrix", matrix)
+        object.__setattr__(u, "tol", tol)
+        return u
 
     @classmethod
     def identity(cls) -> "SU2Element":
@@ -96,6 +113,10 @@ class SU2Element:
     def euler_angles(self) -> tuple[float, float, float]:
         """z-y-z Euler angles (alpha, beta, gamma) with alpha in [0, 2pi),
         beta in [0, pi], gamma in [0, 4pi)."""
+        return self._euler
+
+    @cached_property
+    def _euler(self) -> tuple[float, float, float]:
         a = self.matrix[0, 0]
         c = self.matrix[1, 0]
         beta = 2.0 * math.atan2(abs(c), abs(a))
@@ -117,26 +138,27 @@ class SU2Element:
         return alpha, beta, gamma
 
 
+_EULER_TOL = 1e-10
+
+
+def _euler_matrices(alpha, beta, gamma) -> np.ndarray:
+    """The matrices of su2_from_euler for broadcast angle arrays, shape (..., 2, 2)."""
+    with np.errstate(invalid="ignore"):  # non-finite angles fail _check_su2
+        cb = np.cos(beta / 2.0)
+        sb = np.sin(beta / 2.0)
+        ea = np.exp(-0.5j * alpha)
+        eg = np.exp(-0.5j * gamma)
+        entries = np.broadcast_arrays(ea * eg * cb, -ea * sb / eg, sb * eg / ea, cb / (ea * eg))
+    return np.stack(entries, axis=-1).reshape(entries[0].shape + (2, 2))
+
+
 def su2_from_euler(alpha: float, beta: float, gamma: float) -> SU2Element:
     """z-y-z Euler factorization u = e^{-i a s3/2} e^{-i b s2/2} e^{-i g s3/2}.
 
     Angles outside the canonical ranges are accepted and wrapped by the
     double-cover periodicity of the parametrization itself.
     """
-    alpha = float(alpha)
-    beta = float(beta)
-    gamma = float(gamma)
-    cb = math.cos(beta / 2.0)
-    sb = math.sin(beta / 2.0)
-    ea = cmath.exp(-0.5j * alpha)
-    eg = cmath.exp(-0.5j * gamma)
-    m = np.array(
-        [
-            [ea * eg * cb, -ea * sb / eg],
-            [sb * eg / ea, cb / (ea * eg)],
-        ]
-    )
-    return SU2Element(m, tol=1e-10)
+    return SU2Element(_euler_matrices(float(alpha), float(beta), float(gamma)), tol=_EULER_TOL)
 
 
 @dataclass(frozen=True)
@@ -225,13 +247,21 @@ class QuadratureGrid:
     def n_nodes(self) -> int:
         return len(self.alphas) * len(self.betas) * len(self.gammas)
 
+    def _alpha_slices(self) -> Iterator[Iterator[SU2Element]]:
+        """Per alpha, the (beta, gamma) nodes in row-major order, built and
+        checked as one read-only stack of n_beta * n_gamma matrices."""
+        for a in self.alphas:
+            stack = _euler_matrices(a, self.betas[:, None], self.gammas[None, :]).reshape(-1, 2, 2)
+            _check_su2(stack, _EULER_TOL)
+            stack.setflags(write=False)
+            yield (SU2Element._checked(m, _EULER_TOL) for m in stack)
+
     def iter_nodes(self) -> Iterator[tuple[SU2Element, float]]:
         wa = 1.0 / len(self.alphas)
         wg = 1.0 / len(self.gammas)
-        for a in self.alphas:
-            for b, wb in zip(self.betas, self.beta_weights):
-                for g in self.gammas:
-                    yield su2_from_euler(a, b, g), wa * (wb / 2.0) * wg
+        weights = [wa * (wb / 2.0) * wg for wb in self.beta_weights for _ in self.gammas]
+        for nodes in self._alpha_slices():
+            yield from zip(nodes, weights)
 
     @property
     def nodes(self) -> list[tuple[SU2Element, float]]:
@@ -246,10 +276,8 @@ class QuadratureGrid:
     def sample(self, phi: Callable[[SU2Element], complex]) -> np.ndarray:
         """Evaluate phi on the tensor grid; shape (n_alpha, n_beta, n_gamma)."""
         out = np.empty((len(self.alphas), len(self.betas), len(self.gammas)), dtype=complex)
-        for ia, a in enumerate(self.alphas):
-            for ib, b in enumerate(self.betas):
-                for ig, g in enumerate(self.gammas):
-                    out[ia, ib, ig] = phi(su2_from_euler(a, b, g))
+        for row, nodes in zip(out.reshape(len(self.alphas), -1), self._alpha_slices()):
+            row[:] = [phi(u) for u in nodes]
         return out
 
     def integrate(self, phi: Callable[[SU2Element], complex]) -> complex:

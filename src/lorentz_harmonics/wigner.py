@@ -8,6 +8,7 @@ half-integer labels never touch floating point.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -49,6 +50,25 @@ def _lf(n: int) -> float:
     return math.lgamma(n + 1.0)
 
 
+@functools.lru_cache(maxsize=4096)
+def _small_d_terms(twice_j: int, twice_m: int, twice_n: int) -> tuple[tuple, ...]:
+    """The beta-independent part of the signed factorial sum for d^{j}_{m n}:
+    per summation index k, (log-magnitude of the coefficient, sign, cosine
+    exponent, sine exponent) of the term c^p s^q, c, s = cos, sin(beta/2)."""
+    tj, tm, tn = twice_j, twice_m, twice_n
+    jm = (tj + tm) // 2
+    jmm = (tj - tm) // 2
+    jn = (tj + tn) // 2
+    jmn = (tj - tn) // 2
+    mn = (tm - tn) // 2
+    half_norm = 0.5 * (_lf(jm) + _lf(jmm) + _lf(jn) + _lf(jmn))
+    return tuple(
+        (half_norm - (_lf(jn - k) + _lf(k) + _lf(jmm - k) + _lf(mn + k)),
+         1.0 if (mn + k) % 2 == 0 else -1.0, tj - 2 * k - mn, 2 * k + mn)
+        for k in range(max(0, -mn), min(jn, jmm) + 1)
+    )
+
+
 def _small_d_values(twice_j: int, twice_m: int, twice_n: int, betas: np.ndarray) -> np.ndarray:
     """Wigner small-d at each beta via the signed factorial sum.
 
@@ -56,26 +76,11 @@ def _small_d_values(twice_j: int, twice_m: int, twice_n: int, betas: np.ndarray)
     log-magnitudes, which keeps the evaluation valid for large spins where the
     raw factorials overflow.
     """
-    tj, tm, tn = twice_j, twice_m, twice_n
-    jm = (tj + tm) // 2
-    jmm = (tj - tm) // 2
-    jn = (tj + tn) // 2
-    jmn = (tj - tn) // 2
-    k_lo = max(0, (tn - tm) // 2)
-    k_hi = min(jn, jmm)
+    terms = _small_d_terms(twice_j, twice_m, twice_n)
     betas = np.asarray(betas, dtype=float)
-    if k_hi < k_lo:
+    if not terms:
         return np.zeros_like(betas)
-
-    half_norm = 0.5 * (_lf(jm) + _lf(jmm) + _lf(jn) + _lf(jmn))
-    ks = np.arange(k_lo, k_hi + 1)
-    mn = (tm - tn) // 2
-    log_coef = half_norm - np.array(
-        [_lf(jn - k) + _lf(k) + _lf(jmm - k) + _lf(mn + k) for k in ks]
-    )
-    signs = np.where((mn + ks) % 2 == 0, 1.0, -1.0)
-    p = tj - 2 * ks - mn          # cosine exponent
-    q = 2 * ks + mn               # sine exponent
+    log_coef, signs, p, q = np.array(terms).T
 
     c = np.cos(betas / 2.0)
     s = np.sin(betas / 2.0)
@@ -103,28 +108,14 @@ def _small_d_values(twice_j: int, twice_m: int, twice_n: int, betas: np.ndarray)
 
 
 def _small_d_scalar(twice_j: int, twice_m: int, twice_n: int, beta: float) -> float:
-    # same factorial sum as _small_d_values without the array overhead
-    tj, tm, tn = twice_j, twice_m, twice_n
-    jm = (tj + tm) // 2
-    jmm = (tj - tm) // 2
-    jn = (tj + tn) // 2
-    jmn = (tj - tn) // 2
-    mn = (tm - tn) // 2
-    k_lo = max(0, -mn)
-    k_hi = min(jn, jmm)
-    if k_hi < k_lo:
-        return 0.0
-    half_norm = 0.5 * (_lf(jm) + _lf(jmm) + _lf(jn) + _lf(jmn))
+    # the terms of _small_d_values at one beta, without the array overhead
     c = math.cos(beta / 2.0)
     s = math.sin(beta / 2.0)
     logc = math.log(abs(c)) if c != 0.0 else -math.inf
     logs = math.log(abs(s)) if s != 0.0 else -math.inf
     termlogs: list[float] = []
     signs: list[float] = []
-    for k in range(k_lo, k_hi + 1):
-        p = tj - 2 * k - mn
-        q = 2 * k + mn
-        lt = half_norm - (_lf(jn - k) + _lf(k) + _lf(jmm - k) + _lf(mn + k))
+    for lt, sign, p, q in _small_d_terms(twice_j, twice_m, twice_n):
         if p:
             if c == 0.0:
                 continue
@@ -134,7 +125,7 @@ def _small_d_scalar(twice_j: int, twice_m: int, twice_n: int, beta: float) -> fl
                 continue
             lt += q * logs
         termlogs.append(lt)
-        signs.append(1.0 if (mn + k) % 2 == 0 else -1.0)
+        signs.append(sign)
     if not termlogs:
         return 0.0
     top = max(termlogs)

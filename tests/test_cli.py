@@ -96,6 +96,13 @@ def test_coeff_domain_error_exit_code(capsys):
     assert code == 2
 
 
+def test_non_finite_matrix_exit_code(capsys):
+    code = main(["coeff", "--j", "1", "--tau", "0",
+                 "--g", "nan", "0", "0", "0", "0", "0", "1", "0"])
+    assert code == 2
+    assert "deviates from 1" in capsys.readouterr().err
+
+
 def test_invalid_matrix_exit_code(capsys):
     code, _ = run_cli(
         capsys, "coeff", "--j", "1", "--m", "0", "--tau", "0",

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from scipy.linalg import expm
 from conftest import random_su2_matrix
 from lorentz_harmonics.lie_group import (
     MatrixInvariantError,
+    QuadratureGrid,
     SL2CElement,
     SU2Element,
     cartan_decompose,
@@ -41,6 +43,22 @@ def test_su2_unitarity_invariant():
         SU2Element(np.diag([0.5, 2.0]).astype(complex))
     u = SU2Element.identity()
     assert np.allclose(u.matrix, np.eye(2))
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: SU2Element(np.full((2, 2), np.nan)),
+        lambda: SU2Element(np.array([[np.inf, 0.0], [0.0, 1.0]])),
+        lambda: SL2CElement(np.array([[np.nan, 0.0], [0.0, 1.0]])),
+        lambda: su2_from_euler(math.nan, 0.3, 0.1),
+        lambda: su2_from_euler(0.2, 0.3, math.inf),
+    ],
+    ids=["su2-nan", "su2-inf", "sl2c-nan", "euler-nan-alpha", "euler-inf-gamma"],
+)
+def test_non_finite_matrices_fail_invariants(build):
+    with pytest.raises(MatrixInvariantError):
+        build()
 
 
 def test_matrix_is_read_only():
@@ -228,3 +246,45 @@ def test_nodes_listing_matches_weight_array():
     nodes = grid.nodes
     assert len(nodes) == grid.n_nodes
     assert math.fsum(wt for _, wt in nodes) == pytest.approx(1.0, abs=1e-13)
+
+
+def test_grid_nodes_match_su2_from_euler_in_grid_order():
+    grid = haar_quadrature_su2(4)
+    want = [
+        su2_from_euler(a, b, g).matrix
+        for a in grid.alphas for b in grid.betas for g in grid.gammas
+    ]
+    seen = []
+    grid.sample(lambda u: seen.append(u.matrix) or 0j)
+    listed = [u.matrix for u, _ in grid.iter_nodes()]
+    assert len(seen) == len(listed) == len(want) == grid.n_nodes
+    for got in (seen, listed):
+        assert max(float(np.max(np.abs(m - w))) for m, w in zip(got, want)) < 1e-15
+        for m in got:
+            assert not m.flags.writeable
+            with pytest.raises(ValueError):
+                m[0, 0] = 0.0
+
+
+def test_grid_with_non_finite_angle_raises():
+    grid = haar_quadrature_su2(4)
+    alphas = grid.alphas.copy()
+    alphas[-1] = math.inf
+    bad = QuadratureGrid(4, alphas, grid.betas, grid.beta_weights, grid.gammas)
+    with pytest.raises(MatrixInvariantError):
+        bad.sample(lambda u: 1.0)
+    with pytest.raises(MatrixInvariantError):
+        bad.nodes
+
+
+def test_sample_builds_nodes_one_alpha_slice_at_a_time():
+    # a whole-grid matrix stack at band 24 (62,500 nodes) alone takes 4 MB;
+    # the output array takes 1 MB
+    grid = haar_quadrature_su2(24)
+    tracemalloc.start()
+    try:
+        out = grid.sample(lambda u: 0j)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * out.nbytes
