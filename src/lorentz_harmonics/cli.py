@@ -2,7 +2,8 @@
 
 Subcommands: coeff, ratio, sum, norm, diverge, ymap, asymcheck.  Each emits a
 single JSON envelope {command, params, report} (validating against
-schemas/report.schema.json) or a CSV flattening with a fixed column order.
+schemas/report.schema.json) or a CSV flattening with a fixed column order;
+series reports are flattened by reports.series_csv_rows.
 Exit codes: 0 success, 1 numerical failure, 2 domain/usage error.
 """
 from __future__ import annotations
@@ -16,9 +17,9 @@ import sys
 from typing import Any, Optional, Sequence
 
 from . import expansion, principal_series, ymap
-from .config import BRANCH_CHOICES, FORMAT_CHOICES, RunConfig, load_run_config
+from .config import FORMAT_CHOICES, RunConfig, load_run_config
 from .lie_group import MatrixInvariantError, SL2CElement, epsilon_of
-from .reports import SERIES_CSV_COLUMNS, SeriesReport
+from .reports import SERIES_CSV_COLUMNS, SeriesReport, series_csv_rows
 from .special import (
     GammaPoleError,
     Hyp2F1DomainError,
@@ -62,12 +63,15 @@ def _resolve_epsilon(args, cfg: RunConfig) -> float:
     return float(args.eps)
 
 
-def _series_payload(command: str, report: SeriesReport) -> dict:
+def _series_payload(command: str, report: SeriesReport) -> tuple[dict, SeriesReport]:
     data = report.to_json_dict()
-    return {"command": command, "params": data["params"], "report": data}
+    return {"command": command, "params": data["params"], "report": data}, report
 
 
-def cmd_coeff(args, cfg: RunConfig) -> dict:
+# Each command returns (payload, series): the JSON envelope, and for series
+# commands the SeriesReport behind it (None otherwise), which the CSV reads.
+
+def cmd_coeff(args, cfg: RunConfig) -> tuple[dict, None]:
     eps = _resolve_epsilon(args, cfg)
     tau = parse_complex(args.tau)
     path = principal_series.evaluation_path(args.j)
@@ -84,20 +88,19 @@ def cmd_coeff(args, cfg: RunConfig) -> dict:
     }
     return {"command": "coeff", "params": {"j": args.j, "m": args.m,
                                            "tau": [tau.real, tau.imag], "epsilon": eps},
-            "report": report}
+            "report": report}, None
 
 
-def cmd_ratio(args, cfg: RunConfig) -> dict:
+def cmd_ratio(args, cfg: RunConfig) -> tuple[dict, SeriesReport]:
     eps = _resolve_epsilon(args, cfg)
     report = principal_series.ratio_test(
         args.m, parse_complex(args.tau), eps, cfg.j_max,
         cauchy_tolerance=cfg.cauchy_tolerance, cauchy_window=cfg.cauchy_window,
-        workers=cfg.workers,
     )
     return _series_payload("ratio", report)
 
 
-def cmd_sum(args, cfg: RunConfig) -> dict:
+def cmd_sum(args, cfg: RunConfig) -> tuple[dict, SeriesReport]:
     eps = _resolve_epsilon(args, cfg)
     tau = parse_complex(args.tau)
     jmax = cfg.j_max
@@ -108,34 +111,33 @@ def cmd_sum(args, cfg: RunConfig) -> dict:
             tau=tau, m=args.m, epsilon=eps, j_max=jmax,
             cauchy_tolerance=cfg.cauchy_tolerance, cauchy_window=cfg.cauchy_window,
         )
-        report = expansion.partial_sum_diagonal(cfgx, workers=cfg.workers)
+        report = expansion.partial_sum_diagonal(cfgx)
     else:
         report = expansion.partial_sum_triple(
             tau, eps, jmax,
             cauchy_tolerance=cfg.cauchy_tolerance, cauchy_window=cfg.cauchy_window,
-            workers=cfg.workers,
         )
     return _series_payload("sum", report)
 
 
-def cmd_norm(args, cfg: RunConfig) -> dict:
+def cmd_norm(args, cfg: RunConfig) -> tuple[dict, None]:
     tau = parse_complex(args.tau)
     report = expansion.norm_identity(tau, cfg.j_max)
     return {"command": "norm",
             "params": {"tau": [tau.real, tau.imag], "j_max": report.j_max},
-            "report": report.to_json_dict()}
+            "report": report.to_json_dict()}, None
 
 
-def cmd_diverge(args, cfg: RunConfig) -> dict:
+def cmd_diverge(args, cfg: RunConfig) -> tuple[dict, None]:
     tau = parse_complex(args.tau)
     cps = [int(x) for x in args.checkpoints.split(",")]
     report = expansion.divergence_probe(tau, cps, cauchy_tolerance=cfg.cauchy_tolerance)
     return {"command": "diverge",
             "params": {"tau": [tau.real, tau.imag], "checkpoints": cps},
-            "report": report.to_json_dict()}
+            "report": report.to_json_dict()}, None
 
 
-def cmd_ymap(args, cfg: RunConfig) -> dict:
+def cmd_ymap(args, cfg: RunConfig) -> tuple[dict, SeriesReport]:
     with open(args.table) as fh:
         table = FourierTableSU2.from_json_dict(json.load(fh))
     tau = parse_complex(args.tau)
@@ -152,20 +154,17 @@ def cmd_ymap(args, cfg: RunConfig) -> dict:
         cauchy_tolerance=cfg.cauchy_tolerance, cauchy_window=cfg.cauchy_window,
         **kwargs,
     )
-    payload = _series_payload("ymap", ymap.ymap_apply(req))
+    payload, report = _series_payload("ymap", ymap.ymap_apply(req))
     if args.bounds:
-        payload["report"]["bounds"] = ymap.ymap_convergence_report(
-            req, workers=cfg.workers
-        ).to_json_dict()
-    return payload
+        payload["report"]["bounds"] = ymap.ymap_convergence_report(req).to_json_dict()
+    return payload, report
 
 
-def cmd_asymcheck(args, cfg: RunConfig) -> dict:
+def cmd_asymcheck(args, cfg: RunConfig) -> tuple[dict, None]:
     tau = parse_complex(args.tau)
     eps = float(args.eps)
-    branch = args.branch or cfg.branch
     exact = principal_series.diagonal_coefficient(args.j, args.m, tau, eps, method="exact")
-    asym_f = watson_asymptotic_2f1(args.j, args.m, tau, eps, branch=branch)
+    asym_f = watson_asymptotic_2f1(args.j, args.m, tau, eps)
     asym = principal_series._boost_power(args.j, args.m, tau, eps) * asym_f
     rel = abs(
         complex(math.exp(min(asym.log_mag - exact.log_mag, 700.0)))
@@ -174,31 +173,26 @@ def cmd_asymcheck(args, cfg: RunConfig) -> dict:
     )
     report = {
         "j": args.j, "m": args.m, "tau": [tau.real, tau.imag], "epsilon": eps,
-        "branch": branch,
         "exact": {"log_mag": exact.log_mag, "phase": exact.phase},
         "asymptotic": {"log_mag": asym.log_mag, "phase": asym.phase},
         "relative_error": rel,
     }
     return {"command": "asymcheck",
             "params": {"j": args.j, "m": args.m, "tau": [tau.real, tau.imag],
-                       "epsilon": eps, "branch": branch},
-            "report": report}
+                       "epsilon": eps},
+            "report": report}, None
 
 
-def _csv_text(payload: dict) -> str:
-    """Fixed-column CSV flattening of a payload; series reports become one row
-    per term, scalar reports a single row."""
+def _csv_text(payload: dict, series: Optional[SeriesReport]) -> str:
+    """Fixed-column CSV flattening of a payload; a series report becomes one
+    row per term, scalar reports a single row."""
     buf = io.StringIO()
     writer = csv.writer(buf)
     command = payload["command"]
     report = payload["report"]
-    if command in ("ratio", "sum", "ymap"):
+    if series is not None:
         writer.writerow(SERIES_CSV_COLUMNS)
-        for term, (sre, sim) in zip(report["terms"], report["partial_sums"]):
-            writer.writerow([
-                term["j"], term["log_mag"], term["phase"],
-                "" if term["ratio"] is None else term["ratio"], sre, sim,
-            ])
+        writer.writerows(series_csv_rows(series))
     elif command == "coeff":
         writer.writerow(["j", "m", "tau_re", "tau_im", "epsilon", "path",
                          "log_mag", "phase", "value_re", "value_im"])
@@ -224,11 +218,11 @@ def _csv_text(payload: dict) -> str:
                     report["relative_deviations"][i - 1],
                 ])
     elif command == "asymcheck":
-        writer.writerow(["j", "m", "tau_re", "tau_im", "epsilon", "branch",
+        writer.writerow(["j", "m", "tau_re", "tau_im", "epsilon",
                          "exact_log_mag", "exact_phase", "asym_log_mag",
                          "asym_phase", "relative_error"])
         writer.writerow([report["j"], report["m"], report["tau"][0], report["tau"][1],
-                         report["epsilon"], report["branch"],
+                         report["epsilon"],
                          report["exact"]["log_mag"], report["exact"]["phase"],
                          report["asymptotic"]["log_mag"], report["asymptotic"]["phase"],
                          report["relative_error"]])
@@ -237,12 +231,12 @@ def _csv_text(payload: dict) -> str:
     return buf.getvalue()
 
 
-def _emit(payload: dict, cfg: RunConfig) -> None:
+def _emit(payload: dict, series: Optional[SeriesReport], cfg: RunConfig) -> None:
     if cfg.format == "json":
         # non-finite values are stringified upstream; fail loudly on any leak
         text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
     else:
-        text = _csv_text(payload)
+        text = _csv_text(payload, series)
     if cfg.out:
         with open(cfg.out, "w") as fh:
             fh.write(text + ("\n" if not text.endswith("\n") else ""))
@@ -260,7 +254,6 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--config", help="path to a flat key = value config file")
     common.add_argument("--format", choices=FORMAT_CHOICES, default=None)
     common.add_argument("--out", default=None, help="write output to this path")
-    common.add_argument("--workers", type=int, default=None)
     common.add_argument("--tol", type=float, default=None, dest="cauchy_tolerance")
     common.add_argument("--window", type=int, default=None, dest="cauchy_window")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -325,7 +318,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--tau", required=True)
     p.add_argument("--eps", type=float, required=True)
-    p.add_argument("--branch", choices=BRANCH_CHOICES, default=None)
     p.set_defaults(func=cmd_asymcheck)
 
     return parser
@@ -340,25 +332,23 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             flag_overrides={
                 "format": args.format,
                 "out": args.out,
-                "workers": args.workers,
                 "cauchy_tolerance": args.cauchy_tolerance,
                 "cauchy_window": args.cauchy_window,
                 "j_max": getattr(args, "jmax", None),
-                "branch": getattr(args, "branch", None),
             },
         )
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
     try:
-        payload = args.func(args, cfg)
+        payload, series = args.func(args, cfg)
     except _DOMAIN_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
     except (SeriesConvergenceError, OverflowError, ArithmeticError, RuntimeError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    _emit(payload, cfg)
+    _emit(payload, series, cfg)
     return EXIT_OK
 
 

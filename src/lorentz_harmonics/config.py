@@ -13,7 +13,6 @@ from typing import Any, Optional
 
 ENV_PREFIX = "LH_"
 
-BRANCH_CHOICES = ("minus", "plus")
 FORMAT_CHOICES = ("json", "csv")
 
 
@@ -22,10 +21,8 @@ class RunConfig:
     j_max: int = 200
     cauchy_tolerance: float = 1e-6
     cauchy_window: int = 10
-    branch: str = "minus"
     format: str = "json"
     out: Optional[str] = None
-    workers: int = 1
     det_tolerance: float = 1e-9
 
     def __post_init__(self) -> None:
@@ -35,12 +32,8 @@ class RunConfig:
             raise ValueError("tolerances must be positive")
         if self.cauchy_window < 1:
             raise ValueError("cauchy_window must be >= 1")
-        if self.branch not in BRANCH_CHOICES:
-            raise ValueError(f"branch must be one of {BRANCH_CHOICES}")
         if self.format not in FORMAT_CHOICES:
             raise ValueError(f"format must be one of {FORMAT_CHOICES}")
-        if self.workers < 1:
-            raise ValueError("workers must be >= 1")
 
 
 _FIELD_TYPES = {f.name: f.type for f in fields(RunConfig)}
@@ -48,7 +41,7 @@ _FIELD_TYPES = {f.name: f.type for f in fields(RunConfig)}
 
 def _coerce(name: str, raw: str) -> Any:
     raw = raw.strip()
-    if name in ("j_max", "cauchy_window", "workers"):
+    if name in ("j_max", "cauchy_window"):
         return int(raw)
     if name in ("cauchy_tolerance", "det_tolerance"):
         return float(raw)
@@ -101,7 +94,6 @@ def load_run_config(
 
 
 __all__ = [
-    "BRANCH_CHOICES",
     "ENV_PREFIX",
     "FORMAT_CHOICES",
     "RunConfig",

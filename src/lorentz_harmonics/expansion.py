@@ -13,15 +13,15 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .parallel import ordered_map
 from .principal_series import EpsilonDomainError, diagonal_coefficient
 from .reports import (
     SeriesReport,
-    TermRecord,
     VERDICT_DIVERGED,
     VERDICT_INCONCLUSIVE,
-    cauchy_verdict,
+    complex_term,
     empirical_tail_ratio,
+    log_term,
+    series_report,
 )
 
 PI_SQUARED_OVER_6 = math.pi**2 / 6.0
@@ -111,7 +111,7 @@ class CoefficientTable:
         )
 
 
-def partial_sum_diagonal(cfg: ExpansionConfig, *, workers: int = 1) -> SeriesReport:
+def partial_sum_diagonal(cfg: ExpansionConfig) -> SeriesReport:
     """Partial sums of the fixed-m diagonal coefficient series at one boost.
 
     The scan starts at j = max(|m|, 1); for m = 0 the j = 0 coefficient (which
@@ -120,51 +120,29 @@ def partial_sum_diagonal(cfg: ExpansionConfig, *, workers: int = 1) -> SeriesRep
     if cfg.epsilon == 1.0:
         raise EpsilonDomainError("partial sums require eps != 1")
     j_start = max(abs(cfg.m), 1)
-    js = list(range(j_start, cfg.j_max + 1))
-    coeffs = ordered_map(
-        lambda j: diagonal_coefficient(j, cfg.m, cfg.tau, cfg.epsilon), js, workers
+    coeffs = (
+        log_term(j, diagonal_coefficient(j, cfg.m, cfg.tau, cfg.epsilon))
+        for j in range(j_start, cfg.j_max + 1)
     )
-    terms: list[TermRecord] = []
-    partials: list[complex] = []
-    running = 0j
-    prev_log = None
-    for j, c in zip(js, coeffs):
-        ratio = None if prev_log is None or c.is_zero else math.exp(c.log_mag - prev_log)
-        prev_log = None if c.is_zero else c.log_mag
-        terms.append(TermRecord(j, c.log_mag, c.phase, ratio))
-        running += c.to_complex()
-        partials.append(running)
-    verdict, delta = cauchy_verdict(partials, cfg.cauchy_tolerance, cfg.cauchy_window)
     extras = {}
     if cfg.m == 0:
         extras["j0_value"] = diagonal_coefficient(0, 0, cfg.tau, cfg.epsilon).to_complex()
-    return SeriesReport(
-        params={
-            "kind": "diagonal_sum", "m": cfg.m, "tau": cfg.tau, "epsilon": cfg.epsilon,
-            "j_max": cfg.j_max, "j_start": j_start,
-            "informational": complex(cfg.tau).imag != 0.0,
-        },
-        terms=tuple(terms),
-        partial_sums=tuple(partials),
-        verdict=verdict,
-        cauchy_delta=delta,
-        empirical_limit=empirical_tail_ratio([t.ratio for t in terms]),
-        extras=extras,
+    return series_report(
+        {"kind": "diagonal_sum", "m": cfg.m, "tau": cfg.tau, "epsilon": cfg.epsilon,
+         "j_max": cfg.j_max, "j_start": j_start},
+        coeffs, cfg.cauchy_tolerance, cfg.cauchy_window, extras=extras,
     )
 
 
-def triple_blocks(
-    tau: complex, epsilon: float, j_max: int, *, workers: int = 1
-) -> list[complex]:
+def triple_blocks(tau: complex, epsilon: float, j_max: int) -> list[complex]:
     """Inner column sums sum_{|m| <= j} D_j(m) for j = 0 .. j_max."""
-
-    def block(j: int) -> complex:
-        return sum(
+    return [
+        sum(
             (diagonal_coefficient(j, m, tau, epsilon).to_complex() for m in range(-j, j + 1)),
             0j,
         )
-
-    return ordered_map(block, range(0, int(j_max) + 1), workers)
+        for j in range(0, int(j_max) + 1)
+    ]
 
 
 def partial_sum_triple(
@@ -174,7 +152,6 @@ def partial_sum_triple(
     *,
     cauchy_tolerance: float = 1e-6,
     cauchy_window: int = 10,
-    workers: int = 1,
 ) -> SeriesReport:
     """Partial sums over j of the inner column sums of the full triple series
     (the off-diagonal terms vanish identically, leaving 2j+1 terms per block).
@@ -182,29 +159,11 @@ def partial_sum_triple(
     epsilon = float(epsilon)
     if epsilon == 1.0:
         raise EpsilonDomainError("partial sums require eps != 1")
-    blocks = triple_blocks(tau, epsilon, j_max, workers=workers)
-    terms: list[TermRecord] = []
-    partials: list[complex] = []
-    running = 0j
-    prev = None
-    for j, b in enumerate(blocks):
-        lm = math.log(abs(b)) if b != 0 else -math.inf
-        ratio = None if prev is None or b == 0 else math.exp(lm - prev)
-        prev = lm if b != 0 else None
-        terms.append(TermRecord(j, lm, np.angle(b) if b != 0 else 0.0, ratio))
-        running += b
-        partials.append(running)
-    verdict, delta = cauchy_verdict(partials, cauchy_tolerance, cauchy_window)
-    return SeriesReport(
-        params={
-            "kind": "triple_sum", "tau": complex(tau), "epsilon": epsilon, "j_max": int(j_max),
-            "informational": complex(tau).imag != 0.0,
-        },
-        terms=tuple(terms),
-        partial_sums=tuple(partials),
-        verdict=verdict,
-        cauchy_delta=delta,
-        empirical_limit=empirical_tail_ratio([t.ratio for t in terms]),
+    blocks = triple_blocks(tau, epsilon, j_max)
+    return series_report(
+        {"kind": "triple_sum", "tau": tau, "epsilon": epsilon, "j_max": int(j_max)},
+        (complex_term(j, b) for j, b in enumerate(blocks)),
+        cauchy_tolerance, cauchy_window,
     )
 
 
@@ -320,7 +279,6 @@ def synthesize(
     *,
     cauchy_tolerance: float = 1e-6,
     cauchy_window: int = 10,
-    workers: int = 1,
 ) -> SeriesReport:
     """Partial sums of sum_j j^2 (1 + tau^2) c_j D_j(m) at one boost.
 
@@ -342,7 +300,6 @@ def synthesize(
         )
     m = table.m
     j_start = max(abs(m), 1)
-    js = list(range(j_start, int(j_max) + 1))
     factor = 1.0 + tau * tau
 
     def term(j: int) -> complex:
@@ -351,31 +308,11 @@ def synthesize(
             return 0j
         return (j * j) * factor * c * diagonal_coefficient(j, m, tau, epsilon).to_complex()
 
-    vals = ordered_map(term, js, workers)
-    terms: list[TermRecord] = []
-    partials: list[complex] = []
-    running = 0j
-    prev = None
-    for j, v in zip(js, vals):
-        lm = math.log(abs(v)) if v != 0 else -math.inf
-        ratio = None if prev is None or v == 0 else math.exp(lm - prev)
-        prev = lm if v != 0 else None
-        terms.append(TermRecord(j, lm, np.angle(v) if v != 0 else 0.0, ratio))
-        running += v
-        partials.append(running)
-    verdict, delta = cauchy_verdict(partials, cauchy_tolerance, cauchy_window)
-    return SeriesReport(
-        params={
-            "kind": "synthesis", "m": m, "tau": tau, "epsilon": epsilon,
-            "j_max": int(j_max), "j_start": j_start,
-            "coefficient_tail_ratio": tr,
-            "informational": tau.imag != 0.0,
-        },
-        terms=tuple(terms),
-        partial_sums=tuple(partials),
-        verdict=verdict,
-        cauchy_delta=delta,
-        empirical_limit=empirical_tail_ratio([t.ratio for t in terms]),
+    return series_report(
+        {"kind": "synthesis", "m": m, "tau": tau, "epsilon": epsilon,
+         "j_max": int(j_max), "j_start": j_start, "coefficient_tail_ratio": tr},
+        (complex_term(j, term(j)) for j in range(j_start, int(j_max) + 1)),
+        cauchy_tolerance, cauchy_window,
     )
 
 

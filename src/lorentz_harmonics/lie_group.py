@@ -41,12 +41,12 @@ def _check_su2(m: np.ndarray, tol: float) -> None:
         raise MatrixInvariantError(f"unitarity defect {np.max(uerr):.3e}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SL2CElement:
     """An element of SL(2,C): a 2x2 complex matrix with determinant 1."""
 
     matrix: np.ndarray
-    tol: float = field(default=1e-12, repr=False, compare=False)
+    tol: float = field(default=1e-12, repr=False)
 
     def __post_init__(self) -> None:
         m = _as_matrix(self.matrix)
@@ -76,12 +76,12 @@ class SL2CElement:
         return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SU2Element:
     """An element of SU(2): unitary with determinant 1."""
 
     matrix: np.ndarray
-    tol: float = field(default=1e-12, repr=False, compare=False)
+    tol: float = field(default=1e-12, repr=False)
 
     def __post_init__(self) -> None:
         m = _as_matrix(self.matrix)
@@ -221,7 +221,7 @@ def epsilon_of(g: SL2CElement) -> float:
     return max(float(sv[0]), 1.0)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class QuadratureGrid:
     """Tensor quadrature on SU(2), exact for products of matrix-coefficient
     entries up to the stated band.

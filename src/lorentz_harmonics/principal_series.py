@@ -20,13 +20,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .logcomplex import LogComplexValue, log_sum
-from .parallel import ordered_map
-from .reports import (
-    SeriesReport,
-    TermRecord,
-    cauchy_verdict,
-    empirical_tail_ratio,
-)
+from .reports import SeriesReport, log_term, series_report
 from .special import (
     SaddlePointDomainError,
     hyp2f1,
@@ -239,32 +233,14 @@ def predicted_boundary_ratio(track: str, epsilon: float, tau: complex = 0.0) -> 
     raise ValueError(f"unknown track {track!r}")
 
 
-def _tail_limits(
-    track: str, tau: complex, epsilon: float, terms: list[TermRecord]
-) -> tuple[Optional[float], Optional[float], Optional[float]]:
-    """Predicted and empirical tail ratios and their relative deviation.  The
-    fixed-m diagonal scan uses the m = 0 track's prediction.  Where the saddle
-    term gives no single limit the prediction is None, so a scan inside the
-    exact window still reports."""
+def _predicted_limit(track: str, tau: complex, epsilon: float) -> Optional[float]:
+    """predicted_boundary_ratio, or None where the saddle term gives no single
+    limit, so that a scan inside the exact window still reports.  The fixed-m
+    diagonal scan uses the m = 0 track's prediction."""
     try:
-        predicted: Optional[float] = predicted_boundary_ratio(track, epsilon, tau)
+        return predicted_boundary_ratio(track, epsilon, tau)
     except SaddlePointDomainError:
-        predicted = None
-    empirical = empirical_tail_ratio([t.ratio for t in terms])
-    deviation = (
-        None if empirical is None or predicted is None
-        else abs(empirical - predicted) / predicted
-    )
-    return predicted, empirical, deviation
-
-
-def _scan_params(**kw) -> dict:
-    out = dict(kw)
-    tau = complex(kw.get("tau", 0.0))
-    out["tau"] = tau
-    # closed-form comparisons are asserted for real tau only
-    out["informational"] = tau.imag != 0.0
-    return out
+        return None
 
 
 def ratio_test(
@@ -275,7 +251,6 @@ def ratio_test(
     *,
     cauchy_tolerance: float = 1e-6,
     cauchy_window: int = 10,
-    workers: int = 1,
 ) -> SeriesReport:
     """Consecutive-magnitude ratios |D_{j+1}/D_j| of the diagonal coefficients
     for fixed m, against the limit predicted_diagonal_ratio(eps, tau), which
@@ -293,34 +268,15 @@ def ratio_test(
     if j_max < abs(m) + 8:
         raise ValueError("j_max must be at least |m| + 8")
     j_start = max(abs(m), 1)
-    js = list(range(j_start, j_max + 1))
-    coeffs = ordered_map(lambda j: diagonal_coefficient(j, m, tau, epsilon), js, workers)
-
-    terms: list[TermRecord] = []
-    partials: list[complex] = []
-    running = 0j
-    prev_log = None
-    for j, c in zip(js, coeffs):
-        ratio = None if prev_log is None or c.is_zero else math.exp(c.log_mag - prev_log)
-        prev_log = None if c.is_zero else c.log_mag
-        terms.append(TermRecord(j, c.log_mag, c.phase, ratio))
-        running += c.to_complex()
-        partials.append(running)
-
-    predicted, empirical, deviation = _tail_limits(TRACK_M_EQUALS_0, tau, epsilon, terms)
-    verdict, delta = cauchy_verdict(partials, cauchy_tolerance, cauchy_window)
-    return SeriesReport(
-        params=_scan_params(
-            kind="diagonal_ratio", m=m, tau=tau, epsilon=epsilon,
-            j_max=j_max, j_start=j_start,
-        ),
-        terms=tuple(terms),
-        partial_sums=tuple(partials),
-        verdict=verdict,
-        cauchy_delta=delta,
-        predicted_limit=predicted,
-        empirical_limit=empirical,
-        relative_deviation=deviation,
+    coeffs = (
+        log_term(j, diagonal_coefficient(j, m, tau, epsilon))
+        for j in range(j_start, j_max + 1)
+    )
+    return series_report(
+        {"kind": "diagonal_ratio", "m": m, "tau": tau, "epsilon": epsilon,
+         "j_max": j_max, "j_start": j_start},
+        coeffs, cauchy_tolerance, cauchy_window,
+        predicted_limit=_predicted_limit(TRACK_M_EQUALS_0, tau, epsilon),
     )
 
 
@@ -347,7 +303,6 @@ def boundary_ratio_test(
     *,
     cauchy_tolerance: float = 1e-6,
     cauchy_window: int = 10,
-    workers: int = 1,
 ) -> SeriesReport:
     """Term-ratio diagnostics of the two bounding sums that dominate the full
     triple sum: (j+1) |eps-power| |2F1| with the column index pinned to j
@@ -362,33 +317,13 @@ def boundary_ratio_test(
         raise EpsilonDomainError("ratio diagnostics require eps != 1")
     if j_max < 9:
         raise ValueError("j_max too small for a tail estimate")
-    js = list(range(1, j_max + 1))
-    logs = ordered_map(lambda j: _boundary_term_log(track, j, tau, epsilon), js, workers)
-
-    terms: list[TermRecord] = []
-    partials: list[complex] = []
-    running = 0.0
-    prev = None
-    for j, lt in zip(js, logs):
-        ratio = None if prev is None else math.exp(lt - prev)
-        prev = lt
-        terms.append(TermRecord(j, lt, 0.0, ratio))
-        running += math.exp(lt)
-        partials.append(complex(running))
-
-    predicted, empirical, deviation = _tail_limits(track, tau, epsilon, terms)
-    verdict, delta = cauchy_verdict(partials, cauchy_tolerance, cauchy_window)
-    return SeriesReport(
-        params=_scan_params(
-            kind="boundary_ratio", track=track, tau=tau, epsilon=epsilon, j_max=j_max,
-        ),
-        terms=tuple(terms),
-        partial_sums=tuple(partials),
-        verdict=verdict,
-        cauchy_delta=delta,
-        predicted_limit=predicted,
-        empirical_limit=empirical,
-        relative_deviation=deviation,
+    logs = [_boundary_term_log(track, j, tau, epsilon) for j in range(1, j_max + 1)]
+    return series_report(
+        {"kind": "boundary_ratio", "track": track, "tau": tau, "epsilon": epsilon,
+         "j_max": j_max},
+        ((j, lt, 0.0, math.exp(lt)) for j, lt in enumerate(logs, start=1)),
+        cauchy_tolerance, cauchy_window,
+        predicted_limit=_predicted_limit(track, tau, epsilon),
     )
 
 

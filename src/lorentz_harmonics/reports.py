@@ -1,4 +1,5 @@
-"""Report containers shared by the series diagnostics.
+"""Report containers shared by the series diagnostics, and the one builder
+that fills them.
 
 A SeriesReport captures, for one scan over the label j: the per-term log-polar
 values, consecutive magnitude ratios, partial sums, the predicted and measured
@@ -9,7 +10,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from statistics import median
-from typing import Any, Optional, Sequence
+from typing import Any, Iterable, Optional, Sequence
+
+import numpy as np
+
+from .logcomplex import LogComplexValue
 
 VERDICT_CONVERGED = "converged"
 VERDICT_DIVERGED = "diverged"
@@ -104,6 +109,66 @@ def empirical_tail_ratio(ratios: Sequence[float], tail: int = RATIO_TAIL_COUNT) 
     return float(median(usable[-tail:]))
 
 
+def log_term(j: int, value: LogComplexValue) -> tuple[int, float, float, complex]:
+    """The series_report term of a log-polar value."""
+    return j, value.log_mag, value.phase, value.to_complex()
+
+
+def complex_term(j: int, value: complex) -> tuple[int, float, float, complex]:
+    """The series_report term of a linear-space value; an exact zero has
+    log_mag -inf and phase 0."""
+    if value == 0:
+        return j, -math.inf, 0.0, value
+    return j, math.log(abs(value)), np.angle(value), value
+
+
+def series_report(
+    params: dict[str, Any],
+    terms: Iterable[tuple[int, float, float, complex]],
+    cauchy_tolerance: float,
+    cauchy_window: int,
+    predicted_limit: Optional[float] = None,
+    extras: Optional[dict[str, Any]] = None,
+) -> SeriesReport:
+    """Build a SeriesReport from one (j, log_mag, phase, linear value) per j.
+
+    The ratio of a term is |term / previous term|; an exact zero
+    (log_mag = -inf) has no ratio and gives the next term none.  The
+    empirical limit is the median of the last RATIO_TAIL_COUNT ratios, and
+    params gains tau as a complex number and `informational` (tau not real:
+    closed-form comparisons are asserted for real tau only).
+    """
+    records: list[TermRecord] = []
+    partials: list[complex] = []
+    running = 0j
+    prev = None
+    for j, log_mag, phase, value in terms:
+        zero = log_mag == -math.inf
+        ratio = None if prev is None or zero else math.exp(log_mag - prev)
+        prev = None if zero else log_mag
+        records.append(TermRecord(j, log_mag, phase, ratio))
+        running += value
+        partials.append(running)
+    verdict, delta = cauchy_verdict(partials, cauchy_tolerance, cauchy_window)
+    empirical = empirical_tail_ratio([t.ratio for t in records])
+    deviation = (
+        None if empirical is None or predicted_limit is None
+        else abs(empirical - predicted_limit) / predicted_limit
+    )
+    tau = complex(params["tau"])
+    return SeriesReport(
+        params={**params, "tau": tau, "informational": tau.imag != 0.0},
+        terms=tuple(records),
+        partial_sums=tuple(partials),
+        verdict=verdict,
+        cauchy_delta=delta,
+        predicted_limit=predicted_limit,
+        empirical_limit=empirical,
+        relative_deviation=deviation,
+        extras=extras or {},
+    )
+
+
 __all__ = [
     "RATIO_TAIL_COUNT",
     "SERIES_CSV_COLUMNS",
@@ -113,6 +178,9 @@ __all__ = [
     "VERDICT_DIVERGED",
     "VERDICT_INCONCLUSIVE",
     "cauchy_verdict",
+    "complex_term",
     "empirical_tail_ratio",
+    "log_term",
     "series_csv_rows",
+    "series_report",
 ]

@@ -252,16 +252,13 @@ def watson_asymptotic_2f1(
     m: int,
     tau: complex,
     epsilon: float,
-    branch: str = "minus",
 ) -> LogComplexValue:
     """Leading large-j term approximating 2F1(j+1+i*tau*j/2, m+j+1; 2j+2; 1-eps^4).
 
     Evaluated entirely in log space.  For eps < 1 the factors eps^4 - 1 and
-    eps^2 - 1 are written as (1 - eps^4) e^{s i pi} and (1 - eps^2) e^{s i pi}
-    with a common sign s selected by `branch` ("minus" for e^{-i pi}, which is
-    the default, "plus" for e^{+i pi}).  Because the two branched factors enter
-    with exactly opposite exponents, the two choices give identical values; the
-    switch is retained as an explicit configuration point.
+    eps^2 - 1 are written as (1 - eps^4) e^{-i pi} and (1 - eps^2) e^{-i pi};
+    the two enter with exactly opposite exponents, so the sign chosen for
+    i pi does not change the value.
 
     The O(1/j) correction is omitted.  This is the paper's tau = 0 form: the
     approximation error vanishes like 1/j only for tau = 0.  For tau != 0 it
@@ -283,17 +280,14 @@ def watson_asymptotic_2f1(
         raise Hyp2F1DomainError(
             "asymptotic form degenerates at eps = 1 (z = 0); use hyp2f1 instead"
         )
-    if branch not in ("minus", "plus"):
-        raise ValueError("branch must be 'minus' or 'plus'")
-    sigma = -1.0 if branch == "minus" else 1.0
 
     s = (1.0 + j) + 0.5j * tau * j
     if epsilon > 1.0:
         log_e4m1 = complex(math.log(epsilon**4 - 1.0))
         log_e2m1 = complex(math.log(epsilon**2 - 1.0))
     else:
-        log_e4m1 = math.log(1.0 - epsilon**4) + sigma * 1j * math.pi
-        log_e2m1 = math.log(1.0 - epsilon**2) + sigma * 1j * math.pi
+        log_e4m1 = math.log(1.0 - epsilon**4) - 1j * math.pi
+        log_e2m1 = math.log(1.0 - epsilon**2) - 1j * math.pi
     log_e2p1 = math.log(epsilon**2 + 1.0)
 
     log_val = (

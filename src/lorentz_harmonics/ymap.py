@@ -14,17 +14,15 @@ import warnings
 from dataclasses import dataclass
 from typing import Optional
 
-import numpy as np
-
 from .expansion import triple_blocks
 from .lie_group import SL2CElement, epsilon_of
 from .principal_series import EpsilonDomainError, diagonal_coefficient
 from .reports import (
     SeriesReport,
-    TermRecord,
     VERDICT_CONVERGED,
     cauchy_verdict,
-    empirical_tail_ratio,
+    complex_term,
+    series_report,
 )
 from .wigner import FourierTableSU2
 
@@ -84,31 +82,12 @@ def ymap_apply(req: YMapRequest) -> SeriesReport:
             "tail terms use the zero-extension",
             stacklevel=2,
         )
-    js = list(range(abs(table.p), req.j_max + 1))
-    terms: list[TermRecord] = []
-    partials: list[complex] = []
-    running = 0j
-    prev = None
-    for j in js:
-        v = _term(table, j, req.tau, eps)
-        lm = math.log(abs(v)) if v != 0 else -math.inf
-        ratio = None if prev is None or v == 0 else math.exp(lm - prev)
-        prev = lm if v != 0 else None
-        terms.append(TermRecord(j, lm, np.angle(v) if v != 0 else 0.0, ratio))
-        running += v
-        partials.append(running)
-    verdict, delta = cauchy_verdict(partials, req.cauchy_tolerance, req.cauchy_window)
-    return SeriesReport(
-        params={
-            "kind": "ymap", "p": table.p, "band_limit": table.band_limit,
-            "tau": req.tau, "epsilon": eps, "j_max": req.j_max,
-            "informational": req.tau.imag != 0.0,
-        },
-        terms=tuple(terms),
-        partial_sums=tuple(partials),
-        verdict=verdict,
-        cauchy_delta=delta,
-        empirical_limit=empirical_tail_ratio([t.ratio for t in terms]),
+    return series_report(
+        {"kind": "ymap", "p": table.p, "band_limit": table.band_limit,
+         "tau": req.tau, "epsilon": eps, "j_max": req.j_max},
+        (complex_term(j, _term(table, j, req.tau, eps))
+         for j in range(abs(table.p), req.j_max + 1)),
+        req.cauchy_tolerance, req.cauchy_window,
     )
 
 
@@ -146,7 +125,7 @@ class YMapBoundsReport:
         }
 
 
-def ymap_convergence_report(req: YMapRequest, *, workers: int = 1) -> YMapBoundsReport:
+def ymap_convergence_report(req: YMapRequest) -> YMapBoundsReport:
     """Evaluate the majorization of the mapped series: its partial sums are
     bounded by (sum of |table entries|) x (sum over j of |column sums of the
     coefficients|), each factor carrying its own Cauchy verdict.
@@ -156,7 +135,7 @@ def ymap_convergence_report(req: YMapRequest, *, workers: int = 1) -> YMapBounds
         raise EpsilonDomainError("convergence verdicts require eps != 1")
     table = req.table
     abs_rows = table.abs_sum_by_row()
-    blocks = triple_blocks(req.tau, eps, req.j_max, workers=workers)
+    blocks = triple_blocks(req.tau, eps, req.j_max)
     apply_report = ymap_apply(req)
 
     js = list(range(abs(table.p), req.j_max + 1))

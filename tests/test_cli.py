@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import os
 import subprocess
@@ -55,16 +57,22 @@ def test_config_file_and_env_layering(tmp_path, monkeypatch):
     bad.write_text("nonsense\n")
     with pytest.raises(ValueError):
         parse_config_file(bad)
-    bad.write_text("no_such_key = 1\n")
-    with pytest.raises(ValueError):
-        parse_config_file(bad)
+    # workers and branch were removed and are now unknown keys
+    for text in ("no_such_key = 1\n", "workers = 4\n", "branch = plus\n"):
+        bad.write_text(text)
+        with pytest.raises(ValueError, match="unknown config key"):
+            parse_config_file(bad)
+
+
+def test_removed_workers_flag_is_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["ratio", "--m", "0", "--tau", "0", "--eps", "2", "--workers", "2"])
+    assert exc.value.code == 2
 
 
 def test_run_config_validation():
     with pytest.raises(ValueError):
         RunConfig(j_max=0)
-    with pytest.raises(ValueError):
-        RunConfig(branch="up")
     with pytest.raises(ValueError):
         RunConfig(format="xml")
 
@@ -126,15 +134,32 @@ def test_ratio_json_and_prediction(capsys):
     assert payload["report"]["relative_deviation"] < 0.02
 
 
-def test_ratio_csv_columns(capsys):
-    code, out = run_cli(
-        capsys, "ratio", "--m", "0", "--tau", "0", "--eps", "2",
-        "--jmax", "40", "--format", "csv",
-    )
+@pytest.mark.parametrize("argv", [
+    ("ratio", "--m", "0", "--tau", "0", "--eps", "2", "--jmax", "40"),
+    ("sum", "--mode", "diagonal", "--m", "1", "--tau", "0.3", "--eps", "0.5", "--jmax", "40"),
+    ("sum", "--mode", "triple", "--tau", "0.2,0.1", "--eps", "2", "--jmax", "40"),
+    ("ymap", "--tau", "0.3", "--eps", "2", "--jmax", "6"),
+], ids=["ratio", "sum-diagonal", "sum-triple", "ymap"])
+@pytest.mark.filterwarnings("ignore:table band")
+def test_ratio_csv_columns(argv, tmp_path, capsys):
+    if argv[0] == "ymap":
+        entries = {(tj, tm): complex(0.5**tj, 0.1 * tm) for tj in (0, 2, 4)
+                   for tm in range(-tj, tj + 1, 2)}
+        path = tmp_path / "table.json"
+        path.write_text(json.dumps(FourierTableSU2(0, 4, entries).to_json_dict()))
+        argv = argv + ("--table", str(path))
+    report = run_json(capsys, *argv)["report"]
+    code, out = run_cli(capsys, *argv, "--format", "csv")
     assert code == 0
-    lines = out.strip().splitlines()
-    assert lines[0] == "j,log_mag,phase,ratio,partial_re,partial_im"
-    assert len(lines) == 41
+    rows = list(csv.reader(io.StringIO(out)))
+    assert rows[0] == ["j", "log_mag", "phase", "ratio", "partial_re", "partial_im"]
+    assert len(rows) - 1 == len(report["terms"]) == len(report["partial_sums"])
+    assert rows[-1][0] == argv[argv.index("--jmax") + 1]
+    # the CSV rows are the JSON envelope's terms and partial sums, row for row
+    for row, term, partial in zip(rows[1:], report["terms"], report["partial_sums"]):
+        expected = [term["j"], term["log_mag"], term["phase"],
+                    "" if term["ratio"] is None else term["ratio"], *partial]
+        assert row == [str(x) for x in expected]
 
 
 def test_sum_modes(capsys):
@@ -187,12 +212,10 @@ def test_asymcheck_subcommand(capsys):
         capsys, "asymcheck", "--j", "32", "--m", "0", "--tau", "0", "--eps", "2"
     )
     assert payload["report"]["relative_error"] < 0.05
-    assert payload["report"]["branch"] == "minus"
     payload = run_json(
         capsys, "asymcheck", "--j", "16", "--m", "1", "--tau", "0", "--eps", "0.5",
-        "--branch", "plus",
     )
-    assert payload["report"]["branch"] == "plus"
+    assert "branch" not in payload["report"]
 
 
 def test_out_path(tmp_path, capsys):
@@ -205,14 +228,6 @@ def test_out_path(tmp_path, capsys):
     assert out == ""
     payload = json.loads(target.read_text())
     assert payload["command"] == "coeff"
-
-
-def test_determinism_across_workers(capsys):
-    _, out1 = run_cli(capsys, "sum", "--mode", "triple", "--tau", "0", "--eps", "2",
-                      "--jmax", "40", "--workers", "1")
-    _, out2 = run_cli(capsys, "sum", "--mode", "triple", "--tau", "0", "--eps", "2",
-                      "--jmax", "40", "--workers", "4")
-    assert out1 == out2
 
 
 def test_config_file_via_flag(tmp_path, capsys):

@@ -109,12 +109,6 @@ def test_triple_sum_converges_both_sides_of_one():
         assert rep.terms[0].j == 0
 
 
-def test_triple_sum_workers_deterministic():
-    a = partial_sum_triple(0.0, 2.0, 40, workers=1)
-    b = partial_sum_triple(0.0, 2.0, 40, workers=3)
-    assert a.partial_sums == b.partial_sums
-
-
 # ------------------------------------------------------------- norm identity
 
 def test_norm_identity_real_tau():

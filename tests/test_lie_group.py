@@ -67,6 +67,17 @@ def test_matrix_is_read_only():
         g.matrix[0, 0] = 5.0
 
 
+def test_elements_compare_and_hash_by_identity():
+    for cls in (SL2CElement, SU2Element):
+        u, v = cls.identity(), cls.identity()
+        assert (u == v) is False
+        assert u == u
+        assert len({u, v}) == 2
+    grid = haar_quadrature_su2(4)
+    assert hash(grid) == hash(grid)
+    assert grid != haar_quadrature_su2(4)
+
+
 # --------------------------------------------------------------- decomposition
 
 def test_cartan_identity_is_degenerate():

@@ -278,13 +278,6 @@ def test_ratio_test_preconditions():
         ratio_test(5, 0.0, 2.0, 10)
 
 
-def test_ratio_test_workers_deterministic():
-    a = ratio_test(1, 0.3, 0.5, 80, workers=1)
-    b = ratio_test(1, 0.3, 0.5, 80, workers=4)
-    assert a.terms == b.terms
-    assert a.partial_sums == b.partial_sums
-
-
 def test_boundary_tracks_near_prediction():
     bj = boundary_ratio_test("m_equals_j", 0.0, 2.0, 200)
     assert bj.predicted_limit == pytest.approx(0.16)
