@@ -4,8 +4,8 @@
 Prints relative errors of the saddle-point term over a j ladder.  For fixed m
 and |Re tau| <= 1 they halve per doubling of j, at tau = 0 and tau != 0 alike
 (eps = 2, m = 0, tau = 0.5: 8.3e-2, 4.4e-2, 2.3e-2, 1.2e-2 at j = 8..64).
-Parameters outside the route's domain print the error it raises instead of a
-number.  Run: python scripts/asymptotic_error_table.py --taus 0 0.5 1
+Parameters outside the route's domain, and exact values whose series cancel,
+print the error raised instead of a number.  Run: python scripts/asymptotic_error_table.py --taus 0 0.5 1
 """
 import argparse
 import cmath
@@ -18,6 +18,7 @@ from lorentz_harmonics.principal_series import (  # noqa: E402
     SaddlePointDomainError,
     diagonal_coefficient,
 )
+from lorentz_harmonics.special import SeriesConvergenceError  # noqa: E402
 
 
 def main() -> None:
@@ -31,10 +32,10 @@ def main() -> None:
     print("tau\tj\trel_error")
     for tau in args.taus:
         for j in args.js:
-            exact = diagonal_coefficient(j, args.m, tau, args.eps, method="exact")
             try:
+                exact = diagonal_coefficient(j, args.m, tau, args.eps, method="exact")
                 asym = diagonal_coefficient(j, args.m, tau, args.eps, method="asymptotic")
-            except SaddlePointDomainError as exc:
+            except (SaddlePointDomainError, SeriesConvergenceError) as exc:
                 print(f"{tau}\t{j}\t{exc}")
                 continue
             err = abs(

@@ -35,6 +35,7 @@ from .principal_series import (
     PrincipalSeriesLabel,
     boundary_ratio_test,
     diagonal_coefficient,
+    diagonal_coefficients,
     duc_hieu_general,
     evaluation_path,
     ratio_test,

@@ -3,6 +3,13 @@ fixed-m diagonal sum, the full triple sum collapsed over the Kronecker delta,
 the norm-identity series with its closed-form target, the divergent
 multiplicity-weighted variant, and the synthesis operator that rebuilds a
 function from a coefficient table.
+
+Each series asks principal_series.diagonal_coefficients for all the
+coefficients it needs at once: a fixed-m sum or synthesis reads its whole j
+range in one call (the exact window as one batch of series rows), and the
+triple sum reads one column of 2j+1 coefficients per j.  As the values are
+only added, cancellation in a coefficient's series is judged against the
+largest coefficient of the call.
 """
 from __future__ import annotations
 
@@ -13,14 +20,15 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .principal_series import EpsilonDomainError, diagonal_coefficient
+from .logcomplex import to_complex_values
+from .principal_series import EpsilonDomainError, diagonal_coefficients
 from .reports import (
     SeriesReport,
     VERDICT_DIVERGED,
     VERDICT_INCONCLUSIVE,
     complex_term,
     empirical_tail_ratio,
-    log_term,
+    log_terms,
     series_report,
 )
 
@@ -120,13 +128,16 @@ def partial_sum_diagonal(cfg: ExpansionConfig) -> SeriesReport:
     if cfg.epsilon == 1.0:
         raise EpsilonDomainError("partial sums require eps != 1")
     j_start = max(abs(cfg.m), 1)
-    coeffs = (
-        log_term(j, diagonal_coefficient(j, cfg.m, cfg.tau, cfg.epsilon))
-        for j in range(j_start, cfg.j_max + 1)
+    # m = 0 also reads j = 0, which is reported apart from the sum
+    js = np.arange(0 if cfg.m == 0 else j_start, cfg.j_max + 1)
+    log_mag, phase = diagonal_coefficients(
+        js, np.full(js.shape, cfg.m), cfg.tau, cfg.epsilon, against_largest=True
     )
     extras = {}
     if cfg.m == 0:
-        extras["j0_value"] = diagonal_coefficient(0, 0, cfg.tau, cfg.epsilon).to_complex()
+        extras["j0_value"] = to_complex_values(log_mag[:1], phase[:1])[0]
+        js, log_mag, phase = js[1:], log_mag[1:], phase[1:]
+    coeffs = log_terms(js.tolist(), log_mag, phase)
     return series_report(
         {"kind": "diagonal_sum", "m": cfg.m, "tau": cfg.tau, "epsilon": cfg.epsilon,
          "j_max": cfg.j_max, "j_start": j_start},
@@ -134,15 +145,19 @@ def partial_sum_diagonal(cfg: ExpansionConfig) -> SeriesReport:
     )
 
 
+def coefficient_column(j: int, tau: complex, epsilon: float) -> list[complex]:
+    """D_j(m) for m = -j .. j, in linear space, from one call of
+    diagonal_coefficients."""
+    ms = np.arange(-j, j + 1)
+    return to_complex_values(
+        *diagonal_coefficients(np.full(ms.shape, j), ms, tau, epsilon, against_largest=True)
+    )
+
+
 def triple_blocks(tau: complex, epsilon: float, j_max: int) -> list[complex]:
-    """Inner column sums sum_{|m| <= j} D_j(m) for j = 0 .. j_max."""
-    return [
-        sum(
-            (diagonal_coefficient(j, m, tau, epsilon).to_complex() for m in range(-j, j + 1)),
-            0j,
-        )
-        for j in range(0, int(j_max) + 1)
-    ]
+    """Inner column sums sum_{|m| <= j} D_j(m) for j = 0 .. j_max, one
+    coefficient column per j."""
+    return [sum(coefficient_column(j, tau, epsilon), 0j) for j in range(0, int(j_max) + 1)]
 
 
 def partial_sum_triple(
@@ -301,17 +316,15 @@ def synthesize(
     m = table.m
     j_start = max(abs(m), 1)
     factor = 1.0 + tau * tau
-
-    def term(j: int) -> complex:
-        c = table.get(j)
-        if c == 0:
-            return 0j
-        return (j * j) * factor * c * diagonal_coefficient(j, m, tau, epsilon).to_complex()
-
+    js = [j for j in range(j_start, int(j_max) + 1) if table.get(j) != 0]
+    values = to_complex_values(
+        *diagonal_coefficients(js, [m] * len(js), tau, epsilon, against_largest=True)
+    )
+    terms = {j: (j * j) * factor * table.get(j) * v for j, v in zip(js, values)}
     return series_report(
         {"kind": "synthesis", "m": m, "tau": tau, "epsilon": epsilon,
          "j_max": int(j_max), "j_start": j_start, "coefficient_tail_ratio": tr},
-        (complex_term(j, term(j)) for j in range(j_start, int(j_max) + 1)),
+        (complex_term(j, terms.get(j, 0j)) for j in range(j_start, int(j_max) + 1)),
         cauchy_tolerance, cauchy_window,
     )
 
@@ -323,6 +336,7 @@ __all__ = [
     "NormIdentityReport",
     "PI_SQUARED_OVER_6",
     "SingularTauError",
+    "coefficient_column",
     "divergence_probe",
     "norm_identity",
     "partial_sum_diagonal",

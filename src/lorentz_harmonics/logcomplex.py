@@ -12,6 +12,8 @@ import math
 from dataclasses import dataclass
 from typing import Iterable
 
+import numpy as np
+
 TWO_PI = 2.0 * math.pi
 
 # exp() overflows just above this; used by to_complex() overflow checks
@@ -19,11 +21,33 @@ _LOG_MAX_DOUBLE = math.log(1.7976931348623157e308)
 
 
 def wrap_phase(phi: float) -> float:
-    """Wrap an angle into (-pi, pi]."""
+    """Wrap an angle into (-pi, pi]; an angle already there is returned as it
+    is, so that rebuilding a LogComplexValue from its fields is exact."""
+    if -math.pi < phi <= math.pi:
+        return phi
     y = math.fmod(phi + math.pi, TWO_PI)
     if y <= 0.0:
         y += TWO_PI
     return y - math.pi
+
+
+def wrap_phases(phi: np.ndarray) -> np.ndarray:
+    """Wrap angles into (-pi, pi], elementwise."""
+    return math.pi - np.remainder(math.pi - phi, TWO_PI)
+
+
+def _rect(log_mag: float, phase: float) -> complex:
+    if log_mag == -math.inf:
+        return 0j
+    if log_mag > _LOG_MAX_DOUBLE:
+        raise OverflowError(f"log-magnitude {log_mag:.6g} exceeds double-precision range")
+    return cmath.rect(math.exp(log_mag), phase)
+
+
+def to_complex_values(log_mag: np.ndarray, phase: np.ndarray) -> list[complex]:
+    """LogComplexValue.to_complex for each (log_mag, phase) pair, with the same
+    values and the same OverflowError."""
+    return [_rect(lm, ph) for lm, ph in zip(log_mag.tolist(), phase.tolist())]
 
 
 @dataclass(frozen=True)
@@ -78,13 +102,7 @@ class LogComplexValue:
         Raises OverflowError when the magnitude is not representable in double
         precision; callers opt into that risk explicitly.
         """
-        if self.is_zero:
-            return 0j
-        if self.log_mag > _LOG_MAX_DOUBLE:
-            raise OverflowError(
-                f"log-magnitude {self.log_mag:.6g} exceeds double-precision range"
-            )
-        return cmath.rect(math.exp(self.log_mag), self.phase)
+        return _rect(self.log_mag, self.phase)
 
     def abs(self) -> float:
         """|w| as a float; returns inf when not representable."""

@@ -12,6 +12,18 @@ decomposition.  Coefficients are exact (series evaluation) up to
 EXACT_J_LIMIT and switch to the large-j saddle-point term beyond it; that
 term covers fixed m and |Re tau| <= 1 and raises SaddlePointDomainError
 where it does not apply.
+
+Coefficients are evaluated in batches: diagonal_coefficients takes any pairs
+(j, m) and sums the series of all exact-route pairs as rows of one
+special.hyp2f1_rows call, a pair with m > 0 through Euler's transformation
+onto the series with b = j+1-m (for real tau, the conjugate of the (j, -m)
+row, which is summed once for both).  diagonal_coefficient is its one-pair
+case, with the same value bit for bit.  Both raise SeriesConvergenceError
+where cancellation has emptied a series past special.CANCELLATION_LIMIT,
+judged against the value itself, or, for callers that only add the values,
+against the largest value of the call.  ratio_test reads its coefficients
+one at a time through diagonal_coefficient; boundary_ratio_test reads its
+track in one batch.  Nothing is cached between calls.
 """
 from __future__ import annotations
 
@@ -19,11 +31,15 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-from .logcomplex import LogComplexValue, log_sum
+import numpy as np
+
+from .logcomplex import LogComplexValue, log_sum, wrap_phases
 from .reports import SeriesReport, log_term, series_report
 from .special import (
     SaddlePointDomainError,
+    check_cancellation,
     hyp2f1,
+    hyp2f1_rows,
     saddle_point_2f1,
     saddle_point_exponent,
 )
@@ -90,11 +106,113 @@ def evaluation_path(j: int) -> str:
     return PATH_EXACT if j <= EXACT_J_LIMIT else PATH_ASYMPTOTIC
 
 
+def _boost_log(j, m, tau, epsilon: float):
+    """log eps^{2(m+j+1) + i tau j}, elementwise for arrays j, m, tau;
+    |eps^{i tau j}| = eps^{-Im(tau) j}."""
+    return (2 * (m + j + 1) + 1j * tau * j) * math.log(epsilon)
+
+
 def _boost_power(j: int, m: int, tau: complex, epsilon: float) -> LogComplexValue:
-    # eps^{2(m+j+1) + i tau j}; |eps^{i tau j}| = eps^{-Im(tau) j}
-    log_eps = math.log(epsilon)
-    exponent = complex(2 * (m + j + 1), 0.0) + 1j * complex(tau) * j
-    return LogComplexValue.from_log(exponent * log_eps)
+    return LogComplexValue.from_log(_boost_log(j, m, complex(tau), epsilon))
+
+
+def _saddle_coefficient(j: int, m: int, tau: complex, epsilon: float) -> LogComplexValue:
+    """The asymptotic route for one pair."""
+    return _boost_power(j, m, tau, epsilon) * saddle_point_2f1(j, m, tau, epsilon)
+
+
+def _exact_coefficients(
+    js: np.ndarray, ms: np.ndarray, tau: complex, epsilon: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The exact route for every pair, one hyp2f1_rows row per distinct
+    series.  Returns (log_mag, phase, cancellation), the last being that of
+    the series summed for the pair (see special.check_cancellation).
+
+    D_j(m, tau) = eps^{2(j+1+m) + i tau j} 2F1(a, j+1+m; 2j+2; 1-eps^4) with
+    a = j+1+i tau j/2.  Euler's transformation (DLMF 15.8.1),
+    2F1(a, b; c; z) = (1-z)^{c-a-b} 2F1(c-a, c-b; c; z), gives
+    D_j(m, tau) = D_j(-m, -tau), so a pair with m > 0 is summed as the pair
+    (j, -m) at -tau: every row sums the series with the smaller b.  For real
+    tau the row at -tau is the conjugate of the row at tau, so (j, m) and
+    (j, -m) share one row.
+    """
+    real = tau.imag == 0.0
+    # the row of each pair: (j, -|m|) at tau, or at -tau for m > 0 when tau is
+    # complex; real tau keeps every row at tau
+    rj, rm = js, -np.abs(ms)
+    sign = np.where(ms > 0, -1.0, 1.0) if not real else np.ones(js.shape)
+    inverse = None
+    if js.size > 1:
+        rows: dict[tuple[int, int, float], int] = {}
+        inverse = [rows.setdefault(key, len(rows))
+                   for key in zip(rj.tolist(), rm.tolist(), sign.tolist())]
+        if len(rows) < js.size:
+            rj, rm, sign = (np.array(x) for x in zip(*rows))
+        else:
+            inverse = None
+    row_tau = tau * sign
+    j1 = rj + 1
+    log_mag, phase, cancellation = hyp2f1_rows(
+        j1 + 0.5j * row_tau * rj, j1 + rm, 2 * j1, 1.0 - epsilon**4
+    )
+    boost = _boost_log(rj, rm, row_tau, epsilon)
+    log_mag = log_mag + boost.real
+    phase = phase + boost.imag
+    if inverse is not None:
+        log_mag, phase, cancellation = log_mag[inverse], phase[inverse], cancellation[inverse]
+    if real and ms.max() > 0:
+        phase = np.where(ms > 0, -phase, phase)
+    return log_mag, wrap_phases(phase), cancellation
+
+
+def diagonal_coefficients(
+    js, ms, tau: complex, epsilon: float, *, against_largest: bool = False
+) -> tuple[np.ndarray, np.ndarray]:
+    """Diagonal coefficients D_j(m, tau, eps) for the pairs (js[i], ms[i]),
+    as arrays (log_mag, phase).
+
+    Pairs on the exact route (j <= EXACT_J_LIMIT) are summed as rows of one
+    special.hyp2f1_rows call (see _exact_coefficients); pairs on the
+    asymptotic route take the saddle-point term one by one.  Each pair's
+    value is the same, bit for bit, whatever other pairs share the call, and
+    the same as diagonal_coefficient's.
+
+    Raises SeriesConvergenceError where an exact pair's series has cancelled
+    beyond special.CANCELLATION_LIMIT: relative to the pair's own |D| by
+    default, as diagonal_coefficient does, or, with against_largest, relative
+    to the largest |D| of the call, for callers that only add the values, so
+    that a near-zero coefficient that adds nothing to their sums is accepted.
+    """
+    js = np.asarray(js, dtype=np.int64).reshape(-1)
+    ms = np.asarray(ms, dtype=np.int64).reshape(-1)
+    tau = complex(tau)
+    epsilon = float(epsilon)
+    if js.shape != ms.shape:
+        raise ValueError("js and ms must have the same length")
+    if not js.size:
+        return np.zeros(0), np.zeros(0)
+    if js.min() < 0:
+        raise IndexRangeError("j must be non-negative")
+    bad = np.abs(ms) > js
+    if bad.any():
+        i = int(bad.argmax())
+        raise IndexRangeError(f"|m| = {abs(int(ms[i]))} exceeds j = {int(js[i])}")
+    if epsilon <= 0.0:
+        raise EpsilonDomainError("epsilon must be positive")
+    exact = js <= EXACT_J_LIMIT
+    log_mag = np.empty(js.shape)
+    phase = np.empty(js.shape)
+    # the saddle-point pairs first: their domain checks fail fast
+    for i in np.flatnonzero(~exact).tolist():
+        v = _saddle_coefficient(int(js[i]), int(ms[i]), tau, epsilon)
+        log_mag[i], phase[i] = v.log_mag, v.phase
+    if exact.any():
+        log_mag[exact], phase[exact], cancellation = _exact_coefficients(
+            js[exact], ms[exact], tau, epsilon
+        )
+        weight = np.exp(log_mag[exact] - log_mag.max()) if against_largest else 1.0
+        check_cancellation(cancellation, weight)
+    return log_mag, phase
 
 
 def diagonal_coefficient(
@@ -111,7 +229,8 @@ def diagonal_coefficient(
     which tends to 1 as eps -> 1); norm-type sums exclude it by convention and
     report it separately.  method: 'auto' (exact up to EXACT_J_LIMIT, then
     asymptotic), 'exact', or 'asymptotic' (the saddle-point term, which raises
-    SaddlePointDomainError outside its domain).
+    SaddlePointDomainError outside its domain).  The one-pair case of
+    diagonal_coefficients, with the same value bit for bit.
     """
     j = int(j)
     m = int(m)
@@ -124,17 +243,16 @@ def diagonal_coefficient(
     if epsilon <= 0.0:
         raise EpsilonDomainError("epsilon must be positive")
     if method == "auto":
-        method = PATH_EXACT if j <= EXACT_J_LIMIT else PATH_ASYMPTOTIC
-    if method not in (PATH_EXACT, PATH_ASYMPTOTIC):
+        method = evaluation_path(j)
+    if method == PATH_ASYMPTOTIC:
+        return _saddle_coefficient(j, m, tau, epsilon)
+    if method != PATH_EXACT:
         raise ValueError(f"unknown method {method!r}")
-
-    power = _boost_power(j, m, tau, epsilon)
-    if method == PATH_EXACT:
-        a = j + 1 + 0.5j * tau * j
-        f = hyp2f1(a, m + j + 1, 2 * j + 2, 1.0 - epsilon**4)
-    else:
-        f = saddle_point_2f1(j, m, tau, epsilon)
-    return power * f
+    log_mag, phase, cancellation = _exact_coefficients(
+        np.array([j]), np.array([m]), tau, epsilon
+    )
+    check_cancellation(cancellation)
+    return LogComplexValue(float(log_mag[0]), float(phase[0]))
 
 
 def admissible_pairs(label: PrincipalSeriesLabel, idx: CoefficientIndex) -> list[tuple[int, int]]:
@@ -268,31 +386,18 @@ def ratio_test(
     if j_max < abs(m) + 8:
         raise ValueError("j_max must be at least |m| + 8")
     j_start = max(abs(m), 1)
-    coeffs = (
-        log_term(j, diagonal_coefficient(j, m, tau, epsilon))
-        for j in range(j_start, j_max + 1)
-    )
+    # one pair at a time through diagonal_coefficient, the seam that
+    # perfbench/test_bench.py patches to move a term of a scan; from the top
+    # down, so that the saddle-point pairs' domain checks come before the
+    # series work, as in diagonal_coefficients
+    values = [diagonal_coefficient(j, m, tau, epsilon) for j in range(j_max, j_start - 1, -1)]
+    coeffs = (log_term(j, v) for j, v in enumerate(reversed(values), start=j_start))
     return series_report(
         {"kind": "diagonal_ratio", "m": m, "tau": tau, "epsilon": epsilon,
          "j_max": j_max, "j_start": j_start},
         coeffs, cauchy_tolerance, cauchy_window,
         predicted_limit=_predicted_limit(TRACK_M_EQUALS_0, tau, epsilon),
     )
-
-
-def _boundary_term_log(track: str, j: int, tau: complex, epsilon: float) -> float:
-    omega = complex(tau).imag
-    if track == TRACK_M_EQUALS_J:
-        m = j
-        pref = math.log(j + 1.0) + (2 * (2 * j + 1) - omega * j) * math.log(epsilon)
-    else:
-        m = 0
-        pref = math.log(float(j)) + (2 * (j + 1) - omega * j) * math.log(epsilon)
-    if j <= EXACT_J_LIMIT:
-        f = hyp2f1(j + 1 + 0.5j * complex(tau) * j, m + j + 1, 2 * j + 2, 1.0 - epsilon**4)
-    else:
-        f = saddle_point_2f1(j, m, tau, epsilon)
-    return pref + f.log_mag
 
 
 def boundary_ratio_test(
@@ -317,7 +422,13 @@ def boundary_ratio_test(
         raise EpsilonDomainError("ratio diagnostics require eps != 1")
     if j_max < 9:
         raise ValueError("j_max too small for a tail estimate")
-    logs = [_boundary_term_log(track, j, tau, epsilon) for j in range(1, j_max + 1)]
+    js = np.arange(1, j_max + 1)
+    if track == TRACK_M_EQUALS_J:
+        ms, weights = js, js + 1.0
+    else:
+        ms, weights = np.zeros_like(js), js.astype(float)
+    log_mag, _ = diagonal_coefficients(js, ms, tau, epsilon)
+    logs = (np.log(weights) + log_mag).tolist()
     return series_report(
         {"kind": "boundary_ratio", "track": track, "tau": tau, "epsilon": epsilon,
          "j_max": j_max},
@@ -341,6 +452,7 @@ __all__ = [
     "admissible_pairs",
     "boundary_ratio_test",
     "diagonal_coefficient",
+    "diagonal_coefficients",
     "duc_hieu_general",
     "evaluation_path",
     "predicted_boundary_ratio",

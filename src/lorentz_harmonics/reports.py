@@ -14,7 +14,7 @@ from typing import Any, Iterable, Optional, Sequence
 
 import numpy as np
 
-from .logcomplex import LogComplexValue
+from .logcomplex import LogComplexValue, to_complex_values
 
 VERDICT_CONVERGED = "converged"
 VERDICT_DIVERGED = "diverged"
@@ -114,6 +114,13 @@ def log_term(j: int, value: LogComplexValue) -> tuple[int, float, float, complex
     return j, value.log_mag, value.phase, value.to_complex()
 
 
+def log_terms(
+    js: Sequence[int], log_mag: np.ndarray, phase: np.ndarray
+) -> Iterable[tuple[int, float, float, complex]]:
+    """The series_report terms of log-polar values given as arrays."""
+    return zip(js, log_mag.tolist(), phase.tolist(), to_complex_values(log_mag, phase))
+
+
 def complex_term(j: int, value: complex) -> tuple[int, float, float, complex]:
     """The series_report term of a linear-space value; an exact zero has
     log_mag -inf and phase 0."""
@@ -181,6 +188,7 @@ __all__ = [
     "complex_term",
     "empirical_tail_ratio",
     "log_term",
+    "log_terms",
     "series_csv_rows",
     "series_report",
 ]

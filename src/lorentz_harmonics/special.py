@@ -13,11 +13,24 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .logcomplex import LogComplexValue, log_sum
+from .logcomplex import LogComplexValue, log_sum, wrap_phases
 
 MAX_SERIES_TERMS = 100_000
 SERIES_TAIL_REL = 1e-17
+# Terms per block of the series kernel, a multiple of the SIMD width, so that
+# every row meets the same vector lanes whatever rows share its call.
 _BLOCK = 192
+_STEPS = np.arange(_BLOCK, dtype=float)
+# Rows per kernel pass, which bounds the size of a block's arrays: summing
+# every row in one pass raised the peak RSS of a round of the benchmark's
+# triple-grid and diag-scan ops by 0.6 and 1.0 MB over passes of 32 rows,
+# and saved at most 5% of their time.
+_ROW_CHUNK = 32
+_TWO_PI = 2.0 * math.pi
+_ULP = 2.0**-52
+# Largest accepted 2^-52 * sum|t| / |sum t| (times the caller's weight) of a
+# series; see check_cancellation.
+CANCELLATION_LIMIT = 3e-12
 
 # Lanczos approximation, g = 607/128, 15 coefficients (Godfrey's set).
 _LANCZOS_G = 607.0 / 128.0
@@ -142,109 +155,188 @@ class Hyp2F1Params:
 
 
 def _sum_series(
-    a: complex,
-    b: complex,
-    c: complex,
+    a,
+    b,
+    c,
     w: float,
     *,
     max_terms: int = MAX_SERIES_TERMS,
     tail_rel: float = SERIES_TAIL_REL,
-) -> LogComplexValue:
-    """Sum the defining series sum_n (a)_n (b)_n / ((c)_n n!) w^n.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Sum the defining series sum_n (a)_n (b)_n / ((c)_n n!) w^n, 0 < w < 1,
+    for each row of the parameter arrays a, b, c.
 
-    Terms are generated blockwise with a log-space cumulative product so that
-    growth phases far beyond double range cannot overflow; block sums are
-    accumulated with Kahan compensation, so the summation error stays bounded
-    independent of the term count.  Stops once the running term drops below
-    tail_rel relative to the partial sum on the decaying side of the peak.
+    Returns the arrays (log_mag, phase, cancellation).  Each row is summed on
+    its own: terms are generated blockwise with a log-space cumulative
+    product so that growth phases far beyond double range cannot overflow;
+    block sums are accumulated with Kahan compensation, so the summation
+    error stays bounded independent of the term count; and a row stops once
+    its running term drops below tail_rel relative to its partial sum on the
+    decaying side of the peak.  Rows share only the numpy calls of a block,
+    so a row's value does not depend on the other rows summed with it.
+
+    Each row also sums |t|.  Every term carries a relative rounding error of
+    a few ulps, so a sum is wrong by about C * 2^-52 relative times a small
+    factor, where C = sum|t| / |sum t| is its cancellation (returned; see
+    check_cancellation).
     """
-    a = complex(a)
-    b = complex(b)
-    c = complex(c)
-    w = float(w)
-    if w == 0.0:
-        return LogComplexValue.one()
+    a = np.asarray(a, dtype=complex).reshape(-1)
+    b, c = (np.asarray(x).reshape(-1) for x in (b, c))
+    out = np.empty((3, a.size))
+    # equal passes of at most _ROW_CHUNK rows
+    size = -(-a.size // -(-a.size // _ROW_CHUNK)) if a.size else 1
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for k in range(0, a.size, size):
+            rows = slice(k, k + size)
+            _sum_rows(a[rows, None], b[rows, None], c[rows, None], float(w),
+                      max_terms, tail_rel, out[:, rows])
+    return out[0], out[1], out[2]
 
-    acc = 1.0 + 0j       # partial sum relative to exp(offset), seeded with n = 0
-    comp = 0j            # Kahan compensation at the same scale
-    offset = 0.0
-    log_t = 0.0          # absolute log-magnitude of the current term
-    ph_t = 0.0
+
+def _sum_rows(a, b, c, w, max_terms, tail_rel, out) -> None:
+    """The loop of _sum_series over the parameter columns a, b, c: writes
+    log_mag, phase and cancellation into the columns of out."""
+    rows = a.shape[0]
+    live = np.arange(rows)    # column of out of each row still summing
+    # Re and Im of the partial sum and sum |t|, relative to exp(offset) and
+    # seeded with the n = 0 term, then their Kahan compensations
+    acc = np.zeros((6, rows))
+    acc[0] = acc[2] = 1.0
+    sums, comp = acc[:3], acc[3:]
+    offset = np.zeros(rows)
+    log_t = np.zeros(rows)    # log|t| of the current term
+    arg_t = np.zeros(rows)    # arg t, kept within 2 pi of zero
+    log_w = math.log(w)
+    log_w_powers = log_w * (_STEPS + 1.0)
+    log_tail = math.log(tail_rel)
     n = 1
-    converged = False
-    while n <= max_terms:
-        hi = min(n + _BLOCK, max_terms + 1)
-        ns = np.arange(n, hi, dtype=float)
-        ratios = (a + (ns - 1.0)) * (b + (ns - 1.0)) / ((c + (ns - 1.0)) * ns) * w
-        with np.errstate(divide="ignore"):
-            log_r = np.log(np.abs(ratios))
-        cl = log_t + np.cumsum(log_r)
-        cp = ph_t + np.cumsum(np.angle(ratios))
-        top = float(np.max(cl))
-        if top == -math.inf:
-            converged = True  # series terminated exactly (polynomial case)
-            break
-        rel = np.exp(cl - top) * np.exp(1j * cp)
-        block = complex(rel.sum())
-        # fold the block into the accumulator, rebasing to the larger offset
-        if top > offset:
-            scale = math.exp(offset - top)
-            acc *= scale
-            comp *= scale
-            offset = top
-            add = block
-        else:
-            add = block * math.exp(top - offset)
-        y = add - comp
-        t2 = acc + y
-        comp = (t2 - acc) - y
-        acc = t2
+    while True:
+        if n > max_terms:
+            raise SeriesConvergenceError(
+                f"hypergeometric series did not reach tolerance within {max_terms} terms"
+            )
+        size = min(_BLOCK, max_terms + 1 - n)
+        k = _STEPS[:size] + (n - 1.0)
+        n += size
+        ratios = (a + k) * ((b + k) / ((c + k) * (k + 1.0)))
+        # log|t| and arg t of the block's terms relative to the current term,
+        # one cumulative sum for both; w enters after the sum
+        logs = np.empty((2,) + ratios.shape)
+        cl, cp = logs[0], logs[1]
+        np.arctan2(ratios.imag, ratios.real, out=cp)
+        np.log(np.abs(ratios, out=cl), out=cl)
+        decaying = cl[:, -1] < -log_w
+        cp[:, 0] += arg_t
+        np.add.accumulate(logs, axis=2, out=logs)
+        cl += log_w_powers[:size]
+        # finite even for a block of zero terms (a terminated series)
+        peak = np.maximum.reduce(cl, axis=1, initial=-1e300)
+        cl -= peak[:, None]
+        last = cl[:, -1].copy()   # log|t| of the block's last term, relative
+        # the block's Re t, Im t and |t| relative to its largest, summed in
+        # one reduction
+        parts = np.empty((3,) + ratios.shape)
+        np.cos(cp, out=parts[0])
+        np.sin(cp, out=parts[1])
+        parts[2] = 1.0
+        parts *= np.exp(cl, out=cl)
+        block = parts.sum(axis=2)
+        # fold the block into the sums at the larger of the two scales
+        top = log_t + peak
+        new = np.maximum(offset, top)
+        block *= np.exp(top - new)
+        acc *= np.exp(offset - new)
+        offset = new
+        y = block - comp
+        total = sums + y
+        comp[:] = (total - sums) - y
+        sums[:] = total
+        log_t = top + last
+        # keep the carried phase small so cos and sin stay accurate over long runs
+        arg_t = np.fmod(cp[:, -1], _TWO_PI)
+        magnitude = np.hypot(sums[0], sums[1])
+        # stop on an exact zero term, or on the decaying side of the peak once
+        # the term is below tail_rel of the sum
+        done = (log_t - offset <= np.log(magnitude) + log_tail) & (decaying | (log_t == -math.inf))
+        if not done.any():
+            continue
+        if done.all():
+            _write_rows(out, live, offset, sums, magnitude)
+            return
+        _write_rows(out, live[done], offset[done], sums[:, done], magnitude[done])
+        keep = ~done
+        live, acc, offset = live[keep], acc[:, keep], offset[keep]
+        sums, comp = acc[:3], acc[3:]
+        log_t, arg_t, a, b, c = log_t[keep], arg_t[keep], a[keep], b[keep], c[keep]
 
-        log_t = float(cl[-1])
-        # keep the carried phase small so exp(i ph) stays accurate over long runs
-        ph_t = math.remainder(float(cp[-1]), 2.0 * math.pi)
-        n = hi
-        last_ratio = float(np.abs(ratios[-1]))
-        if log_t == -math.inf:
-            converged = True
-            break
-        sum_log = offset + (math.log(abs(acc)) if acc != 0 else -math.inf)
-        if last_ratio < 1.0 and log_t <= math.log(tail_rel) + sum_log:
-            converged = True
-            break
-    if not converged:
+
+def _write_rows(out, at, offset, sums, magnitude) -> None:
+    """log_mag, phase and cancellation of finished rows into columns at of out."""
+    out[0, at] = offset + np.log(magnitude)
+    out[1, at] = np.arctan2(sums[1], sums[0])
+    out[2, at] = sums[2] / magnitude
+
+
+def hyp2f1_rows(a, b, c, z: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """2F1(a, b; c; z) for each row of the parameter arrays a, b, c at one
+    real z < 1, as arrays (log_mag, phase, cancellation).
+
+    Route selection: the defining series is summed directly for z in (0, 1)
+    (it converges for every |z| < 1 and, for the coefficient family used
+    here, its terms carry no sign cancellation for real labels); for z < 0
+    the Pfaff transformation maps onto a series at z/(z-1) in (0, 1).
+    cancellation is that of the series summed (see _sum_series); nothing is
+    checked here.
+    """
+    a = np.asarray(a, dtype=complex).reshape(-1)
+    b, c = (np.asarray(x).reshape(-1) for x in (b, c))
+    z = float(z)
+    if not z < 1.0:
+        raise Hyp2F1DomainError(f"argument z = {z} outside the supported range z < 1")
+    if z == 0.0:
+        return np.zeros(a.size), np.zeros(a.size), np.ones(a.size)
+    if z > 0.0:
+        return _sum_series(a, b, c, z)
+    log_mag, phase, cancellation = _sum_series(c - a, b, c, z / (z - 1.0))
+    # Pfaff prefactor (1 - z)^(-b); 1 - z > 1 is real so the log is exact
+    pref = -b * math.log1p(-z)
+    if np.iscomplexobj(pref):
+        log_mag, phase = log_mag + pref.real, wrap_phases(phase + pref.imag)
+    else:
+        log_mag = log_mag + pref
+    return log_mag, phase, cancellation
+
+
+def check_cancellation(cancellation, weight=1.0) -> None:
+    """Raise SeriesConvergenceError where a summed series' rounding error,
+    2^-52 * cancellation * weight, exceeds CANCELLATION_LIMIT.
+
+    With weight 1 the error is judged relative to the value itself; a caller
+    that only adds values passes weight = |value| / (the scale of its sum),
+    so that a near-zero value that adds nothing to the sum is accepted.
+    """
+    worst = (cancellation * weight).max() * _ULP
+    if not worst <= CANCELLATION_LIMIT:
         raise SeriesConvergenceError(
-            f"hypergeometric series did not reach tolerance within {max_terms} terms"
+            f"hypergeometric series cancels: its value is uncertain to about "
+            f"{worst:.2g} of its scale (limit {CANCELLATION_LIMIT:g})"
         )
-    if acc == 0:
-        return LogComplexValue.zero()
-    return LogComplexValue(offset + math.log(abs(acc)), math.atan2(acc.imag, acc.real))
 
 
 def hyp2f1(a, b=None, c=None, z=None) -> LogComplexValue:
     """Gauss hypergeometric function 2F1(a, b; c; z) for real z < 1.
 
-    Accepts either a single Hyp2F1Params or the four parameters.  Route
-    selection: the defining series is summed directly for z in (0, 1) (it
-    converges for every |z| < 1 and, for the coefficient family used here,
-    its terms carry no sign cancellation for real labels); for z < 0 the
-    Pfaff transformation maps onto a series at z/(z-1) in (0, 1).
+    Accepts either a single Hyp2F1Params or the four parameters.  The one-row
+    case of hyp2f1_rows; raises SeriesConvergenceError where the series
+    cancels beyond CANCELLATION_LIMIT relative to the value.
     """
     if isinstance(a, Hyp2F1Params):
         p = a
     else:
         p = Hyp2F1Params(complex(a), complex(b), complex(c), float(z))
-    if p.z >= 1.0:
-        raise Hyp2F1DomainError(f"argument z = {p.z} outside the supported range z < 1")
-    if p.z == 0.0:
-        return LogComplexValue.one()
-    if p.z > 0.0:
-        return _sum_series(p.a, p.b, p.c, p.z)
-    w = p.z / (p.z - 1.0)
-    core = _sum_series(p.c - p.a, p.b, p.c, w)
-    # Pfaff prefactor (1 - z)^(-b); 1 - z > 1 is real so the log is exact
-    pref = LogComplexValue.from_log(-p.b * math.log1p(-p.z))
-    return pref * core
+    log_mag, phase, cancellation = hyp2f1_rows(p.a, p.b, p.c, p.z)
+    check_cancellation(cancellation)
+    return LogComplexValue(float(log_mag[0]), float(phase[0]))
 
 
 def watson_asymptotic_2f1(
@@ -450,12 +542,15 @@ __all__ = [
     "Hyp2F1DomainError",
     "Hyp2F1Params",
     "SeriesConvergenceError",
+    "CANCELLATION_LIMIT",
     "MAX_SERIES_TERMS",
     "SADDLE_MAX_ABS_RE_TAU",
     "SADDLE_MIN_WIDTHS",
     "SERIES_TAIL_REL",
     "SaddlePointDomainError",
+    "check_cancellation",
     "hyp2f1",
+    "hyp2f1_rows",
     "log_gamma",
     "pochhammer",
     "saddle_point_2f1",

@@ -6,6 +6,9 @@ sums.
 The table's column index is matched against the integer magnetic index of the
 boost coefficients via twice_m = 2m; keys outside the table's natural range
 read as exact zeros, so rows of the wrong parity contribute nothing.
+ymap_apply evaluates only the coefficients with a nonzero table entry;
+ymap_convergence_report evaluates each coefficient column once and reads both
+its block sum and its mapped term from it.
 """
 from __future__ import annotations
 
@@ -14,9 +17,10 @@ import warnings
 from dataclasses import dataclass
 from typing import Optional
 
-from .expansion import triple_blocks
+from .expansion import coefficient_column
 from .lie_group import SL2CElement, epsilon_of
-from .principal_series import EpsilonDomainError, diagonal_coefficient
+from .logcomplex import to_complex_values
+from .principal_series import EpsilonDomainError, diagonal_coefficients
 from .reports import (
     SeriesReport,
     VERDICT_CONVERGED,
@@ -55,40 +59,63 @@ class YMapRequest:
         return epsilon_of(self.g)
 
 
-def _term(table: FourierTableSU2, j: int, tau: complex, eps: float) -> complex:
-    """One j-term: the column sum over integer m of d(j, 2m) D_j(m)."""
-    total = 0j
+def _entries(table: FourierTableSU2, j: int) -> tuple[list[int], list[complex]]:
+    """The integer m with a nonzero table entry d(j, 2m), and those entries."""
+    ms, ds = [], []
     for m in range(-j, j + 1):
         d = table.get(j, 2 * m)
         if d != 0:
-            total += d * diagonal_coefficient(j, m, tau, eps).to_complex()
-    return total
+            ms.append(m)
+            ds.append(d)
+    return ms, ds
 
 
-def ymap_apply(req: YMapRequest) -> SeriesReport:
-    """Partial sums of the mapped function at the requested boost.
+def _term(ds: list[complex], values: list[complex]) -> complex:
+    """One j-term: the column sum over integer m of d(j, 2m) D_j(m)."""
+    return sum((d * v for d, v in zip(ds, values)), 0j)
 
-    For j beyond the table band the zero-extension makes every term vanish,
-    which is exact for genuinely band-limited input; a warning notes when the
-    scan range outruns the band.
-    """
-    eps = req.resolved_epsilon()
-    if eps == 1.0:
-        raise EpsilonDomainError("convergence verdicts require eps != 1")
+
+def _apply_report(req: YMapRequest, eps: float, terms: list[complex]) -> SeriesReport:
+    """The mapped function's partial sums from its j-terms, j = |p| .. j_max."""
     table = req.table
     if table.band_limit < req.j_max:
         warnings.warn(
             f"table band {table.band_limit} is below j_max = {req.j_max}; "
             "tail terms use the zero-extension",
-            stacklevel=2,
+            stacklevel=3,
         )
     return series_report(
         {"kind": "ymap", "p": table.p, "band_limit": table.band_limit,
          "tau": req.tau, "epsilon": eps, "j_max": req.j_max},
-        (complex_term(j, _term(table, j, req.tau, eps))
-         for j in range(abs(table.p), req.j_max + 1)),
+        (complex_term(j, t) for j, t in enumerate(terms, start=abs(table.p))),
         req.cauchy_tolerance, req.cauchy_window,
     )
+
+
+def _scan_epsilon(req: YMapRequest) -> float:
+    eps = req.resolved_epsilon()
+    if eps == 1.0:
+        raise EpsilonDomainError("convergence verdicts require eps != 1")
+    return eps
+
+
+def ymap_apply(req: YMapRequest) -> SeriesReport:
+    """Partial sums of the mapped function at the requested boost.
+
+    Only the coefficients with a nonzero table entry are evaluated, all in one
+    call of diagonal_coefficients.  For j beyond the table band the
+    zero-extension makes every term vanish, which is exact for genuinely
+    band-limited input; a warning notes when the scan range outruns the band.
+    """
+    eps = _scan_epsilon(req)
+    entries = [_entries(req.table, j) for j in range(abs(req.table.p), req.j_max + 1)]
+    js = [j for j, (ms, _) in enumerate(entries, start=abs(req.table.p)) for _ in ms]
+    ms = [m for ms, _ in entries for m in ms]
+    values = iter(to_complex_values(
+        *diagonal_coefficients(js, ms, req.tau, eps, against_largest=True)
+    ))
+    terms = [_term(ds, [next(values) for _ in ds]) for _, ds in entries]
+    return _apply_report(req, eps, terms)
 
 
 @dataclass(frozen=True)
@@ -130,13 +157,19 @@ def ymap_convergence_report(req: YMapRequest) -> YMapBoundsReport:
     bounded by (sum of |table entries|) x (sum over j of |column sums of the
     coefficients|), each factor carrying its own Cauchy verdict.
     """
-    eps = req.resolved_epsilon()
-    if eps == 1.0:
-        raise EpsilonDomainError("convergence verdicts require eps != 1")
+    eps = _scan_epsilon(req)
     table = req.table
     abs_rows = table.abs_sum_by_row()
-    blocks = triple_blocks(req.tau, eps, req.j_max)
-    apply_report = ymap_apply(req)
+    # one coefficient column per j serves both the block and the mapped term
+    blocks = []
+    terms = []
+    for j in range(0, req.j_max + 1):
+        column = coefficient_column(j, req.tau, eps)
+        blocks.append(sum(column, 0j))
+        if j >= abs(table.p):
+            ms, ds = _entries(table, j)
+            terms.append(_term(ds, [column[m + j] for m in ms]))
+    apply_report = _apply_report(req, eps, terms)
 
     js = list(range(abs(table.p), req.j_max + 1))
     f_part: list[float] = []

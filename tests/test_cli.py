@@ -99,6 +99,20 @@ def test_coeff_outside_large_j_route_is_numerical_failure(capsys):
     assert out == ""
 
 
+@pytest.mark.parametrize("argv", [
+    # 40-digit mpmath: log|D| = -133.41; the cancelled series gave -125.47
+    ("--j", "64", "--tau", "1", "--eps", "4"),
+    # relative error 1.8e11 before the cancellation check
+    ("--j", "64", "--m", "3", "--tau", "2", "--eps", "2"),
+])
+def test_coeff_cancelled_exact_series_is_numerical_failure(capsys, argv):
+    code = main(["coeff", *argv])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert "cancels" in captured.err
+
+
 def test_coeff_domain_error_exit_code(capsys):
     code, _ = run_cli(capsys, "coeff", "--j", "1", "--m", "5", "--tau", "0", "--eps", "2")
     assert code == 2

@@ -21,7 +21,7 @@ from lorentz_harmonics.principal_series import (
     predicted_diagonal_ratio,
     ratio_test,
 )
-from lorentz_harmonics.special import SaddlePointDomainError
+from lorentz_harmonics.special import SaddlePointDomainError, SeriesConvergenceError
 
 
 def rel_between(a, b) -> float:
@@ -248,11 +248,15 @@ def test_predicted_ratio_closed_form_at_tau_zero():
 def test_predicted_ratio_outside_saddle_domain():
     with pytest.raises(SaddlePointDomainError):
         predicted_diagonal_ratio(2.0, 2.0)
-    # a scan inside the exact window still runs, reporting no limit
-    rep = ratio_test(0, 2.0, 2.0, 40)
+    # a scan inside the exact window still runs, reporting no limit, as far
+    # as its series keep their digits: from j = 11 at tau = 2 they cancel
+    # past special.CANCELLATION_LIMIT
+    rep = ratio_test(0, 2.0, 2.0, 10)
     assert rep.predicted_limit is None
     assert rep.relative_deviation is None
     assert rep.empirical_limit is not None
+    with pytest.raises(SeriesConvergenceError):
+        ratio_test(0, 2.0, 2.0, 40)
 
 
 def test_ratio_continuous_across_route_switch():
