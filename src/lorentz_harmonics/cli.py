@@ -14,7 +14,7 @@ import io
 import json
 import math
 import sys
-from typing import Any, Optional, Sequence
+from typing import Optional, Sequence
 
 from . import expansion, principal_series, ymap
 from .config import FORMAT_CHOICES, RunConfig, load_run_config
@@ -140,19 +140,10 @@ def cmd_diverge(args, cfg: RunConfig) -> tuple[dict, None]:
 def cmd_ymap(args, cfg: RunConfig) -> tuple[dict, SeriesReport]:
     with open(args.table) as fh:
         table = FourierTableSU2.from_json_dict(json.load(fh))
-    tau = parse_complex(args.tau)
-    jmax = cfg.j_max
-    kwargs: dict[str, Any] = {}
-    if getattr(args, "g", None) is not None:
-        kwargs["g"] = SL2CElement.from_flat(args.g, tol=cfg.det_tolerance)
-    else:
-        if args.eps is None:
-            raise ValueError("provide either --eps or --g")
-        kwargs["epsilon"] = float(args.eps)
     req = ymap.YMapRequest(
-        table=table, tau=tau, j_max=jmax,
+        table=table, tau=parse_complex(args.tau), j_max=cfg.j_max,
+        epsilon=_resolve_epsilon(args, cfg),
         cauchy_tolerance=cfg.cauchy_tolerance, cauchy_window=cfg.cauchy_window,
-        **kwargs,
     )
     payload, report = _series_payload("ymap", ymap.ymap_apply(req))
     if args.bounds:

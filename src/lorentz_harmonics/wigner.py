@@ -46,100 +46,49 @@ class SpinLabel:
             )
 
 
-def _lf(n: int) -> float:
-    return math.lgamma(n + 1.0)
+@functools.lru_cache(maxsize=128)
+def _jy_eigenbasis(twice_j: int) -> tuple[tuple[float, ...], ...]:
+    """Rows of the eigenbasis of J_y in the J_z basis, in a real gauge.
 
-
-@functools.lru_cache(maxsize=4096)
-def _small_d_terms(twice_j: int, twice_m: int, twice_n: int) -> tuple[tuple, ...]:
-    """The beta-independent part of the signed factorial sum for d^{j}_{m n}:
-    per summation index k, (log-magnitude of the coefficient, sign, cosine
-    exponent, sine exponent) of the term c^p s^q, c, s = cos, sin(beta/2)."""
-    tj, tm, tn = twice_j, twice_m, twice_n
-    jm = (tj + tm) // 2
-    jmm = (tj - tm) // 2
-    jn = (tj + tn) // 2
-    jmn = (tj - tn) // 2
-    mn = (tm - tn) // 2
-    half_norm = 0.5 * (_lf(jm) + _lf(jmm) + _lf(jn) + _lf(jmn))
-    return tuple(
-        (half_norm - (_lf(jn - k) + _lf(k) + _lf(jmm - k) + _lf(mn + k)),
-         1.0 if (mn + k) % 2 == 0 else -1.0, tj - 2 * k - mn, 2 * k + mn)
-        for k in range(max(0, -mn), min(jn, jmm) + 1)
-    )
-
-
-def _small_d_values(twice_j: int, twice_m: int, twice_n: int, betas: np.ndarray) -> np.ndarray:
-    """Wigner small-d at each beta via the signed factorial sum.
-
-    Terms are combined after factoring out the per-beta maximum of their
-    log-magnitudes, which keeps the evaluation valid for large spins where the
-    raw factorials overflow.
+    J_y = P J_x P^H with P = diag((-i)^a), so V = P W diagonalises J_y, where
+    W is the real orthogonal eigenbasis of J_x returned here. Row a is the
+    state m = -j + a; column k has eigenvalue -j + k (eigh sorts ascending).
     """
-    terms = _small_d_terms(twice_j, twice_m, twice_n)
-    betas = np.asarray(betas, dtype=float)
-    if not terms:
-        return np.zeros_like(betas)
-    log_coef, signs, p, q = np.array(terms).T
-
-    c = np.cos(betas / 2.0)
-    s = np.sin(betas / 2.0)
-    # 0^0 = 1: suppress the log only when the exponent vanishes
-    with np.errstate(divide="ignore", invalid="ignore"):
-        logc = np.log(np.abs(c))
-        logs = np.log(np.abs(s))
-        termlog = (
-            log_coef[:, None]
-            + np.where(p[:, None] != 0, p[:, None] * logc[None, :], 0.0)
-            + np.where(q[:, None] != 0, q[:, None] * logs[None, :], 0.0)
-        )
-    top = np.max(termlog, axis=0)
-    out = np.zeros_like(betas)
-    finite = top > -math.inf
-    if np.any(finite):
-        rel = np.where(
-            np.isfinite(termlog[:, finite]), np.exp(termlog[:, finite] - top[finite]), 0.0
-        )
-        ssum = np.sum(signs[:, None] * rel, axis=0)
-        val = np.sign(ssum) * np.exp(top[finite] + np.log(np.abs(ssum), where=ssum != 0,
-                                                          out=np.full(ssum.shape, -math.inf)))
-        out[finite] = np.where(ssum == 0.0, 0.0, val)
-    return out
+    tms = np.arange(-twice_j, twice_j, 2, dtype=float)
+    # <m+1| J_+ |m> = sqrt((j - m)(j + m + 1)), and J_x = (J_+ + J_-) / 2
+    half_ladder = 0.25 * np.sqrt((twice_j - tms) * (twice_j + tms + 2.0))
+    w = np.linalg.eigh(np.diag(half_ladder, -1) + np.diag(half_ladder, 1))[1]
+    return tuple(map(tuple, w.tolist()))
 
 
-def _small_d_scalar(twice_j: int, twice_m: int, twice_n: int, beta: float) -> float:
-    # the terms of _small_d_values at one beta, without the array overhead
-    c = math.cos(beta / 2.0)
-    s = math.sin(beta / 2.0)
-    logc = math.log(abs(c)) if c != 0.0 else -math.inf
-    logs = math.log(abs(s)) if s != 0.0 else -math.inf
-    termlogs: list[float] = []
-    signs: list[float] = []
-    for lt, sign, p, q in _small_d_terms(twice_j, twice_m, twice_n):
-        if p:
-            if c == 0.0:
-                continue
-            lt += p * logc
-        if q:
-            if s == 0.0:
-                continue
-            lt += q * logs
-        termlogs.append(lt)
-        signs.append(sign)
-    if not termlogs:
-        return 0.0
-    top = max(termlogs)
-    total = math.fsum(sg * math.exp(lt - top) for sg, lt in zip(signs, termlogs))
-    if total == 0.0:
-        return 0.0
-    return math.copysign(math.exp(top + math.log(abs(total))), total)
+_POWERS_OF_MINUS_I = (1.0, -1j, -1.0, 1j)
+
+
+def _small_d(twice_j: int, twice_m: int, twice_n: int, beta):
+    """d^{j}_{m n}(beta) for a float or an array of beta.
+
+    With V the eigenbasis of J_y, d^j(beta) = V diag(e^{-i m_k beta}) V^H, so
+    an entry is the trigonometric polynomial sum_k V[m, k] conj(V[n, k])
+    e^{-i m_k beta} with m_k = -j..j, summed by Horner's rule in e^{-i beta}.
+    The rows of V are unit vectors, so the absolute error stays near
+    (2j + 1) machine epsilon at any spin.
+    """
+    rows = _jy_eigenbasis(twice_j)
+    a, b = (twice_j + twice_m) // 2, (twice_j + twice_n) // 2
+    exp = np.exp if isinstance(beta, np.ndarray) else cmath.exp
+    z = exp(-1j * beta)
+    total = 0j
+    for x, y in zip(reversed(rows[a]), reversed(rows[b])):
+        total = total * z + x * y
+    # V[a, k] conj(V[b, k]) = (-i)^(a - b) W[a, k] W[b, k]
+    return (_POWERS_OF_MINUS_I[(a - b) % 4] * total * exp(0.5j * twice_j * beta)).real
 
 
 def wigner_small_d(spin: SpinLabel, twice_m: int, twice_n: int, beta: float) -> float:
     """d^{j}_{m n}(beta) for spin j = twice_j / 2 and indices m, n = twice_m/2, twice_n/2."""
     spin.check_index(twice_m)
     spin.check_index(twice_n)
-    return _small_d_scalar(spin.twice_j, twice_m, twice_n, float(beta))
+    return _small_d(spin.twice_j, twice_m, twice_n, float(beta))
 
 
 def wigner_D(spin: SpinLabel, twice_m: int, twice_n: int, u: SU2Element) -> complex:
@@ -269,7 +218,7 @@ def su2_fourier(
     for tj in range(abs(p), band_limit + 1, 2):
         scale = math.sqrt(tj + 1.0)
         for tm in range(-tj, tj + 1, 2):
-            dvals = _small_d_values(tj, abs(p), tm, grid.betas)
+            dvals = _small_d(tj, abs(p), tm, grid.betas)
             entries[(tj, tm)] = scale * complex(np.dot(dvals, G[:, tm_index[tm]]))
     return FourierTableSU2(p, band_limit, entries, noise_floor=floor)
 

@@ -1,7 +1,10 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from lorentz_harmonics.lie_group import haar_quadrature_su2, su2_from_euler
 from lorentz_harmonics.wigner import (
@@ -34,6 +37,36 @@ def factorial_sum_d(tj, tm, tn, beta):
             * math.sin(beta / 2) ** (2 * k + mn)
         )
     return total
+
+
+def mpmath_factorial_sum_d(tj, tm, tn, beta):
+    """The factorial sum at 50 digits, exact where plain floats cancel."""
+    f = mpmath.factorial
+    jm, jmm = (tj + tm) // 2, (tj - tm) // 2
+    jn, jmn = (tj + tn) // 2, (tj - tn) // 2
+    mn = (tm - tn) // 2
+    with mpmath.workdps(50):
+        c = mpmath.cos(mpmath.mpf(beta) / 2)
+        s = mpmath.sin(mpmath.mpf(beta) / 2)
+        num = mpmath.sqrt(f(jm) * f(jmm) * f(jn) * f(jmn))
+        total = mpmath.mpf(0)
+        for k in range(max(0, -mn), min(jn, jmm) + 1):
+            total += (
+                (-1) ** (mn + k)
+                * num / (f(jn - k) * f(k) * f(jmm - k) * f(mn + k))
+                * c ** (tj - 2 * k - mn)
+                * s ** (2 * k + mn)
+            )
+        return float(total)
+
+
+def small_d_matrix(tj, beta):
+    return np.array(
+        [
+            [wigner_small_d(SpinLabel(tj), tm, tn, beta) for tn in range(-tj, tj + 1, 2)]
+            for tm in range(-tj, tj + 1, 2)
+        ]
+    )
 
 
 # ------------------------------------------------------------------- small d
@@ -84,6 +117,37 @@ def test_small_d_large_spin_stays_finite():
     v = wigner_small_d(SpinLabel(80), 0, 0, 1.3)
     assert math.isfinite(v)
     assert abs(v) <= 1.0 + 1e-12
+
+
+@pytest.mark.parametrize("tj", [32, 48, 64, 80, 100])
+def test_small_d_large_spin_against_mpmath(tj):
+    rng = np.random.default_rng(tj)
+    cases = [(tj, tj, 0.0), (-tj, tj, math.pi), (0, 0, 1e-3)]
+    for _ in range(24):
+        tm, tn = (2 * rng.integers(0, tj + 1, size=2) - tj).tolist()
+        cases.append((tm, tn, float(rng.uniform(0.0, math.pi))))
+    for tm, tn, beta in cases:
+        want = mpmath_factorial_sum_d(tj, tm, tn, beta)
+        assert wigner_small_d(SpinLabel(tj), tm, tn, beta) == pytest.approx(want, abs=1e-13)
+
+
+def test_small_d_spin_40_value():
+    # the 50-digit factorial sum
+    got = wigner_small_d(SpinLabel(80), 0, 0, 1.3)
+    assert got == pytest.approx(-0.00350755850536134, abs=1e-15)
+
+
+@given(
+    tj=st.integers(min_value=0, max_value=100),
+    beta1=st.floats(min_value=-math.pi, max_value=math.pi),
+    beta2=st.floats(min_value=-math.pi, max_value=math.pi),
+)
+@example(tj=100, beta1=1.3, beta2=2.9)
+def test_small_d_orthogonal_and_additive(tj, beta1, beta2):
+    d1 = small_d_matrix(tj, beta1)
+    d2 = small_d_matrix(tj, beta2)
+    assert np.max(np.abs(d1 @ d1.T - np.eye(tj + 1))) < 1e-12
+    assert np.max(np.abs(d1 @ d2 - small_d_matrix(tj, beta1 + beta2))) < 1e-12
 
 
 def test_index_validation():
