@@ -20,12 +20,7 @@ from . import expansion, principal_series, ymap
 from .config import FORMAT_CHOICES, RunConfig, load_run_config
 from .lie_group import MatrixInvariantError, SL2CElement, epsilon_of
 from .reports import SERIES_CSV_COLUMNS, SeriesReport, series_csv_rows
-from .special import (
-    GammaPoleError,
-    Hyp2F1DomainError,
-    SeriesConvergenceError,
-    watson_asymptotic_2f1,
-)
+from .special import GammaPoleError, Hyp2F1DomainError, SeriesConvergenceError
 from .wigner import FourierTableSU2, WignerIndexError
 
 EXIT_OK = 0
@@ -74,7 +69,7 @@ def _series_payload(command: str, report: SeriesReport) -> tuple[dict, SeriesRep
 def cmd_coeff(args, cfg: RunConfig) -> tuple[dict, None]:
     eps = _resolve_epsilon(args, cfg)
     tau = parse_complex(args.tau)
-    path = principal_series.evaluation_path(args.j)
+    path = principal_series.evaluation_path(args.j, eps)
     value = principal_series.diagonal_coefficient(args.j, args.m, tau, eps)
     try:
         linear = value.to_complex()
@@ -155,8 +150,7 @@ def cmd_asymcheck(args, cfg: RunConfig) -> tuple[dict, None]:
     tau = parse_complex(args.tau)
     eps = float(args.eps)
     exact = principal_series.diagonal_coefficient(args.j, args.m, tau, eps, method="exact")
-    asym_f = watson_asymptotic_2f1(args.j, args.m, tau, eps)
-    asym = principal_series._boost_power(args.j, args.m, tau, eps) * asym_f
+    asym = principal_series.diagonal_coefficient(args.j, args.m, tau, eps, method="asymptotic")
     rel = abs(
         complex(math.exp(min(asym.log_mag - exact.log_mag, 700.0)))
         * complex(math.cos(asym.phase - exact.phase), math.sin(asym.phase - exact.phase))
@@ -299,11 +293,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_ymap)
 
     p = sub.add_parser(
-        "asymcheck", parents=[common], help="exact vs Watson's tau = 0 large-j term",
-        description="Compare the exact coefficient with Watson's tau = 0 large-j "
-                    "term. This is not the saddle-point route that coeff uses "
-                    "beyond j = 64: the two agree at tau = 0 and differ for "
-                    "tau != 0, where Watson's term is not valid.",
+        "asymcheck", parents=[common], help="exact vs the large-j saddle-point term",
+        description="Compare the exact coefficient with the saddle-point term "
+                    "that coeff uses beyond j = 64, at the same (j, m, tau, eps).",
     )
     p.add_argument("--j", type=int, required=True)
     p.add_argument("--m", type=int, required=True)

@@ -6,8 +6,9 @@ function from a coefficient table.
 
 Each series asks principal_series.diagonal_coefficients for all the
 coefficients it needs at once: a fixed-m sum or synthesis reads its whole j
-range in one call (the exact window as one batch of series rows), and the
-triple sum reads one column of 2j+1 coefficients per j.  As the values are
+range in one call (the exact window as one batch of series rows, the pairs
+beyond it as one batch of the saddle-point term), and the triple sum reads
+one column of 2j+1 coefficients per j.  As the values are
 only added, cancellation in a coefficient's series is judged against the
 largest coefficient of the call.
 """

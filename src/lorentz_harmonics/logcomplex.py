@@ -20,9 +20,15 @@ TWO_PI = 2.0 * math.pi
 _LOG_MAX_DOUBLE = math.log(1.7976931348623157e308)
 
 
-def wrap_phase(phi: float) -> float:
-    """Wrap an angle into (-pi, pi]; an angle already there is returned as it
-    is, so that rebuilding a LogComplexValue from its fields is exact."""
+def wrap_phase(phi):
+    """Wrap an angle, or each entry of an array of angles, into (-pi, pi]; an
+    angle already there is returned as it is, so that rebuilding a
+    LogComplexValue from its fields is exact.  An entry of an array gets the
+    bits that it gets alone."""
+    if isinstance(phi, np.ndarray):
+        y = np.fmod(phi + math.pi, TWO_PI)
+        y = np.where(y <= 0.0, y + TWO_PI, y) - math.pi
+        return np.where((-math.pi < phi) & (phi <= math.pi), phi, y)
     if -math.pi < phi <= math.pi:
         return phi
     y = math.fmod(phi + math.pi, TWO_PI)

@@ -11,13 +11,15 @@ whose only group dependence is the boost parameter eps of the Cartan
 decomposition.  Coefficients are exact (series evaluation) up to
 EXACT_J_LIMIT and switch to the large-j saddle-point term beyond it; that
 term covers fixed m and |Re tau| <= 1 and raises SaddlePointDomainError
-where it does not apply.
+where it does not apply.  At eps = 1 (z = 0) every coefficient is exactly 1,
+and the exact route returns it for every j.
 
 Coefficients are evaluated in batches: diagonal_coefficients takes any pairs
 (j, m) and sums the series of all exact-route pairs as rows of one
 special.hyp2f1_rows call, a pair with m > 0 through Euler's transformation
 onto the series with b = j+1-m (for real tau, the conjugate of the (j, -m)
-row, which is summed once for both).  diagonal_coefficient is its one-pair
+row, which is summed once for both), and evaluates all its large-j pairs in
+one call of special.saddle_point_log.  diagonal_coefficient is its one-pair
 case, with the same value bit for bit.  Both raise SeriesConvergenceError
 where cancellation has emptied a series past special.CANCELLATION_LIMIT,
 judged against the value itself, or, for callers that only add the values,
@@ -33,15 +35,15 @@ from typing import Optional
 
 import numpy as np
 
-from .logcomplex import LogComplexValue, log_sum, wrap_phases
+from .logcomplex import LogComplexValue, log_sum, wrap_phase, wrap_phases
 from .reports import SeriesReport, log_term, series_report
 from .special import (
     SaddlePointDomainError,
     check_cancellation,
     hyp2f1,
     hyp2f1_rows,
-    saddle_point_2f1,
     saddle_point_exponent,
+    saddle_point_log,
 )
 
 EXACT_J_LIMIT = 64
@@ -101,9 +103,11 @@ class CoefficientIndex:
         return cls(j=j, j_prime=j, m=m, n=m)
 
 
-def evaluation_path(j: int) -> str:
-    """Which route diagonal_coefficient takes for this j under method='auto'."""
-    return PATH_EXACT if j <= EXACT_J_LIMIT else PATH_ASYMPTOTIC
+def evaluation_path(j: int, epsilon: Optional[float] = None) -> str:
+    """Which route diagonal_coefficient takes for this j, at this eps if
+    given, under method='auto': the exact route up to EXACT_J_LIMIT, and for
+    every j at eps = 1, where z = 0 and the coefficient is exactly 1."""
+    return PATH_EXACT if j <= EXACT_J_LIMIT or epsilon == 1.0 else PATH_ASYMPTOTIC
 
 
 def _boost_log(j, m, tau, epsilon: float):
@@ -112,13 +116,13 @@ def _boost_log(j, m, tau, epsilon: float):
     return (2 * (m + j + 1) + 1j * tau * j) * math.log(epsilon)
 
 
-def _boost_power(j: int, m: int, tau: complex, epsilon: float) -> LogComplexValue:
-    return LogComplexValue.from_log(_boost_log(j, m, complex(tau), epsilon))
-
-
-def _saddle_coefficient(j: int, m: int, tau: complex, epsilon: float) -> LogComplexValue:
-    """The asymptotic route for one pair."""
-    return _boost_power(j, m, tau, epsilon) * saddle_point_2f1(j, m, tau, epsilon)
+def _asymptotic_route(j, m, tau: complex, epsilon: float):
+    """The asymptotic route at Python ints j, m, or at integer arrays of them
+    alike, as (log_mag, phase): special.saddle_point_2f1 times the boost
+    power, with the bits of that LogComplexValue product."""
+    re, im = saddle_point_log(j, m, tau, epsilon)
+    boost = _boost_log(j, m, tau, epsilon)
+    return re + boost.real, wrap_phase(wrap_phase(im) + wrap_phase(boost.imag))
 
 
 def _exact_coefficients(
@@ -171,10 +175,11 @@ def diagonal_coefficients(
     """Diagonal coefficients D_j(m, tau, eps) for the pairs (js[i], ms[i]),
     as arrays (log_mag, phase).
 
-    Pairs on the exact route (j <= EXACT_J_LIMIT) are summed as rows of one
-    special.hyp2f1_rows call (see _exact_coefficients); pairs on the
-    asymptotic route take the saddle-point term one by one.  Each pair's
-    value is the same, bit for bit, whatever other pairs share the call, and
+    Pairs on the exact route (j <= EXACT_J_LIMIT, or any j at eps = 1) are
+    summed as rows of one special.hyp2f1_rows call (see
+    _exact_coefficients); pairs on the asymptotic route are evaluated in one
+    call of special.saddle_point_log.  Each pair's value is the same, bit for
+    bit, whatever other pairs share the call and however many there are, and
     the same as diagonal_coefficient's.
 
     Raises SeriesConvergenceError where an exact pair's series has cancelled
@@ -199,13 +204,13 @@ def diagonal_coefficients(
         raise IndexRangeError(f"|m| = {abs(int(ms[i]))} exceeds j = {int(js[i])}")
     if epsilon <= 0.0:
         raise EpsilonDomainError("epsilon must be positive")
-    exact = js <= EXACT_J_LIMIT
+    exact = (js <= EXACT_J_LIMIT) | (epsilon == 1.0)
     log_mag = np.empty(js.shape)
     phase = np.empty(js.shape)
     # the saddle-point pairs first: their domain checks fail fast
-    for i in np.flatnonzero(~exact).tolist():
-        v = _saddle_coefficient(int(js[i]), int(ms[i]), tau, epsilon)
-        log_mag[i], phase[i] = v.log_mag, v.phase
+    if not exact.all():
+        large = ~exact
+        log_mag[large], phase[large] = _asymptotic_route(js[large], ms[large], tau, epsilon)
     if exact.any():
         log_mag[exact], phase[exact], cancellation = _exact_coefficients(
             js[exact], ms[exact], tau, epsilon
@@ -227,10 +232,11 @@ def diagonal_coefficient(
 
     j = 0 is evaluated by the same formula (value eps^2 * 2F1(1,1;2;1-eps^4),
     which tends to 1 as eps -> 1); norm-type sums exclude it by convention and
-    report it separately.  method: 'auto' (exact up to EXACT_J_LIMIT, then
-    asymptotic), 'exact', or 'asymptotic' (the saddle-point term, which raises
-    SaddlePointDomainError outside its domain).  The one-pair case of
-    diagonal_coefficients, with the same value bit for bit.
+    report it separately.  method: 'auto' (the route of evaluation_path:
+    exact up to EXACT_J_LIMIT and at eps = 1, else asymptotic), 'exact', or
+    'asymptotic' (the saddle-point term, which raises SaddlePointDomainError
+    outside its domain and Hyp2F1DomainError at eps = 1).  The one-pair case
+    of diagonal_coefficients, with the same value bit for bit.
     """
     j = int(j)
     m = int(m)
@@ -243,9 +249,9 @@ def diagonal_coefficient(
     if epsilon <= 0.0:
         raise EpsilonDomainError("epsilon must be positive")
     if method == "auto":
-        method = evaluation_path(j)
+        method = evaluation_path(j, epsilon)
     if method == PATH_ASYMPTOTIC:
-        return _saddle_coefficient(j, m, tau, epsilon)
+        return LogComplexValue(*_asymptotic_route(j, m, tau, epsilon))
     if method != PATH_EXACT:
         raise ValueError(f"unknown method {method!r}")
     log_mag, phase, cancellation = _exact_coefficients(

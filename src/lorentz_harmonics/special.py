@@ -1,7 +1,8 @@
 """Special functions: complex log-gamma, Pochhammer symbols, the Gauss
 hypergeometric function for complex parameters and real argument, and the
 large-j saddle-point term used for boost coefficients beyond the exact
-evaluation window (with Watson's tau = 0 form kept for comparison).
+evaluation window, for one pair (j, m) or a batch of them (with Watson's
+tau = 0 form kept for comparison).
 
 All magnitude-critical results come back as LogComplexValue.
 """
@@ -13,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .logcomplex import LogComplexValue, log_sum, wrap_phases
+from .logcomplex import LogComplexValue, wrap_phases
 
 MAX_SERIES_TERMS = 100_000
 SERIES_TAIL_REL = 1e-17
@@ -468,6 +469,87 @@ def saddle_point_exponent(tau: complex, epsilon: float) -> complex:
     return cmath.log(t0) + cmath.log(1.0 - t0) - kappa * cmath.log(1.0 - z * t0)
 
 
+def _at(fn, x):
+    """The math-module function fn at a number x, or at each entry of an
+    integer array x through fn itself, so that an entry has the bits it has
+    alone."""
+    if isinstance(x, np.ndarray):
+        return np.fromiter(map(fn, x.tolist()), float, x.size)
+    return fn(x)
+
+
+def saddle_point_log(j, m, tau: complex, epsilon: float):
+    """log of saddle_point_2f1's term, as (real part, unwrapped imaginary
+    part), at Python ints j, m or at each pair of equal-shape integer arrays.
+
+    The j, m arithmetic takes either alike (real operations; math.lgamma and
+    math.log entry by entry), so a pair has the same bits alone or in any
+    batch.  What depends on (tau, eps) alone (the saddles, log t0, log(1-t0),
+    log(1-z t0), phi''(t0) and the gate's reach) is computed once per call;
+    per pair there remain the log-gammas of the integers 2j+2, j+m+1, j-m+1
+    and a few real products and sums.  Two contributing saddles are added as
+    an array log-sum-exp.  Raises as saddle_point_2f1 does; the gate's count
+    of Gaussian widths grows with j, so checking it at the smallest j raises
+    exactly when one pair of the batch would.
+    """
+    batch = isinstance(j, np.ndarray)
+    low = int(j.min()) if batch else j
+    if low < 1:
+        raise ValueError("asymptotic evaluation needs j >= 1")
+    if batch:
+        over = np.flatnonzero(np.abs(m) > j)
+        if over.size:
+            raise ValueError(f"|m| = {abs(int(m[over[0]]))} exceeds j = {int(j[over[0]])}")
+    elif abs(m) > j:
+        raise ValueError(f"|m| = {abs(m)} exceeds j = {j}")
+    if epsilon <= 0.0:
+        raise ValueError("epsilon must be positive")
+    if epsilon == 1.0:
+        raise Hyp2F1DomainError(
+            "asymptotic form degenerates at eps = 1 (z = 0); use hyp2f1 instead"
+        )
+    roots, weights, kappa, z = _coefficient_saddles(tau, epsilon)
+    log_beta = (_at(math.lgamma, 2 * j + 2) - _at(math.lgamma, j + m + 1)
+                - _at(math.lgamma, j - m + 1) - 0.5 * _at(math.log, j))
+    terms = []
+    for t0, other, weight in ((roots[0], roots[1], weights[0]), (roots[1], roots[0], weights[1])):
+        if weight == 0:
+            continue
+        one_minus_t = 1.0 - t0
+        one_minus_zt = 1.0 - z * t0
+        phi2 = -1.0 / t0**2 - 1.0 / one_minus_t**2 + kappa * z * z / one_minus_zt**2
+        reach = min(abs(t0), abs(one_minus_t), abs(t0 - 1.0 / z), abs(t0 - other))
+        widths = reach * math.sqrt(low * abs(phi2))
+        if widths < SADDLE_MIN_WIDTHS:
+            raise SaddlePointDomainError(
+                f"large-j saddle term unreliable at j = {low}, tau = {tau}, eps = {epsilon}: "
+                f"saddle only {widths:.3g} Gaussian widths from the nearest singular point"
+            )
+        log_t = cmath.log(t0)
+        log_1mt = cmath.log(one_minus_t)
+        log_1mzt = cmath.log(one_minus_zt)
+        per_m = log_t - log_1mt
+        per_j = log_t + log_1mt - kappa * log_1mzt
+        rest = 0.5 * cmath.log(2.0 * math.pi / -phi2) - log_1mzt
+        terms.append((
+            weight,
+            log_beta + m * per_m.real + j * per_j.real + rest.real,
+            m * per_m.imag + j * per_j.imag + rest.imag,
+        ))
+    if len(terms) == 1:
+        return terms[0][1:]
+    # a single pair goes through the same numpy loops as a batch
+    (w1, re1, im1), (w2, re2, im2) = terms
+    re1, im1, re2, im2 = (np.atleast_1d(x) for x in (re1, im1, re2, im2))
+    top = np.maximum(re1, re2)
+    size1 = w1 * np.exp(re1 - top)
+    size2 = w2 * np.exp(re2 - top)
+    x = size1 * np.cos(im1) + size2 * np.cos(im2)
+    y = size1 * np.sin(im1) + size2 * np.sin(im2)
+    re, im = top + np.log(np.hypot(x, y)), np.arctan2(y, x)
+    return (re, im) if batch else (float(re[0]), float(im[0]))
+
+
 def saddle_point_2f1(j: int, m: int, tau: complex, epsilon: float) -> LogComplexValue:
     """Leading large-j term of 2F1(j+1+i*tau*j/2, m+j+1; 2j+2; 1-eps^4) at fixed m.
 
@@ -483,7 +565,8 @@ def saddle_point_2f1(j: int, m: int, tau: complex, epsilon: float) -> LogComplex
     tau-dependence of the saddle.  The relative error is O(1/j) for fixed m.
     Where two saddles contribute (real tau past their meeting point) the
     value oscillates in j, and the error is O(1/j) relative to the size of
-    the two terms rather than to their sum.
+    the two terms rather than to their sum.  The one-pair case of
+    saddle_point_log.
 
     Raises SaddlePointDomainError outside the domain of _coefficient_saddles,
     and when the Gaussian width 1/sqrt(j |phi''(t0)|) of a contributing saddle
@@ -493,48 +576,7 @@ def saddle_point_2f1(j: int, m: int, tau: complex, epsilon: float) -> LogComplex
     j = 8, 65, 200) the relative error stayed below 1/r^2 at r such widths,
     so the gate r >= SADDLE_MIN_WIDTHS refuses errors of order one.
     """
-    j = int(j)
-    m = int(m)
-    tau = complex(tau)
-    epsilon = float(epsilon)
-    if j < 1:
-        raise ValueError("asymptotic evaluation needs j >= 1")
-    if abs(m) > j:
-        raise ValueError(f"|m| = {abs(m)} exceeds j = {j}")
-    if epsilon <= 0.0:
-        raise ValueError("epsilon must be positive")
-    if epsilon == 1.0:
-        raise Hyp2F1DomainError(
-            "asymptotic form degenerates at eps = 1 (z = 0); use hyp2f1 instead"
-        )
-    roots, weights, kappa, z = _coefficient_saddles(tau, epsilon)
-    log_beta = log_gamma(2.0 * j + 2.0) - log_gamma(j + m + 1.0) - log_gamma(j - m + 1.0)
-    terms = []
-    for t0, other, weight in ((roots[0], roots[1], weights[0]), (roots[1], roots[0], weights[1])):
-        if weight == 0:
-            continue
-        one_minus_t = 1.0 - t0
-        one_minus_zt = 1.0 - z * t0
-        phi2 = -1.0 / t0**2 - 1.0 / one_minus_t**2 + kappa * z * z / one_minus_zt**2
-        reach = min(abs(t0), abs(one_minus_t), abs(t0 - 1.0 / z), abs(t0 - other))
-        widths = reach * math.sqrt(j * abs(phi2))
-        if widths < SADDLE_MIN_WIDTHS:
-            raise SaddlePointDomainError(
-                f"large-j saddle term unreliable at j = {j}, tau = {tau}, eps = {epsilon}: "
-                f"saddle only {widths:.3g} Gaussian widths from the nearest singular point"
-            )
-        log_t = cmath.log(t0)
-        log_1mt = cmath.log(one_minus_t)
-        log_1mzt = cmath.log(one_minus_zt)
-        term = LogComplexValue.from_log(
-            log_beta
-            + m * (log_t - log_1mt)
-            - log_1mzt
-            + j * (log_t + log_1mt - kappa * log_1mzt)
-            + 0.5 * cmath.log(2.0 * math.pi / (-j * phi2))
-        )
-        terms.append(term if weight > 0 else term.negated())
-    return terms[0] if len(terms) == 1 else log_sum(terms)
+    return LogComplexValue(*saddle_point_log(int(j), int(m), complex(tau), float(epsilon)))
 
 
 __all__ = [
@@ -554,6 +596,7 @@ __all__ = [
     "log_gamma",
     "pochhammer",
     "saddle_point_2f1",
+    "saddle_point_log",
     "saddle_point_exponent",
     "watson_asymptotic_2f1",
 ]

@@ -1,8 +1,10 @@
-"""Batch evaluation of the diagonal coefficients: one series-kernel call per
-batch, bit-for-bit agreement with one-pair calls, the Euler reflection of the
-m > 0 rows, and how much work each caller asks of the kernel."""
+"""Batch evaluation of the diagonal coefficients: one series-kernel call and
+one saddle-point call per batch, bit-for-bit agreement with one-pair calls,
+the Euler reflection of the m > 0 rows, and how much work each caller asks of
+the kernel and of the large-j term."""
 import cmath
 import math
+import sys
 from collections import Counter
 
 import mpmath as mp
@@ -11,15 +13,20 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from lorentz_harmonics import principal_series, special
+from lorentz_harmonics import LogComplexValue, principal_series, special
 from lorentz_harmonics.expansion import partial_sum_triple, triple_blocks
 from lorentz_harmonics.principal_series import (
     diagonal_coefficient,
     diagonal_coefficients,
 )
-from lorentz_harmonics.special import SeriesConvergenceError
+from lorentz_harmonics.special import (
+    SaddlePointDomainError,
+    SeriesConvergenceError,
+    saddle_point_2f1,
+)
 from lorentz_harmonics.wigner import FourierTableSU2
 from lorentz_harmonics.ymap import YMapRequest, ymap_apply, ymap_convergence_report
+
 
 def mp_coefficient(j, m, tau, eps):
     with mp.workdps(40):
@@ -136,6 +143,138 @@ def test_batch_validation():
     assert log_mag.size == phase.size == 0
 
 
+# ------------------------------------------------------------ the large-j route
+
+def meeting_point(eps: float) -> float:
+    """|tau| at which the two saddles of the large-j term meet (real tau)."""
+    return 4.0 * eps * eps / abs(1.0 - eps**4)
+
+
+def raise_fp_errors():
+    """Make overflow, invalid results and division by zero raise, so that an
+    inf or nan in the large-j term fails a test rather than passing through.
+    Underflow stays quiet: a product that underflows (at subnormal tau, say)
+    is within 1e-308 of its true value."""
+    return np.errstate(all="raise", under="ignore")
+
+
+large_j_eps = st.one_of(st.floats(0.3, 0.9), st.floats(1.12, 3.6))
+
+
+@st.composite
+def saddle_domain(draw):
+    """(eps, tau) inside the large-j route's domain: real tau below the
+    saddles' meeting point, complex tau near the real axis, or real tau past
+    the meeting point, where two saddles contribute."""
+    eps = draw(large_j_eps)
+    meet = meeting_point(eps)
+    frac = draw(st.floats(-1.0, 1.0))
+    kind = draw(st.sampled_from(("real", "complex", "two") if meet < 0.9 else ("real", "complex")))
+    if kind == "real":
+        return eps, complex(0.9 * frac * min(1.0, meet), 0.0)
+    if kind == "complex":
+        return eps, complex(0.8 * frac * min(1.0, meet), draw(st.floats(-0.1, 0.1)))
+    return eps, complex(math.copysign(meet + (1.0 - meet) * (0.1 + 0.9 * abs(frac)), frac), 0.0)
+
+
+def single_values(pairs, tau, eps) -> dict:
+    """diagonal_coefficient at each pair: (log_mag, phase), or the class of
+    the error it raises."""
+    out = {}
+    for j, m in pairs:
+        try:
+            v = diagonal_coefficient(j, m, tau, eps)
+            out[(j, m)] = (v.log_mag, v.phase)
+        except (SaddlePointDomainError, SeriesConvergenceError) as exc:
+            out[(j, m)] = type(exc)
+    return out
+
+
+def first_error(pairs, singles):
+    """The error class a batch of these pairs raises, if any: that of its
+    first failing pair, the large-j pairs being evaluated first."""
+    for j, m in sorted(pairs, key=lambda p: p[0] <= principal_series.EXACT_J_LIMIT):
+        if isinstance(singles[(j, m)], type):
+            return singles[(j, m)]
+    return None
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    domain=saddle_domain(),
+    large=st.lists(st.tuples(st.integers(65, 1000), st.integers(-6, 6)), min_size=1, max_size=24),
+    small=st.lists(st.tuples(st.integers(0, 64), st.floats(-1.0, 1.0)), max_size=3),
+    data=st.data(),
+)
+@example(domain=(4.0, 0.5 + 0j), large=[(100, 0), (400, 1), (65, -1)] * 4, small=[(20, 0.5)],
+         data=None)
+@example(domain=(0.3, -0.5 + 0j), large=[(200, 3), (1000, 0)], small=[], data=None)
+@example(domain=(2.0, 0.3 + 0.2j), large=[(65, 2), (999, -6)] * 5, small=[(64, -1.0)], data=None)
+def test_large_j_batch_matches_single_pairs(domain, large, small, data):
+    eps, tau = domain
+    pairs = large + [(j, round(f * j)) for j, f in small]
+    if data is not None:
+        pairs = data.draw(st.permutations(pairs))
+    js, ms = (list(x) for x in zip(*pairs))
+    with raise_fp_errors():
+        singles = single_values(pairs, tau, eps)
+        # every large-j value is saddle_point_2f1 times the boost power
+        for (j, m), v in singles.items():
+            if j > principal_series.EXACT_J_LIMIT and not isinstance(v, type):
+                boost = LogComplexValue.from_log((2 * (m + j + 1) + 1j * tau * j) * math.log(eps))
+                term = saddle_point_2f1(j, m, tau, eps) * boost
+                assert (term.log_mag, term.phase) == v
+        # and each pair's bits are the same at every batch length
+        for n in range(1, len(pairs) + 1):
+            want = first_error(pairs[:n], singles)
+            if want is not None:
+                with pytest.raises(want):
+                    diagonal_coefficients(js[:n], ms[:n], tau, eps)
+                continue
+            log_mag, phase = diagonal_coefficients(js[:n], ms[:n], tau, eps)
+            for k in range(n):
+                assert (log_mag[k], phase[k]) == singles[pairs[k]], pairs[k]
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    eps=large_j_eps,
+    frac=st.floats(-1.0, 1.0),
+    im=st.sampled_from([0.0, 0.0, 0.06, -0.07]),
+    j=st.integers(65, 1000),
+    m=st.integers(-3, 3),
+)
+@example(eps=3.6, frac=0.8, im=0.0, j=65, m=3)
+def test_large_j_route_within_benchmark_tolerance(eps, frac, im, j, m):
+    # the benchmark's domain and its tolerance 6 (1 + m^2) / j for the
+    # leading term's O(1/j) error
+    tau = complex(frac * min(0.5, 0.8 * meeting_point(eps)), im)
+    with raise_fp_errors():
+        log_mag, phase = diagonal_coefficients([j, 3], [m, 0], tau, eps)
+    assert rel_error(log_mag[0], phase[0], mp_coefficient(j, m, tau, eps)) <= 6.0 * (1 + m * m) / j
+
+
+@pytest.mark.parametrize("tau,eps", [
+    (0.449, 3.0),       # the gate: the two saddles nearly meet (passes from j = 5000)
+    (0.0, 100.0),       # the gate: the saddle near t = 0 (passes from j = 5000)
+    (2.0, 2.0),         # |Re tau| > 1
+    (0.9 - 0.3j, 10.0),  # complex tau with Re(disc) <= 0
+])
+def test_large_j_batch_raises_as_its_first_failing_pair(tau, eps):
+    pairs = [(3, 0), (65, 1), (200, 0), (1000, -1), (5000, 0), (20000, 2)]
+    with raise_fp_errors():
+        singles = single_values(pairs, tau, eps)
+        assert any(v is SaddlePointDomainError for v in singles.values())
+        for start in range(len(pairs)):
+            js, ms = zip(*pairs[start:])
+            want = first_error(pairs[start:], singles)
+            if want is None:
+                diagonal_coefficients(js, ms, tau, eps)
+                continue
+            with pytest.raises(want):
+                diagonal_coefficients(js, ms, tau, eps)
+
+
 # ---------------------------------------------------------------- work counts
 
 @pytest.fixture
@@ -192,3 +331,30 @@ def test_triple_blocks_read_one_column_per_j(kernel_rows):
     blocks = triple_blocks(0.3, 2.0, 10)
     assert len(blocks) == 11
     assert sum(kernel_rows.values()) == sum(j + 1 for j in range(11))
+
+
+@pytest.fixture
+def term_calls(monkeypatch):
+    """Calls of special.log_gamma, saddle_point_2f1 and saddle_point_log,
+    counted wherever the package holds them, as the benchmark's tracer does."""
+    calls = Counter()
+    modules = [m for name, m in sys.modules.items()
+               if name == "lorentz_harmonics" or name.startswith("lorentz_harmonics.")]
+    for name in ("log_gamma", "saddle_point_2f1", "saddle_point_log"):
+        original = getattr(special, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        for module in modules:
+            for key, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, key, counted)
+    return calls
+
+
+def test_large_j_scan_is_one_saddle_call(term_calls):
+    js = np.arange(65, 401)
+    diagonal_coefficients(js, np.ones_like(js), 0.3, 1.6)
+    assert term_calls == {"saddle_point_log": 1}

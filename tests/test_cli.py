@@ -133,6 +133,16 @@ def test_invalid_matrix_exit_code(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("target", [
+    ("--eps", "1"),
+    ("--g", "0.6", "0", "0", "0.8", "0", "0.8", "0.6", "0"),   # an SU(2) element
+])
+def test_coeff_unit_boost_past_exact_window(capsys, target):
+    payload = run_json(capsys, "coeff", "--j", "65", "--m", "3", "--tau", "0.3", *target)
+    report = payload["report"]
+    assert (report["path"], report["log_mag"], report["phase"]) == ("exact", 0.0, 0.0)
+
+
 def test_matrix_target_matches_eps(capsys):
     p1 = run_json(capsys, "coeff", "--j", "2", "--m", "1", "--tau", "0.3", "--eps", "2")
     p2 = run_json(
@@ -224,6 +234,12 @@ def test_ymap_subcommand(tmp_path, capsys):
 def test_asymcheck_subcommand(capsys):
     payload = run_json(
         capsys, "asymcheck", "--j", "32", "--m", "0", "--tau", "0", "--eps", "2"
+    )
+    assert payload["report"]["relative_error"] < 0.05
+    # the saddle-point term that coeff uses: 0.023 here, where Watson's
+    # tau = 0 term is off by 1.99
+    payload = run_json(
+        capsys, "asymcheck", "--j", "32", "--m", "0", "--tau", "0.5", "--eps", "2"
     )
     assert payload["report"]["relative_error"] < 0.05
     payload = run_json(

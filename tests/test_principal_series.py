@@ -15,13 +15,18 @@ from lorentz_harmonics.principal_series import (
     admissible_pairs,
     boundary_ratio_test,
     diagonal_coefficient,
+    diagonal_coefficients,
     duc_hieu_general,
     evaluation_path,
     predicted_boundary_ratio,
     predicted_diagonal_ratio,
     ratio_test,
 )
-from lorentz_harmonics.special import SaddlePointDomainError, SeriesConvergenceError
+from lorentz_harmonics.special import (
+    Hyp2F1DomainError,
+    SaddlePointDomainError,
+    SeriesConvergenceError,
+)
 
 
 def rel_between(a, b) -> float:
@@ -63,6 +68,8 @@ def test_coefficient_index_validation():
 def test_evaluation_path_switch():
     assert evaluation_path(EXACT_J_LIMIT) == "exact"
     assert evaluation_path(EXACT_J_LIMIT + 1) == "asymptotic"
+    assert evaluation_path(EXACT_J_LIMIT + 1, 2.0) == "asymptotic"
+    assert evaluation_path(EXACT_J_LIMIT + 1, 1.0) == "exact"
 
 
 # ---------------------------------------------------------- general formula
@@ -118,11 +125,20 @@ def test_general_epsilon_domain():
 # -------------------------------------------------------- diagonal coefficient
 
 def test_diagonal_unit_boost_is_one():
-    for j in (0, 1, 5, 40):
-        for m in (-j, 0, j):
-            for tau in (0.0, 0.5, 1 + 0.2j):
-                v = diagonal_coefficient(j, m, tau, 1.0)
-                assert v.to_complex() == pytest.approx(1.0, abs=1e-13)
+    # z = 0 and a boost power of 1: D_j = 1 for every j, on both sides of
+    # the exact window
+    for j in (0, 1, 5, 40, EXACT_J_LIMIT, EXACT_J_LIMIT + 1, 400):
+        for m in (-j, 0, 3, j):
+            for tau in (0.0, 0.3, 0.5, 1 + 0.2j, 2.0):
+                if abs(m) <= j:
+                    v = diagonal_coefficient(j, m, tau, 1.0)
+                    assert (v.log_mag, v.phase) == (0.0, 0.0)
+    js = list(range(60, 70))
+    log_mag, phase = diagonal_coefficients(js, [3] * len(js), 0.3, 1.0)
+    assert log_mag.tolist() == phase.tolist() == [0.0] * len(js)
+    # the saddle-point term itself degenerates there
+    with pytest.raises(Hyp2F1DomainError):
+        diagonal_coefficient(EXACT_J_LIMIT + 1, 3, 0.3, 1.0, method="asymptotic")
 
 
 def test_diagonal_frozen_value():
