@@ -4,11 +4,13 @@ Subcommands: coeff, ratio, sum, norm, diverge, ymap, asymcheck.  Each emits a
 single JSON envelope {command, params, report} (validating against
 schemas/report.schema.json) or a CSV flattening with a fixed column order;
 series reports are flattened by reports.series_csv_rows.
-Exit codes: 0 success, 1 numerical failure, 2 domain/usage error.
+Exit codes: 0 success, 1 numerical failure, 2 domain/usage error (including
+non-finite --tau/--eps and unreadable or malformed files).
 """
 from __future__ import annotations
 
 import argparse
+import cmath
 import csv
 import io
 import json
@@ -18,35 +20,30 @@ from typing import Optional, Sequence
 
 from . import expansion, principal_series, ymap
 from .config import FORMAT_CHOICES, RunConfig, load_run_config
-from .lie_group import MatrixInvariantError, SL2CElement, epsilon_of
-from .reports import SERIES_CSV_COLUMNS, SeriesReport, series_csv_rows
-from .special import GammaPoleError, Hyp2F1DomainError, SeriesConvergenceError
-from .wigner import FourierTableSU2, WignerIndexError
+from .lie_group import SL2CElement, epsilon_of
+from .reports import SERIES_CSV_COLUMNS, SeriesReport, series_csv_rows, to_json
+from .wigner import FourierTableSU2
 
 EXIT_OK = 0
 EXIT_NUMERICAL = 1
 EXIT_DOMAIN = 2
 
-_DOMAIN_ERRORS = (
-    ValueError,
-    GammaPoleError,
-    Hyp2F1DomainError,
-    MatrixInvariantError,
-    WignerIndexError,
-    principal_series.IndexRangeError,
-    principal_series.EpsilonDomainError,
-    expansion.SingularTauError,
-)
-
 
 def parse_complex(text: str) -> complex:
-    """Parse 're' or 're,im'."""
+    """Parse 're' or 're,im'; both parts must be finite."""
     parts = text.split(",")
-    if len(parts) == 1:
-        return complex(float(parts[0]), 0.0)
-    if len(parts) == 2:
-        return complex(float(parts[0]), float(parts[1]))
-    raise ValueError(f"cannot parse complex value from {text!r}")
+    if len(parts) > 2:
+        raise ValueError(f"cannot parse complex value from {text!r}")
+    value = complex(*map(float, parts))
+    if not cmath.isfinite(value):
+        raise ValueError(f"{text!r} is not a finite complex value")
+    return value
+
+
+def _finite_epsilon(eps: float) -> float:
+    if not math.isfinite(eps):
+        raise principal_series.EpsilonDomainError(f"epsilon must be finite, got {eps}")
+    return eps
 
 
 def _resolve_epsilon(args, cfg: RunConfig) -> float:
@@ -55,11 +52,11 @@ def _resolve_epsilon(args, cfg: RunConfig) -> float:
         return epsilon_of(g)
     if getattr(args, "eps", None) is None:
         raise ValueError("provide either --eps or --g")
-    return float(args.eps)
+    return _finite_epsilon(args.eps)
 
 
 def _series_payload(command: str, report: SeriesReport) -> tuple[dict, SeriesReport]:
-    data = report.to_json_dict()
+    data = to_json(report)
     return {"command": command, "params": data["params"], "report": data}, report
 
 
@@ -120,7 +117,7 @@ def cmd_norm(args, cfg: RunConfig) -> tuple[dict, None]:
     report = expansion.norm_identity(tau, cfg.j_max)
     return {"command": "norm",
             "params": {"tau": [tau.real, tau.imag], "j_max": report.j_max},
-            "report": report.to_json_dict()}, None
+            "report": to_json(report)}, None
 
 
 def cmd_diverge(args, cfg: RunConfig) -> tuple[dict, None]:
@@ -129,7 +126,7 @@ def cmd_diverge(args, cfg: RunConfig) -> tuple[dict, None]:
     report = expansion.divergence_probe(tau, cps, cauchy_tolerance=cfg.cauchy_tolerance)
     return {"command": "diverge",
             "params": {"tau": [tau.real, tau.imag], "checkpoints": cps},
-            "report": report.to_json_dict()}, None
+            "report": to_json(report)}, None
 
 
 def cmd_ymap(args, cfg: RunConfig) -> tuple[dict, SeriesReport]:
@@ -142,13 +139,13 @@ def cmd_ymap(args, cfg: RunConfig) -> tuple[dict, SeriesReport]:
     )
     payload, report = _series_payload("ymap", ymap.ymap_apply(req))
     if args.bounds:
-        payload["report"]["bounds"] = ymap.ymap_convergence_report(req).to_json_dict()
+        payload["report"]["bounds"] = to_json(ymap.ymap_convergence_report(req))
     return payload, report
 
 
 def cmd_asymcheck(args, cfg: RunConfig) -> tuple[dict, None]:
     tau = parse_complex(args.tau)
-    eps = float(args.eps)
+    eps = _finite_epsilon(args.eps)
     exact = principal_series.diagonal_coefficient(args.j, args.m, tau, eps, method="exact")
     asym = principal_series.diagonal_coefficient(args.j, args.m, tau, eps, method="asymptotic")
     rel = abs(
@@ -218,8 +215,12 @@ def _csv_text(payload: dict, series: Optional[SeriesReport]) -> str:
 
 def _emit(payload: dict, series: Optional[SeriesReport], cfg: RunConfig) -> None:
     if cfg.format == "json":
-        # non-finite values are stringified upstream; fail loudly on any leak
-        text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
+        # to_json stringifies infinities; a NaN that leaks through is a
+        # numerical failure, not a usage error
+        try:
+            text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
+        except ValueError as exc:
+            raise ArithmeticError(f"report holds a NaN ({exc})") from exc
     else:
         text = _csv_text(payload, series)
     if cfg.out:
@@ -324,14 +325,15 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
     try:
-        payload, series = args.func(args, cfg)
-    except _DOMAIN_ERRORS as exc:
+        _emit(*args.func(args, cfg), cfg)
+    except (ValueError, OSError) as exc:
+        # every domain error of the library is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
-    except (SeriesConvergenceError, OverflowError, ArithmeticError, RuntimeError) as exc:
+    except (ArithmeticError, RuntimeError) as exc:
+        # SeriesConvergenceError and SaddlePointDomainError are RuntimeErrors
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    _emit(payload, series, cfg)
     return EXIT_OK
 
 

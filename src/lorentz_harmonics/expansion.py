@@ -191,15 +191,6 @@ class NormIdentityReport:
     tail_bound: float
     j_max: int
 
-    def to_json_dict(self) -> dict:
-        return {
-            "computed": [self.computed.real, self.computed.imag],
-            "target": [self.target.real, self.target.imag],
-            "deviation": self.deviation,
-            "tail_bound": self.tail_bound,
-            "j_max": self.j_max,
-        }
-
 
 def norm_identity(tau: complex, j_max: int) -> NormIdentityReport:
     """Truncation of sum_{j>=1} 1/(j^2 (1 + tau^2)) against the closed form
@@ -235,16 +226,6 @@ class GrowthReport:
     model_increments: tuple[complex, ...]
     relative_deviations: tuple[float, ...]
     verdict: str
-
-    def to_json_dict(self) -> dict:
-        return {
-            "checkpoints": list(self.checkpoints),
-            "partial_sums": [[s.real, s.imag] for s in self.partial_sums],
-            "increments": [[s.real, s.imag] for s in self.increments],
-            "model_increments": [[s.real, s.imag] for s in self.model_increments],
-            "relative_deviations": list(self.relative_deviations),
-            "verdict": self.verdict,
-        }
 
 
 def divergence_probe(

@@ -107,9 +107,6 @@ class SU2Element:
     def to_flat(self) -> list[float]:
         return SL2CElement(self.matrix, tol=1e-9).to_flat()
 
-    def as_sl2c(self) -> SL2CElement:
-        return SL2CElement(self.matrix, tol=max(self.tol, 1e-12))
-
     def euler_angles(self) -> tuple[float, float, float]:
         """z-y-z Euler angles (alpha, beta, gamma) with alpha in [0, 2pi),
         beta in [0, pi], gamma in [0, 4pi)."""

@@ -1,5 +1,5 @@
-"""Report containers shared by the series diagnostics, and the one builder
-that fills them.
+"""Report containers shared by the series diagnostics, the one builder that
+fills them, and the one JSON encoder (to_json) for every report dataclass.
 
 A SeriesReport captures, for one scan over the label j: the per-term log-polar
 values, consecutive magnitude ratios, partial sums, the predicted and measured
@@ -8,7 +8,7 @@ tail ratios, and a Cauchy convergence verdict.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, is_dataclass
 from statistics import median
 from typing import Any, Iterable, Optional, Sequence
 
@@ -30,9 +30,6 @@ class TermRecord:
     phase: float
     ratio: Optional[float] = None
 
-    def to_json_dict(self) -> dict:
-        return {"j": self.j, "log_mag": self.log_mag, "phase": self.phase, "ratio": self.ratio}
-
 
 @dataclass(frozen=True)
 class SeriesReport:
@@ -46,26 +43,6 @@ class SeriesReport:
     relative_deviation: Optional[float] = None
     extras: dict[str, Any] = field(default_factory=dict)
 
-    @property
-    def term_ratios(self) -> list[float]:
-        return [t.ratio for t in self.terms if t.ratio is not None]
-
-    def to_json_dict(self) -> dict:
-        # infinities become strings so the output stays strict JSON
-        return _jsonify(
-            {
-                "params": self.params,
-                "terms": [t.to_json_dict() for t in self.terms],
-                "partial_sums": [[s.real, s.imag] for s in self.partial_sums],
-                "verdict": self.verdict,
-                "cauchy_delta": self.cauchy_delta,
-                "predicted_limit": self.predicted_limit,
-                "empirical_limit": self.empirical_limit,
-                "relative_deviation": self.relative_deviation,
-                "extras": self.extras,
-            }
-        )
-
 
 SERIES_CSV_COLUMNS = ["j", "log_mag", "phase", "ratio", "partial_re", "partial_im"]
 
@@ -77,15 +54,22 @@ def series_csv_rows(report: SeriesReport) -> list[list]:
     return rows
 
 
-def _jsonify(obj: Any) -> Any:
+def to_json(obj: Any) -> Any:
+    """The strict-JSON form of a report: a dataclass becomes a dict of its
+    fields, a complex number [re, im], a tuple a list, and an infinity the
+    string "inf" or "-inf"; a NaN is left for json.dumps(allow_nan=False) to
+    reject."""
+    # leaf types first: a report is mostly floats, and is_dataclass is slow
+    if isinstance(obj, float):
+        return ("-inf" if obj < 0 else "inf") if math.isinf(obj) else obj
     if isinstance(obj, complex):
-        return [obj.real, obj.imag]
-    if isinstance(obj, dict):
-        return {k: _jsonify(v) for k, v in obj.items()}
+        return [to_json(obj.real), to_json(obj.imag)]
     if isinstance(obj, (list, tuple)):
-        return [_jsonify(v) for v in obj]
-    if isinstance(obj, float) and math.isinf(obj):
-        return "-inf" if obj < 0 else "inf"
+        return [to_json(v) for v in obj]
+    if isinstance(obj, dict):
+        return {k: to_json(v) for k, v in obj.items()}
+    if is_dataclass(obj):
+        return {f.name: to_json(getattr(obj, f.name)) for f in fields(obj)}
     return obj
 
 
@@ -191,4 +175,5 @@ __all__ = [
     "log_terms",
     "series_csv_rows",
     "series_report",
+    "to_json",
 ]

@@ -162,11 +162,15 @@ class FourierTableSU2:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "FourierTableSU2":
-        entries = {
-            (int(e["twice_j"]), int(e["twice_m"])): complex(e["re"], e["im"])
-            for e in data["entries"]
-        }
-        return cls(int(data["p"]), int(data["band_limit"]), entries)
+        """Inverse of to_json_dict; a missing or ill-typed field raises ValueError."""
+        try:
+            entries = {
+                (int(e["twice_j"]), int(e["twice_m"])): complex(e["re"], e["im"])
+                for e in data["entries"]
+            }
+            return cls(int(data["p"]), int(data["band_limit"]), entries)
+        except (KeyError, TypeError) as exc:
+            raise ValueError(f"malformed Fourier table: {exc!r}") from exc
 
 
 def su2_fourier(
@@ -255,28 +259,12 @@ class PaleyWienerReport:
     scaled: Mapping[int, tuple[float, ...]]
     non_increasing_top_half: Mapping[int, bool]
 
-    def to_json_dict(self) -> dict:
-        return {
-            "p": self.p,
-            "band_limit": self.band_limit,
-            "noise_floor": self.noise_floor,
-            "twice_js": list(self.twice_js),
-            "sup_values": list(self.sup_values),
-            "scaled": {str(n): list(v) for n, v in self.scaled.items()},
-            "non_increasing_top_half": {
-                str(n): bool(v) for n, v in self.non_increasing_top_half.items()
-            },
-        }
 
-
-def paley_wiener_report(
-    table: FourierTableSU2,
-    powers: Sequence[int],
-    noise_floor: float | None = None,
-) -> PaleyWienerReport:
+def paley_wiener_report(table: FourierTableSU2, powers: Sequence[int]) -> PaleyWienerReport:
     """Measure sup_m |entry| * (j/2)^n per row and flag whether each scaled
-    sequence is non-increasing over the top half of the band."""
-    floor = table.noise_floor if noise_floor is None else float(noise_floor)
+    sequence is non-increasing over the top half of the band; entries at or
+    below the table's noise floor count as zeros."""
+    floor = table.noise_floor
     tjs = table.row_twice_js()
     sup = table.sup_by_row()
     sup_f = [0.0 if sup[tj] <= floor else sup[tj] for tj in tjs]

@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Optional
 
 from .expansion import coefficient_column
@@ -75,23 +76,6 @@ def _term(ds: list[complex], values: list[complex]) -> complex:
     return sum((d * v for d, v in zip(ds, values)), 0j)
 
 
-def _apply_report(req: YMapRequest, eps: float, terms: list[complex]) -> SeriesReport:
-    """The mapped function's partial sums from its j-terms, j = |p| .. j_max."""
-    table = req.table
-    if table.band_limit < req.j_max:
-        warnings.warn(
-            f"table band {table.band_limit} is below j_max = {req.j_max}; "
-            "tail terms use the zero-extension",
-            stacklevel=3,
-        )
-    return series_report(
-        {"kind": "ymap", "p": table.p, "band_limit": table.band_limit,
-         "tau": req.tau, "epsilon": eps, "j_max": req.j_max},
-        (complex_term(j, t) for j, t in enumerate(terms, start=abs(table.p))),
-        req.cauchy_tolerance, req.cauchy_window,
-    )
-
-
 def _scan_epsilon(req: YMapRequest) -> float:
     eps = req.resolved_epsilon()
     if eps == 1.0:
@@ -108,14 +92,26 @@ def ymap_apply(req: YMapRequest) -> SeriesReport:
     band-limited input; a warning notes when the scan range outruns the band.
     """
     eps = _scan_epsilon(req)
-    entries = [_entries(req.table, j) for j in range(abs(req.table.p), req.j_max + 1)]
-    js = [j for j, (ms, _) in enumerate(entries, start=abs(req.table.p)) for _ in ms]
+    table = req.table
+    entries = [_entries(table, j) for j in range(abs(table.p), req.j_max + 1)]
+    js = [j for j, (ms, _) in enumerate(entries, start=abs(table.p)) for _ in ms]
     ms = [m for ms, _ in entries for m in ms]
     values = iter(to_complex_values(
         *diagonal_coefficients(js, ms, req.tau, eps, against_largest=True)
     ))
     terms = [_term(ds, [next(values) for _ in ds]) for _, ds in entries]
-    return _apply_report(req, eps, terms)
+    if table.band_limit < req.j_max:
+        warnings.warn(
+            f"table band {table.band_limit} is below j_max = {req.j_max}; "
+            "tail terms use the zero-extension",
+            stacklevel=2,
+        )
+    return series_report(
+        {"kind": "ymap", "p": table.p, "band_limit": table.band_limit,
+         "tau": req.tau, "epsilon": eps, "j_max": req.j_max},
+        (complex_term(j, t) for j, t in enumerate(terms, start=abs(table.p))),
+        req.cauchy_tolerance, req.cauchy_window,
+    )
 
 
 @dataclass(frozen=True)
@@ -136,21 +132,6 @@ class YMapBoundsReport:
     coefficient_verdict: str
     verdict: str
 
-    def to_json_dict(self) -> dict:
-        return {
-            "js": list(self.js),
-            "fourier_partials": list(self.fourier_partials),
-            "coefficient_partials": list(self.coefficient_partials),
-            "product_partials": list(self.product_partials),
-            "apply_abs": list(self.apply_abs),
-            "fourier_sum_bound": self.fourier_sum_bound,
-            "coefficient_sum_bound": self.coefficient_sum_bound,
-            "product_bound": self.product_bound,
-            "fourier_verdict": self.fourier_verdict,
-            "coefficient_verdict": self.coefficient_verdict,
-            "verdict": self.verdict,
-        }
-
 
 def ymap_convergence_report(req: YMapRequest) -> YMapBoundsReport:
     """Evaluate the majorization of the mapped series: its partial sums are
@@ -169,7 +150,6 @@ def ymap_convergence_report(req: YMapRequest) -> YMapBoundsReport:
         if j >= abs(table.p):
             ms, ds = _entries(table, j)
             terms.append(_term(ds, [column[m + j] for m in ms]))
-    apply_report = _apply_report(req, eps, terms)
 
     js = list(range(abs(table.p), req.j_max + 1))
     f_part: list[float] = []
@@ -200,7 +180,7 @@ def ymap_convergence_report(req: YMapRequest) -> YMapBoundsReport:
         fourier_partials=tuple(f_part),
         coefficient_partials=tuple(c_part),
         product_partials=tuple(p_part),
-        apply_abs=tuple(abs(s) for s in apply_report.partial_sums),
+        apply_abs=tuple(abs(s) for s in accumulate(terms)),
         fourier_sum_bound=f_part[-1],
         coefficient_sum_bound=c_part[-1],
         product_bound=p_part[-1],

@@ -1,9 +1,11 @@
 import csv
 import io
 import json
+import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import jsonschema
@@ -321,3 +323,86 @@ def test_numerical_failure_exit_code(capsys):
     code, _ = run_cli(capsys, "coeff", "--j", "1", "--m", "0", "--tau", "0",
                       "--eps", "0.05")
     assert code == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ("norm", "--tau", "nan"),
+    ("norm", "--tau", "inf"),
+    ("norm", "--tau", "0,nan"),
+    ("ratio", "--m", "0", "--tau", "0,-inf", "--eps", "2"),
+    ("coeff", "--j", "10", "--tau", "0", "--eps", "inf"),
+    ("coeff", "--j", "100", "--tau", "0", "--eps", "nan"),
+    ("asymcheck", "--j", "3", "--m", "0", "--tau", "0", "--eps", "inf"),
+])
+def test_non_finite_tau_or_eps_is_domain_error(capsys, argv):
+    code = main(list(argv))
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "finite" in captured.err
+
+
+@pytest.mark.parametrize("table, text, out", [
+    ("absent.json", None, None),
+    (".", None, None),
+    ("t.json", '{"p": 0, "band_limit": 4}', None),
+    ("t.json", '{"p": 0, "band_limit": 4, "entries": 5}', None),
+    ("t.json", '{"p": 0, "band_limit": 4, "entries": [{"twice_j": 0, "re": 1, "im": 0}]}',
+     None),
+    ("t.json", '{"p": 0, "band_limit": 4, "entries": []}', "no/such/dir.json"),
+], ids=["missing", "directory", "no-entries", "entries-int", "entry-without-twice_m",
+        "out-dir"])
+def test_file_errors_exit_2_with_one_line(tmp_path, capsys, table, text, out):
+    if text is not None:
+        (tmp_path / table).write_text(text)
+    argv = ["ymap", "--table", str(tmp_path / table), "--tau", "0.3", "--eps", "2",
+            "--jmax", "3"]
+    code = main(argv + (["--out", str(tmp_path / out)] if out else []))
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+def test_nan_in_report_is_numerical_failure(capsys):
+    # 1 + tau^2 overflows to a complex infinity and the norm series to NaN
+    code = main(["norm", "--tau", "1e200,1e200", "--jmax", "10"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.startswith("numerical failure: ")
+
+
+def test_ymap_bounds_warns_once(tmp_path, capsys):
+    path = tmp_path / "t.json"
+    path.write_text(json.dumps(FourierTableSU2(0, 2, {(0, 0): 1.0 + 0j}).to_json_dict()))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["ymap", "--table", str(path), "--tau", "0.3", "--eps", "2",
+                     "--jmax", "6", "--bounds"])
+    assert code == 0
+    assert [str(w.message) for w in caught if "table band" in str(w.message)] == [
+        "table band 2 is below j_max = 6; tail terms use the zero-extension"
+    ]
+
+
+def test_to_json_encodes_dataclasses_field_by_field():
+    from lorentz_harmonics.expansion import GrowthReport
+    from lorentz_harmonics.reports import TermRecord, to_json
+
+    report = GrowthReport(
+        checkpoints=(1, 2), partial_sums=(1 + 2j, complex(math.inf, -math.inf)),
+        increments=(0.5j,), model_increments=(), relative_deviations=(math.inf,),
+        verdict="inconclusive",
+    )
+    assert to_json(report) == {
+        "checkpoints": [1, 2], "partial_sums": [[1.0, 2.0], ["inf", "-inf"]],
+        "increments": [[0.0, 0.5]], "model_increments": [],
+        "relative_deviations": ["inf"], "verdict": "inconclusive",
+    }
+    assert to_json({"t": [TermRecord(3, -math.inf, 0.0)]}) == {
+        "t": [{"j": 3, "log_mag": "-inf", "phase": 0.0, "ratio": None}]
+    }
+    # NaN is left for json.dumps(allow_nan=False) to reject
+    with pytest.raises(ValueError):
+        json.dumps(to_json(TermRecord(1, math.nan, 0.0)), allow_nan=False)
