@@ -40,19 +40,13 @@ def parse_complex(text: str) -> complex:
     return value
 
 
-def _finite_epsilon(eps: float) -> float:
-    if not math.isfinite(eps):
-        raise principal_series.EpsilonDomainError(f"epsilon must be finite, got {eps}")
-    return eps
-
-
 def _resolve_epsilon(args, cfg: RunConfig) -> float:
     if getattr(args, "g", None) is not None:
         g = SL2CElement.from_flat(args.g, tol=cfg.det_tolerance)
         return epsilon_of(g)
     if getattr(args, "eps", None) is None:
         raise ValueError("provide either --eps or --g")
-    return _finite_epsilon(args.eps)
+    return principal_series.check_epsilon(args.eps)
 
 
 def _series_payload(command: str, report: SeriesReport) -> tuple[dict, SeriesReport]:
@@ -145,7 +139,7 @@ def cmd_ymap(args, cfg: RunConfig) -> tuple[dict, SeriesReport]:
 
 def cmd_asymcheck(args, cfg: RunConfig) -> tuple[dict, None]:
     tau = parse_complex(args.tau)
-    eps = _finite_epsilon(args.eps)
+    eps = principal_series.check_epsilon(args.eps)
     exact = principal_series.diagonal_coefficient(args.j, args.m, tau, eps, method="exact")
     asym = principal_series.diagonal_coefficient(args.j, args.m, tau, eps, method="asymptotic")
     rel = abs(

@@ -6,6 +6,7 @@ LH_ (e.g. LH_J_MAX=400).
 """
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
@@ -28,8 +29,8 @@ class RunConfig:
     def __post_init__(self) -> None:
         if self.j_max < 1:
             raise ValueError("j_max must be >= 1")
-        if self.cauchy_tolerance <= 0 or self.det_tolerance <= 0:
-            raise ValueError("tolerances must be positive")
+        if not (0 < self.cauchy_tolerance < math.inf and 0 < self.det_tolerance < math.inf):
+            raise ValueError("tolerances must be positive and finite")
         if self.cauchy_window < 1:
             raise ValueError("cauchy_window must be >= 1")
         if self.format not in FORMAT_CHOICES:

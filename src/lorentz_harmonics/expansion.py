@@ -8,9 +8,10 @@ Each series asks principal_series.diagonal_coefficients for all the
 coefficients it needs at once: a fixed-m sum or synthesis reads its whole j
 range in one call (the exact window as one batch of series rows, the pairs
 beyond it as one batch of the saddle-point term), and the triple sum reads
-one column of 2j+1 coefficients per j.  As the values are
-only added, cancellation in a coefficient's series is judged against the
-largest coefficient of the call.
+its whole (j, |m| <= j) grid in one call (coefficient_grid) and takes the
+column sums as numpy slices of it.  As the values are only added,
+cancellation in a coefficient's series is judged against the largest
+coefficient of the call, or, on the grid, of the coefficient's column.
 """
 from __future__ import annotations
 
@@ -22,7 +23,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .logcomplex import to_complex_values
-from .principal_series import EpsilonDomainError, diagonal_coefficients
+from .principal_series import EpsilonDomainError, check_epsilon, diagonal_coefficients
 from .reports import (
     SeriesReport,
     VERDICT_DIVERGED,
@@ -60,11 +61,10 @@ class ExpansionConfig:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "tau", complex(self.tau))
-        if self.epsilon <= 0.0:
-            raise EpsilonDomainError("epsilon must be positive")
+        check_epsilon(self.epsilon)
         if self.j_max < 1:
             raise ValueError("j_max must be positive")
-        if self.cauchy_tolerance <= 0.0 or self.cauchy_window < 1:
+        if not 0.0 < self.cauchy_tolerance < math.inf or self.cauchy_window < 1:
             raise ValueError("invalid Cauchy settings")
 
 
@@ -136,7 +136,7 @@ def partial_sum_diagonal(cfg: ExpansionConfig) -> SeriesReport:
     )
     extras = {}
     if cfg.m == 0:
-        extras["j0_value"] = to_complex_values(log_mag[:1], phase[:1])[0]
+        extras["j0_value"] = to_complex_values(log_mag[:1], phase[:1]).tolist()[0]
         js, log_mag, phase = js[1:], log_mag[1:], phase[1:]
     coeffs = log_terms(js.tolist(), log_mag, phase)
     return series_report(
@@ -146,19 +146,24 @@ def partial_sum_diagonal(cfg: ExpansionConfig) -> SeriesReport:
     )
 
 
-def coefficient_column(j: int, tau: complex, epsilon: float) -> list[complex]:
-    """D_j(m) for m = -j .. j, in linear space, from one call of
-    diagonal_coefficients."""
-    ms = np.arange(-j, j + 1)
-    return to_complex_values(
-        *diagonal_coefficients(np.full(ms.shape, j), ms, tau, epsilon, against_largest=True)
-    )
+def coefficient_grid(tau: complex, epsilon: float, j_max: int) -> np.ndarray:
+    """D_j(m) for j = 0 .. j_max and m = -j .. j, in linear space, column j at
+    [j^2, (j+1)^2), from one call of diagonal_coefficients that judges each
+    coefficient's cancellation against the largest |D| of its own column."""
+    js = np.repeat(np.arange(j_max + 1), 2 * np.arange(j_max + 1) + 1)
+    ms = np.arange(js.size) - js * (js + 1)
+    return to_complex_values(*diagonal_coefficients(js, ms, tau, epsilon, against_largest=js))
+
+
+def column_sums(grid: np.ndarray) -> np.ndarray:
+    """The sum over m of each column of a coefficient_grid-shaped array."""
+    return np.add.reduceat(grid, np.arange(math.isqrt(grid.size)) ** 2)
 
 
 def triple_blocks(tau: complex, epsilon: float, j_max: int) -> list[complex]:
-    """Inner column sums sum_{|m| <= j} D_j(m) for j = 0 .. j_max, one
-    coefficient column per j."""
-    return [sum(coefficient_column(j, tau, epsilon), 0j) for j in range(0, int(j_max) + 1)]
+    """Inner column sums sum_{|m| <= j} D_j(m) for j = 0 .. j_max, from one
+    coefficient grid."""
+    return column_sums(coefficient_grid(tau, epsilon, int(j_max))).tolist()
 
 
 def partial_sum_triple(
@@ -172,7 +177,7 @@ def partial_sum_triple(
     """Partial sums over j of the inner column sums of the full triple series
     (the off-diagonal terms vanish identically, leaving 2j+1 terms per block).
     """
-    epsilon = float(epsilon)
+    epsilon = check_epsilon(epsilon)
     if epsilon == 1.0:
         raise EpsilonDomainError("partial sums require eps != 1")
     blocks = triple_blocks(tau, epsilon, j_max)
@@ -301,7 +306,7 @@ def synthesize(
     js = [j for j in range(j_start, int(j_max) + 1) if table.get(j) != 0]
     values = to_complex_values(
         *diagonal_coefficients(js, [m] * len(js), tau, epsilon, against_largest=True)
-    )
+    ).tolist()
     terms = {j: (j * j) * factor * table.get(j) * v for j, v in zip(js, values)}
     return series_report(
         {"kind": "synthesis", "m": m, "tau": tau, "epsilon": epsilon,
@@ -318,7 +323,8 @@ __all__ = [
     "NormIdentityReport",
     "PI_SQUARED_OVER_6",
     "SingularTauError",
-    "coefficient_column",
+    "coefficient_grid",
+    "column_sums",
     "divergence_probe",
     "norm_identity",
     "partial_sum_diagonal",

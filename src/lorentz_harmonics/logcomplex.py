@@ -50,10 +50,12 @@ def _rect(log_mag: float, phase: float) -> complex:
     return cmath.rect(math.exp(log_mag), phase)
 
 
-def to_complex_values(log_mag: np.ndarray, phase: np.ndarray) -> list[complex]:
-    """LogComplexValue.to_complex for each (log_mag, phase) pair, with the same
-    values and the same OverflowError."""
-    return [_rect(lm, ph) for lm, ph in zip(log_mag.tolist(), phase.tolist())]
+def to_complex_values(log_mag: np.ndarray, phase: np.ndarray) -> np.ndarray:
+    """LogComplexValue.to_complex for each (log_mag, phase) pair, as one
+    complex array, with the same OverflowError."""
+    if log_mag.size and log_mag.max() > _LOG_MAX_DOUBLE:
+        raise OverflowError(f"log-magnitude {log_mag.max():.6g} exceeds double-precision range")
+    return np.exp(log_mag + 1j * phase)
 
 
 @dataclass(frozen=True)

@@ -23,9 +23,11 @@ one call of special.saddle_point_log.  diagonal_coefficient is its one-pair
 case, with the same value bit for bit.  Both raise SeriesConvergenceError
 where cancellation has emptied a series past special.CANCELLATION_LIMIT,
 judged against the value itself, or, for callers that only add the values,
-against the largest value of the call.  ratio_test reads its coefficients
-one at a time through diagonal_coefficient; boundary_ratio_test reads its
-track in one batch.  Nothing is cached between calls.
+against the largest value of the call or of the pair's label (its column,
+for the triple sum's grid).  Both reject an eps that is not positive and
+finite (check_epsilon) before any series work.  ratio_test reads its
+coefficients one at a time through diagonal_coefficient; boundary_ratio_test
+reads its track in one batch.  Nothing is cached between calls.
 """
 from __future__ import annotations
 
@@ -103,6 +105,15 @@ class CoefficientIndex:
         return cls(j=j, j_prime=j, m=m, n=m)
 
 
+def check_epsilon(epsilon) -> float:
+    """eps as a float; raises EpsilonDomainError unless it is positive and
+    finite, before any series work."""
+    epsilon = float(epsilon)
+    if not 0.0 < epsilon < math.inf:
+        raise EpsilonDomainError(f"epsilon must be positive and finite, got {epsilon}")
+    return epsilon
+
+
 def evaluation_path(j: int, epsilon: Optional[float] = None) -> str:
     """Which route diagonal_coefficient takes for this j, at this eps if
     given, under method='auto': the exact route up to EXACT_J_LIMIT, and for
@@ -147,11 +158,11 @@ def _exact_coefficients(
     sign = np.where(ms > 0, -1.0, 1.0) if not real else np.ones(js.shape)
     inverse = None
     if js.size > 1:
-        rows: dict[tuple[int, int, float], int] = {}
-        inverse = [rows.setdefault(key, len(rows))
-                   for key in zip(rj.tolist(), rm.tolist(), sign.tolist())]
-        if len(rows) < js.size:
-            rj, rm, sign = (np.array(x) for x in zip(*rows))
+        # one row per distinct (j, |m|, sign), in the order of the keys
+        key = (rj * (js.max() + 1) - rm) * 2 + (sign < 0)
+        _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
+        if first.size < js.size:
+            rj, rm, sign = rj[first], rm[first], sign[first]
         else:
             inverse = None
     row_tau = tau * sign
@@ -170,7 +181,7 @@ def _exact_coefficients(
 
 
 def diagonal_coefficients(
-    js, ms, tau: complex, epsilon: float, *, against_largest: bool = False
+    js, ms, tau: complex, epsilon: float, *, against_largest=False
 ) -> tuple[np.ndarray, np.ndarray]:
     """Diagonal coefficients D_j(m, tau, eps) for the pairs (js[i], ms[i]),
     as arrays (log_mag, phase).
@@ -187,11 +198,14 @@ def diagonal_coefficients(
     default, as diagonal_coefficient does, or, with against_largest, relative
     to the largest |D| of the call, for callers that only add the values, so
     that a near-zero coefficient that adds nothing to their sums is accepted.
+    against_largest may also be an array of one label per pair (a column
+    index, say): each pair is then judged against the largest |D| of the
+    pairs with its label, as a call per label would judge it.
     """
     js = np.asarray(js, dtype=np.int64).reshape(-1)
     ms = np.asarray(ms, dtype=np.int64).reshape(-1)
     tau = complex(tau)
-    epsilon = float(epsilon)
+    epsilon = check_epsilon(epsilon)
     if js.shape != ms.shape:
         raise ValueError("js and ms must have the same length")
     if not js.size:
@@ -202,8 +216,6 @@ def diagonal_coefficients(
     if bad.any():
         i = int(bad.argmax())
         raise IndexRangeError(f"|m| = {abs(int(ms[i]))} exceeds j = {int(js[i])}")
-    if epsilon <= 0.0:
-        raise EpsilonDomainError("epsilon must be positive")
     exact = (js <= EXACT_J_LIMIT) | (epsilon == 1.0)
     log_mag = np.empty(js.shape)
     phase = np.empty(js.shape)
@@ -215,7 +227,14 @@ def diagonal_coefficients(
         log_mag[exact], phase[exact], cancellation = _exact_coefficients(
             js[exact], ms[exact], tau, epsilon
         )
-        weight = np.exp(log_mag[exact] - log_mag.max()) if against_largest else 1.0
+        weight = 1.0
+        if against_largest is not False:
+            # each exact pair's |D| over the largest |D| of its label
+            labels = np.broadcast_to(np.asarray(against_largest, dtype=np.int64), js.shape)
+            _, label = np.unique(labels, return_inverse=True)
+            largest = np.full(label.max() + 1, -np.inf)
+            np.maximum.at(largest, label, log_mag)
+            weight = np.exp(log_mag[exact] - largest[label[exact]])
         check_cancellation(cancellation, weight)
     return log_mag, phase
 
@@ -241,13 +260,11 @@ def diagonal_coefficient(
     j = int(j)
     m = int(m)
     tau = complex(tau)
-    epsilon = float(epsilon)
+    epsilon = check_epsilon(epsilon)
     if j < 0:
         raise IndexRangeError("j must be non-negative")
     if abs(m) > j:
         raise IndexRangeError(f"|m| = {abs(m)} exceeds j = {j}")
-    if epsilon <= 0.0:
-        raise EpsilonDomainError("epsilon must be positive")
     if method == "auto":
         method = evaluation_path(j, epsilon)
     if method == PATH_ASYMPTOTIC:
@@ -287,9 +304,7 @@ def duc_hieu_general(
     Exact but O(j^2) hypergeometric evaluations per call; intended as an
     independent oracle at small j rather than a production route.
     """
-    epsilon = float(epsilon)
-    if epsilon <= 0.0:
-        raise EpsilonDomainError("epsilon must be positive")
+    epsilon = check_epsilon(epsilon)
     k = label.k
     rho = complex(label.rho)
     j, jp, m, n = idx.j, idx.j_prime, idx.m, idx.n
@@ -336,9 +351,7 @@ def predicted_diagonal_ratio(epsilon: float, tau: complex = 0.0) -> float:
     max(eps, 1/eps) and the two give identical floats.  Raises
     SaddlePointDomainError where the saddle term gives no single limit.
     """
-    epsilon = float(epsilon)
-    if epsilon <= 0.0:
-        raise EpsilonDomainError("epsilon must be positive")
+    epsilon = check_epsilon(epsilon)
     epsilon = max(epsilon, 1.0 / epsilon)
     tau = complex(tau)
     phi = saddle_point_exponent(tau, epsilon)
@@ -457,6 +470,7 @@ __all__ = [
     "TRACK_M_EQUALS_J",
     "admissible_pairs",
     "boundary_ratio_test",
+    "check_epsilon",
     "diagonal_coefficient",
     "diagonal_coefficients",
     "duc_hieu_general",

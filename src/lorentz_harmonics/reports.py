@@ -102,7 +102,7 @@ def log_terms(
     js: Sequence[int], log_mag: np.ndarray, phase: np.ndarray
 ) -> Iterable[tuple[int, float, float, complex]]:
     """The series_report terms of log-polar values given as arrays."""
-    return zip(js, log_mag.tolist(), phase.tolist(), to_complex_values(log_mag, phase))
+    return zip(js, log_mag.tolist(), phase.tolist(), to_complex_values(log_mag, phase).tolist())
 
 
 def complex_term(j: int, value: complex) -> tuple[int, float, float, complex]:

@@ -27,7 +27,7 @@ _STEPS = np.arange(_BLOCK, dtype=float)
 # triple-grid and diag-scan ops by 0.6 and 1.0 MB over passes of 32 rows,
 # and saved at most 5% of their time.
 _ROW_CHUNK = 32
-_TWO_PI = 2.0 * math.pi
+_TINY = np.finfo(float).tiny
 _ULP = 2.0**-52
 # Largest accepted 2^-52 * sum|t| / |sum t| (times the caller's weight) of a
 # series; see check_cancellation.
@@ -168,13 +168,15 @@ def _sum_series(
     for each row of the parameter arrays a, b, c.
 
     Returns the arrays (log_mag, phase, cancellation).  Each row is summed on
-    its own: terms are generated blockwise with a log-space cumulative
-    product so that growth phases far beyond double range cannot overflow;
-    block sums are accumulated with Kahan compensation, so the summation
-    error stays bounded independent of the term count; and a row stops once
-    its running term drops below tail_rel relative to its partial sum on the
-    decaying side of the peak.  Rows share only the numpy calls of a block,
-    so a row's value does not depend on the other rows summed with it.
+    its own: terms are generated blockwise from their ratios, log|t| as a
+    cumulative sum of log|ratio| (so that growth far beyond double range
+    cannot overflow) and t/|t| as a cumulative product of the units
+    ratio/|ratio|, with no per-term angle; block sums are accumulated with
+    Kahan compensation, so the summation error stays bounded independent of
+    the term count; and a row stops once its running term drops below
+    tail_rel relative to its partial sum on the decaying side of the peak.
+    Rows share only the numpy calls of a block, so a row's value does not
+    depend on the other rows summed with it.
 
     Each row also sums |t|.  Every term carries a relative rounding error of
     a few ulps, so a sum is wrong by about C * 2^-52 relative times a small
@@ -206,7 +208,7 @@ def _sum_rows(a, b, c, w, max_terms, tail_rel, out) -> None:
     sums, comp = acc[:3], acc[3:]
     offset = np.zeros(rows)
     log_t = np.zeros(rows)    # log|t| of the current term
-    arg_t = np.zeros(rows)    # arg t, kept within 2 pi of zero
+    unit_t = np.ones(rows, dtype=complex)   # t / |t| of the current term
     log_w = math.log(w)
     log_w_powers = log_w * (_STEPS + 1.0)
     log_tail = math.log(tail_rel)
@@ -220,15 +222,20 @@ def _sum_rows(a, b, c, w, max_terms, tail_rel, out) -> None:
         k = _STEPS[:size] + (n - 1.0)
         n += size
         ratios = (a + k) * ((b + k) / ((c + k) * (k + 1.0)))
-        # log|t| and arg t of the block's terms relative to the current term,
-        # one cumulative sum for both; w enters after the sum
-        logs = np.empty((2,) + ratios.shape)
-        cl, cp = logs[0], logs[1]
-        np.arctan2(ratios.imag, ratios.real, out=cp)
-        np.log(np.abs(ratios, out=cl), out=cl)
+        # log|r| summed and r/|r| (two real divisions; a zero ratio gives a
+        # zero unit, not 0/0) multiplied along each row; w enters after
+        cl = np.abs(ratios)
+        scale = np.maximum(cl, _TINY)
+        unit = np.empty_like(ratios)
+        np.divide(ratios.real, scale, out=unit.real)
+        np.divide(ratios.imag, scale, out=unit.imag)
+        np.log(cl, out=cl)
         decaying = cl[:, -1] < -log_w
-        cp[:, 0] += arg_t
-        np.add.accumulate(logs, axis=2, out=logs)
+        np.add.accumulate(cl, axis=1, out=cl)
+        np.multiply.accumulate(unit, axis=1, out=unit)
+        # broadcast, not folded into the strided first column, so that a row
+        # meets the same numpy loops whatever rows share its call
+        unit *= unit_t[:, None]
         cl += log_w_powers[:size]
         # finite even for a block of zero terms (a terminated series)
         peak = np.maximum.reduce(cl, axis=1, initial=-1e300)
@@ -237,10 +244,9 @@ def _sum_rows(a, b, c, w, max_terms, tail_rel, out) -> None:
         # the block's Re t, Im t and |t| relative to its largest, summed in
         # one reduction
         parts = np.empty((3,) + ratios.shape)
-        np.cos(cp, out=parts[0])
-        np.sin(cp, out=parts[1])
-        parts[2] = 1.0
-        parts *= np.exp(cl, out=cl)
+        np.exp(cl, out=parts[2])
+        np.multiply(unit.real, parts[2], out=parts[0])
+        np.multiply(unit.imag, parts[2], out=parts[1])
         block = parts.sum(axis=2)
         # fold the block into the sums at the larger of the two scales
         top = log_t + peak
@@ -253,8 +259,9 @@ def _sum_rows(a, b, c, w, max_terms, tail_rel, out) -> None:
         comp[:] = (total - sums) - y
         sums[:] = total
         log_t = top + last
-        # keep the carried phase small so cos and sin stay accurate over long runs
-        arg_t = np.fmod(cp[:, -1], _TWO_PI)
+        # renormalised once per block, from a contiguous copy of the column
+        unit_t = unit[:, -1].copy()
+        unit_t /= np.abs(unit_t)
         magnitude = np.hypot(sums[0], sums[1])
         # stop on an exact zero term, or on the decaying side of the peak once
         # the term is below tail_rel of the sum
@@ -268,7 +275,7 @@ def _sum_rows(a, b, c, w, max_terms, tail_rel, out) -> None:
         keep = ~done
         live, acc, offset = live[keep], acc[:, keep], offset[keep]
         sums, comp = acc[:3], acc[3:]
-        log_t, arg_t, a, b, c = log_t[keep], arg_t[keep], a[keep], b[keep], c[keep]
+        log_t, unit_t, a, b, c = log_t[keep], unit_t[keep], a[keep], b[keep], c[keep]
 
 
 def _write_rows(out, at, offset, sums, magnitude) -> None:

@@ -7,21 +7,23 @@ The table's column index is matched against the integer magnetic index of the
 boost coefficients via twice_m = 2m; keys outside the table's natural range
 read as exact zeros, so rows of the wrong parity contribute nothing.
 ymap_apply evaluates only the coefficients with a nonzero table entry;
-ymap_convergence_report evaluates each coefficient column once and reads both
-its block sum and its mapped term from it.
+ymap_convergence_report reads the whole coefficient grid in one call
+(expansion.coefficient_grid) and takes both the block sums and the mapped
+terms from it as column sums.
 """
 from __future__ import annotations
 
 import math
 import warnings
 from dataclasses import dataclass
-from itertools import accumulate
 from typing import Optional
 
-from .expansion import coefficient_column
+import numpy as np
+
+from .expansion import coefficient_grid, column_sums
 from .lie_group import SL2CElement, epsilon_of
 from .logcomplex import to_complex_values
-from .principal_series import EpsilonDomainError, diagonal_coefficients
+from .principal_series import EpsilonDomainError, check_epsilon, diagonal_coefficients
 from .reports import (
     SeriesReport,
     VERDICT_CONVERGED,
@@ -51,8 +53,8 @@ class YMapRequest:
             raise ValueError("specify exactly one of epsilon or g")
         if self.j_max < abs(self.table.p):
             raise ValueError("j_max must be at least |p|")
-        if self.epsilon is not None and self.epsilon <= 0.0:
-            raise EpsilonDomainError("epsilon must be positive")
+        if self.epsilon is not None:
+            check_epsilon(self.epsilon)
 
     def resolved_epsilon(self) -> float:
         if self.epsilon is not None:
@@ -69,11 +71,6 @@ def _entries(table: FourierTableSU2, j: int) -> tuple[list[int], list[complex]]:
             ms.append(m)
             ds.append(d)
     return ms, ds
-
-
-def _term(ds: list[complex], values: list[complex]) -> complex:
-    """One j-term: the column sum over integer m of d(j, 2m) D_j(m)."""
-    return sum((d * v for d, v in zip(ds, values)), 0j)
 
 
 def _scan_epsilon(req: YMapRequest) -> float:
@@ -98,8 +95,9 @@ def ymap_apply(req: YMapRequest) -> SeriesReport:
     ms = [m for ms, _ in entries for m in ms]
     values = iter(to_complex_values(
         *diagonal_coefficients(js, ms, req.tau, eps, against_largest=True)
-    ))
-    terms = [_term(ds, [next(values) for _ in ds]) for _, ds in entries]
+    ).tolist())
+    # each j-term: the sum over integer m of d(j, 2m) D_j(m)
+    terms = [sum((d * next(values) for d in ds), 0j) for _, ds in entries]
     if table.band_limit < req.j_max:
         warnings.warn(
             f"table band {table.band_limit} is below j_max = {req.j_max}; "
@@ -141,25 +139,25 @@ def ymap_convergence_report(req: YMapRequest) -> YMapBoundsReport:
     eps = _scan_epsilon(req)
     table = req.table
     abs_rows = table.abs_sum_by_row()
-    # one coefficient column per j serves both the block and the mapped term
-    blocks = []
-    terms = []
-    for j in range(0, req.j_max + 1):
-        column = coefficient_column(j, req.tau, eps)
-        blocks.append(sum(column, 0j))
-        if j >= abs(table.p):
-            ms, ds = _entries(table, j)
-            terms.append(_term(ds, [column[m + j] for m in ms]))
+    # one coefficient grid serves both the blocks and the mapped terms; the
+    # table entry d(j, 2m) weighs D_j(m) at grid index j^2 + j + m
+    grid = coefficient_grid(req.tau, eps, req.j_max)
+    block_abs = np.abs(column_sums(grid)).tolist()
+    weights = np.zeros(grid.shape, dtype=complex)
+    for (tj, tm), d in table.entries.items():
+        if tm % 2 == 0 and tj <= req.j_max:
+            weights[tj * (tj + 1) + tm // 2] = d
+    terms = column_sums(weights * grid)[abs(table.p):]
 
     js = list(range(abs(table.p), req.j_max + 1))
     f_part: list[float] = []
     c_part: list[float] = []
     p_part: list[float] = []
     fr = 0.0
-    cr = math.fsum(abs(b) for b in blocks[: abs(table.p)])
+    cr = math.fsum(block_abs[: abs(table.p)])
     for j in js:
         fr += abs_rows.get(j, 0.0)
-        cr += abs(blocks[j])
+        cr += block_abs[j]
         f_part.append(fr)
         c_part.append(cr)
         p_part.append(fr * cr)
@@ -180,7 +178,7 @@ def ymap_convergence_report(req: YMapRequest) -> YMapBoundsReport:
         fourier_partials=tuple(f_part),
         coefficient_partials=tuple(c_part),
         product_partials=tuple(p_part),
-        apply_abs=tuple(abs(s) for s in accumulate(terms)),
+        apply_abs=tuple(np.abs(np.cumsum(terms)).tolist()),
         fourier_sum_bound=f_part[-1],
         coefficient_sum_bound=c_part[-1],
         product_bound=p_part[-1],

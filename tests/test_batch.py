@@ -1,7 +1,8 @@
 """Batch evaluation of the diagonal coefficients: one series-kernel call and
 one saddle-point call per batch, bit-for-bit agreement with one-pair calls,
-the Euler reflection of the m > 0 rows, and how much work each caller asks of
-the kernel and of the large-j term."""
+the Euler reflection of the m > 0 rows, the (j, m) grid read in one call with
+each column judged on its own, and how much work each caller asks of the
+kernel and of the large-j term."""
 import cmath
 import math
 import sys
@@ -143,6 +144,75 @@ def test_batch_validation():
     assert log_mag.size == phase.size == 0
 
 
+# ----------------------------------------------------------- the (j, m) grid
+
+def grid_pairs(j_max: int):
+    """Every (j, m) with j <= j_max and |m| <= j, column j at [j^2, (j+1)^2)."""
+    js = np.repeat(np.arange(j_max + 1), 2 * np.arange(j_max + 1) + 1)
+    return js, np.arange(js.size) - js * (js + 1)
+
+
+def outcome(call):
+    """The (log_mag, phase) bytes a call returns, or the class of its error."""
+    try:
+        return tuple(x.tobytes() for x in call())
+    except SeriesConvergenceError as exc:
+        return type(exc)
+
+
+def per_column(j_max, tau, eps):
+    """One diagonal_coefficients call per column, each judged against its own
+    largest |D|, joined in grid order."""
+    columns = [diagonal_coefficients([j] * (2 * j + 1), range(-j, j + 1), tau, eps,
+                                     against_largest=True) for j in range(j_max + 1)]
+    return tuple(np.concatenate(x) for x in zip(*columns))
+
+
+@settings(max_examples=12, deadline=None)
+@given(j_max=st.integers(0, 48), tau=taus, eps=eps_values)
+# column 51 holds D_51(0), which passes only against its column's largest |D|
+@example(j_max=52, tau=complex(0.5, 0.0), eps=4.0)
+@example(j_max=64, tau=complex(-0.45, 0.07), eps=0.3)
+def test_grid_call_matches_column_calls(j_max, tau, eps):
+    js, ms = grid_pairs(j_max)
+    grid = outcome(lambda: diagonal_coefficients(js, ms, tau, eps, against_largest=js))
+    assert grid == outcome(lambda: per_column(j_max, tau, eps))
+
+
+def test_grid_judges_each_pair_against_its_own_column():
+    # D_51(0) at tau = 0.5, eps = 4 cancels: alone it raises, in its column it
+    # passes, its error being negligible against the column's largest |D|
+    with pytest.raises(SeriesConvergenceError):
+        diagonal_coefficient(51, 0, 0.5, 4.0)
+    js, ms = grid_pairs(51)
+    diagonal_coefficients(js, ms, 0.5, 4.0, against_largest=js)
+    # the label, not the call, sets the scale: D_0(0) would carry D_51(0) in
+    # one call, but not when each has a label of its own
+    diagonal_coefficients([51, 0], [0, 0], 0.5, 4.0, against_largest=True)
+    with pytest.raises(SeriesConvergenceError):
+        diagonal_coefficients([51, 0], [0, 0], 0.5, 4.0, against_largest=[51, 0])
+
+
+@pytest.mark.parametrize("tau,eps", [
+    (0.3, 0.32), (-0.45, 3.6), (0.2 + 0.05j, 0.7), (0.1 - 0.07j, 1.6), (0.5, 4.0),
+])
+def test_kernel_accuracy_on_full_columns(tau, eps):
+    # each coefficient of the j = 64 column against 40-digit mpmath: within
+    # 1e-12 of the column's largest |D| (the scale its cancellation is judged
+    # against), and of its own value where that is at least 1e-3 of it
+    j = 64
+    log_mag, phase = diagonal_coefficients([j] * (2 * j + 1), range(-j, j + 1), tau, eps,
+                                           against_largest=True)
+    with mp.workdps(40):
+        largest = mp.exp(mp.mpf(float(log_mag.max())))
+        for m, lm, ph in zip(range(-j, j + 1), log_mag, phase):
+            ref = mp_coefficient(j, m, tau, eps)
+            err = abs(mp.exp(mp.mpf(lm)) * mp.expjpi(mp.mpf(ph) / mp.pi) - ref)
+            assert float(err / largest) <= 1e-12, m
+            if abs(ref) >= 1e-3 * largest:
+                assert float(err / abs(ref)) <= 1e-12, m
+
+
 # ------------------------------------------------------------ the large-j route
 
 def meeting_point(eps: float) -> float:
@@ -279,11 +349,14 @@ def test_large_j_batch_raises_as_its_first_failing_pair(tau, eps):
 
 @pytest.fixture
 def kernel_rows(monkeypatch):
-    """Every (j, |m|, a) row the series kernel sums."""
+    """Every (j, |m|, a) row the series kernel sums; rows.calls counts the
+    kernel's calls."""
     rows = Counter()
+    rows.calls = 0
     original = special._sum_series
 
     def counted(a, b, c, w, **kwargs):
+        rows.calls += 1
         for ai, bi, ci in zip(np.atleast_1d(a), np.atleast_1d(b), np.atleast_1d(c)):
             j = int(round(ci.real / 2.0)) - 1
             rows[(j, j + 1 - int(round(bi.real)), complex(ai))] += 1
@@ -304,6 +377,7 @@ def dense_table(j_max: int) -> FourierTableSU2:
 def test_convergence_report_sums_each_pair_once(kernel_rows, tau):
     req = YMapRequest(table=dense_table(12), tau=tau, j_max=12, epsilon=1.8)
     ymap_convergence_report(req)
+    assert kernel_rows.calls == 1
     assert max(kernel_rows.values()) == 1
     # real tau: m and -m share a row; complex tau: one row per (j, m)
     per_column = (lambda j: j + 1) if complex(tau).imag == 0 else (lambda j: 2 * j + 1)
@@ -330,6 +404,7 @@ def test_identical_calls_do_the_work_twice(kernel_rows):
 def test_triple_blocks_read_one_column_per_j(kernel_rows):
     blocks = triple_blocks(0.3, 2.0, 10)
     assert len(blocks) == 11
+    assert kernel_rows.calls == 1
     assert sum(kernel_rows.values()) == sum(j + 1 for j in range(11))
 
 

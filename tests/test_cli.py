@@ -77,6 +77,37 @@ def test_run_config_validation():
         RunConfig(j_max=0)
     with pytest.raises(ValueError):
         RunConfig(format="xml")
+    for bad in (math.inf, math.nan, 0.0):
+        with pytest.raises(ValueError, match="finite"):
+            RunConfig(cauchy_tolerance=bad)
+        with pytest.raises(ValueError, match="finite"):
+            RunConfig(det_tolerance=bad)
+
+
+@pytest.mark.parametrize("source, key, text", [
+    ("flag", "cauchy_tolerance", "inf"),
+    ("flag", "cauchy_tolerance", "nan"),
+    ("env", "cauchy_tolerance", "inf"),
+    ("env", "det_tolerance", "nan"),
+    ("file", "cauchy_tolerance", "nan"),
+    ("file", "det_tolerance", "inf"),
+])
+def test_non_finite_tolerance_exits_2(capsys, monkeypatch, tmp_path, source, key, text):
+    # --tol inf used to exit 0 with verdict "converged"
+    argv = ["ratio", "--m", "0", "--tau", "0", "--eps", "2", "--jmax", "30"]
+    if source == "flag":
+        argv += ["--tol", text]
+    elif source == "env":
+        monkeypatch.setenv("LH_" + key.upper(), text)
+    else:
+        path = tmp_path / "run.cfg"
+        path.write_text(f"{key} = {text}\n")
+        argv += ["--config", str(path)]
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "finite" in captured.err
 
 
 # ---------------------------------------------------------------- subcommands

@@ -29,6 +29,21 @@ def test_config_validation():
         ExpansionConfig(tau=0.0, m=0, epsilon=2.0, j_max=10, cauchy_window=0)
 
 
+@pytest.mark.parametrize("value", [math.inf, math.nan])
+def test_config_rejects_non_finite_epsilon_and_tolerance(value):
+    with pytest.raises(EpsilonDomainError):
+        ExpansionConfig(tau=0.0, m=0, epsilon=value, j_max=10)
+    # an infinite tolerance would make every scan "converged"
+    with pytest.raises(ValueError, match="Cauchy"):
+        ExpansionConfig(tau=0.0, m=0, epsilon=2.0, j_max=10, cauchy_tolerance=value)
+
+
+@pytest.mark.parametrize("eps", [math.inf, math.nan])
+def test_triple_sum_rejects_non_finite_epsilon(eps):
+    with pytest.raises(EpsilonDomainError, match="finite"):
+        partial_sum_triple(0.3, eps, 10)
+
+
 def test_coefficient_table_roundtrip_and_ratio():
     t = CoefficientTable(m=1, entries={1: 1.0, 2: 0.5, 3: 0.25})
     t2 = CoefficientTable.from_json_dict(t.to_json_dict())
@@ -93,7 +108,7 @@ def test_cauchy_deltas_decay_at_the_ratio_limit():
 # --------------------------------------------------------------- triple sums
 
 def test_triple_blocks_match_manual_column_sums():
-    for j in (0, 1, 3):
+    for j in (0, 1, 3, 20, 64):
         manual = sum(
             diagonal_coefficient(j, m, 0.3, 2.0).to_complex() for m in range(-j, j + 1)
         )

@@ -114,6 +114,32 @@ def test_general_matches_diagonal_formula_small_j():
                     assert rel_between(dh, dg) < 1e-9
 
 
+@pytest.fixture
+def no_series_work(monkeypatch):
+    """Make any call of the series kernel fail the test."""
+    from lorentz_harmonics import special
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("series kernel called")
+
+    monkeypatch.setattr(special, "_sum_series", refuse)
+
+
+@pytest.mark.parametrize("eps", [math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize("call", [
+    lambda eps: diagonal_coefficient(10, 0, 0.0, eps),
+    lambda eps: diagonal_coefficients([10, 3], [0, 1], 0.3, eps),
+    lambda eps: predicted_diagonal_ratio(eps),
+    lambda eps: duc_hieu_general(PrincipalSeriesLabel.simple(2, 0.0),
+                                 CoefficientIndex.diagonal(2, 0), eps),
+], ids=["diagonal_coefficient", "diagonal_coefficients", "predicted_diagonal_ratio",
+        "duc_hieu_general"])
+def test_non_finite_epsilon_is_rejected_before_series_work(no_series_work, call, eps):
+    # eps = inf used to sum 100,000 terms before a SeriesConvergenceError
+    with pytest.raises(EpsilonDomainError, match="finite"):
+        call(eps)
+
+
 def test_general_epsilon_domain():
     lab = PrincipalSeriesLabel.simple(2, 0.0)
     with pytest.raises(EpsilonDomainError):

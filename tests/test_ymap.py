@@ -42,6 +42,9 @@ def test_request_validation():
         YMapRequest(table=tab, tau=0.0, j_max=20, epsilon=2.0, g=SL2CElement.identity())
     with pytest.raises(EpsilonDomainError):
         YMapRequest(table=tab, tau=0.0, j_max=20, epsilon=-2.0)
+    for eps in (math.inf, math.nan):
+        with pytest.raises(EpsilonDomainError, match="finite"):
+            YMapRequest(table=tab, tau=0.0, j_max=20, epsilon=eps)
     tabp = FourierTableSU2(4, 8, {})
     with pytest.raises(ValueError):
         YMapRequest(table=tabp, tau=0.0, j_max=2, epsilon=2.0)
@@ -150,6 +153,18 @@ def test_majorization_bounds_dominate_partial_sums():
         )
         for s_abs, pb in zip(bounds.apply_abs, bounds.product_partials):
             assert s_abs <= pb * (1.0 + 1e-12) + 1e-15
+
+
+@pytest.mark.parametrize("p, tau", [(0, 0.3), (0, 0.2 - 0.05j), (2, 0.3)])
+def test_report_terms_match_ymap_apply(p, tau):
+    # the report reads its mapped terms from the whole coefficient grid,
+    # ymap_apply sums d(j, 2m) D_j(m) entry by entry
+    rng = np.random.default_rng(3)
+    entries = {(tj, tm): complex(*rng.standard_normal(2)) * 0.5**tj
+               for tj in range(p, 9, 2) for tm in range(-tj, tj + 1, 2)}
+    req = YMapRequest(table=FourierTableSU2(p, 8, entries), tau=tau, j_max=12, epsilon=0.7)
+    applied = [abs(s) for s in ymap_apply(req).partial_sums]
+    assert ymap_convergence_report(req).apply_abs == pytest.approx(applied, rel=1e-12)
 
 
 def test_coefficient_bound_uses_column_sums():
