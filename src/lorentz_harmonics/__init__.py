@@ -44,12 +44,10 @@ from .reports import SeriesReport, TermRecord
 from .special import (
     GammaPoleError,
     Hyp2F1DomainError,
-    Hyp2F1Params,
     SaddlePointDomainError,
     SeriesConvergenceError,
     hyp2f1,
     log_gamma,
-    pochhammer,
     saddle_point_2f1,
     watson_asymptotic_2f1,
 )

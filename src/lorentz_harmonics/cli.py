@@ -2,8 +2,8 @@
 
 Subcommands: coeff, ratio, sum, norm, diverge, ymap, asymcheck.  Each emits a
 single JSON envelope {command, params, report} (validating against
-schemas/report.schema.json) or a CSV flattening with a fixed column order;
-series reports are flattened by reports.series_csv_rows.
+schemas/report.schema.json) or a CSV flattening of that envelope with a
+fixed column order (_csv_text; a series report gives one row per term).
 Exit codes: 0 success, 1 numerical failure, 2 domain/usage error (including
 non-finite --tau/--eps and unreadable or malformed files).
 """
@@ -21,7 +21,7 @@ from typing import Optional, Sequence
 from . import expansion, principal_series, ymap
 from .config import FORMAT_CHOICES, RunConfig, load_run_config
 from .lie_group import SL2CElement, epsilon_of
-from .reports import SERIES_CSV_COLUMNS, SeriesReport, series_csv_rows, to_json
+from .reports import SeriesReport, to_json
 from .wigner import FourierTableSU2
 
 EXIT_OK = 0
@@ -49,15 +49,14 @@ def _resolve_epsilon(args, cfg: RunConfig) -> float:
     return principal_series.check_epsilon(args.eps)
 
 
-def _series_payload(command: str, report: SeriesReport) -> tuple[dict, SeriesReport]:
+def _series_payload(command: str, report: SeriesReport) -> dict:
     data = to_json(report)
-    return {"command": command, "params": data["params"], "report": data}, report
+    return {"command": command, "params": data["params"], "report": data}
 
 
-# Each command returns (payload, series): the JSON envelope, and for series
-# commands the SeriesReport behind it (None otherwise), which the CSV reads.
+# Each command returns its JSON envelope; the CSV is flattened from it.
 
-def cmd_coeff(args, cfg: RunConfig) -> tuple[dict, None]:
+def cmd_coeff(args, cfg: RunConfig) -> dict:
     eps = _resolve_epsilon(args, cfg)
     tau = parse_complex(args.tau)
     path = principal_series.evaluation_path(args.j, eps)
@@ -74,10 +73,10 @@ def cmd_coeff(args, cfg: RunConfig) -> tuple[dict, None]:
     }
     return {"command": "coeff", "params": {"j": args.j, "m": args.m,
                                            "tau": [tau.real, tau.imag], "epsilon": eps},
-            "report": report}, None
+            "report": report}
 
 
-def cmd_ratio(args, cfg: RunConfig) -> tuple[dict, SeriesReport]:
+def cmd_ratio(args, cfg: RunConfig) -> dict:
     eps = _resolve_epsilon(args, cfg)
     report = principal_series.ratio_test(
         args.m, parse_complex(args.tau), eps, cfg.j_max,
@@ -86,7 +85,7 @@ def cmd_ratio(args, cfg: RunConfig) -> tuple[dict, SeriesReport]:
     return _series_payload("ratio", report)
 
 
-def cmd_sum(args, cfg: RunConfig) -> tuple[dict, SeriesReport]:
+def cmd_sum(args, cfg: RunConfig) -> dict:
     eps = _resolve_epsilon(args, cfg)
     tau = parse_complex(args.tau)
     jmax = cfg.j_max
@@ -106,24 +105,24 @@ def cmd_sum(args, cfg: RunConfig) -> tuple[dict, SeriesReport]:
     return _series_payload("sum", report)
 
 
-def cmd_norm(args, cfg: RunConfig) -> tuple[dict, None]:
+def cmd_norm(args, cfg: RunConfig) -> dict:
     tau = parse_complex(args.tau)
     report = expansion.norm_identity(tau, cfg.j_max)
     return {"command": "norm",
             "params": {"tau": [tau.real, tau.imag], "j_max": report.j_max},
-            "report": to_json(report)}, None
+            "report": to_json(report)}
 
 
-def cmd_diverge(args, cfg: RunConfig) -> tuple[dict, None]:
+def cmd_diverge(args, cfg: RunConfig) -> dict:
     tau = parse_complex(args.tau)
     cps = [int(x) for x in args.checkpoints.split(",")]
     report = expansion.divergence_probe(tau, cps, cauchy_tolerance=cfg.cauchy_tolerance)
     return {"command": "diverge",
             "params": {"tau": [tau.real, tau.imag], "checkpoints": cps},
-            "report": to_json(report)}, None
+            "report": to_json(report)}
 
 
-def cmd_ymap(args, cfg: RunConfig) -> tuple[dict, SeriesReport]:
+def cmd_ymap(args, cfg: RunConfig) -> dict:
     with open(args.table) as fh:
         table = FourierTableSU2.from_json_dict(json.load(fh))
     req = ymap.YMapRequest(
@@ -131,13 +130,13 @@ def cmd_ymap(args, cfg: RunConfig) -> tuple[dict, SeriesReport]:
         epsilon=_resolve_epsilon(args, cfg),
         cauchy_tolerance=cfg.cauchy_tolerance, cauchy_window=cfg.cauchy_window,
     )
-    payload, report = _series_payload("ymap", ymap.ymap_apply(req))
+    payload = _series_payload("ymap", ymap.ymap_apply(req))
     if args.bounds:
         payload["report"]["bounds"] = to_json(ymap.ymap_convergence_report(req))
-    return payload, report
+    return payload
 
 
-def cmd_asymcheck(args, cfg: RunConfig) -> tuple[dict, None]:
+def cmd_asymcheck(args, cfg: RunConfig) -> dict:
     tau = parse_complex(args.tau)
     eps = principal_series.check_epsilon(args.eps)
     exact = principal_series.diagonal_coefficient(args.j, args.m, tau, eps, method="exact")
@@ -156,19 +155,21 @@ def cmd_asymcheck(args, cfg: RunConfig) -> tuple[dict, None]:
     return {"command": "asymcheck",
             "params": {"j": args.j, "m": args.m, "tau": [tau.real, tau.imag],
                        "epsilon": eps},
-            "report": report}, None
+            "report": report}
 
 
-def _csv_text(payload: dict, series: Optional[SeriesReport]) -> str:
-    """Fixed-column CSV flattening of a payload; a series report becomes one
-    row per term, scalar reports a single row."""
+def _csv_text(payload: dict) -> str:
+    """Fixed-column CSV flattening of a JSON envelope; a series report becomes
+    one row per term, scalar reports a single row."""
     buf = io.StringIO()
     writer = csv.writer(buf)
     command = payload["command"]
     report = payload["report"]
-    if series is not None:
-        writer.writerow(SERIES_CSV_COLUMNS)
-        writer.writerows(series_csv_rows(series))
+    if command in ("ratio", "sum", "ymap"):
+        writer.writerow(["j", "log_mag", "phase", "ratio", "partial_re", "partial_im"])
+        for t, s in zip(report["terms"], report["partial_sums"]):
+            writer.writerow([t["j"], t["log_mag"], t["phase"],
+                             "" if t["ratio"] is None else t["ratio"], *s])
     elif command == "coeff":
         writer.writerow(["j", "m", "tau_re", "tau_im", "epsilon", "path",
                          "log_mag", "phase", "value_re", "value_im"])
@@ -207,7 +208,7 @@ def _csv_text(payload: dict, series: Optional[SeriesReport]) -> str:
     return buf.getvalue()
 
 
-def _emit(payload: dict, series: Optional[SeriesReport], cfg: RunConfig) -> None:
+def _emit(payload: dict, cfg: RunConfig) -> None:
     if cfg.format == "json":
         # to_json stringifies infinities; a NaN that leaks through is a
         # numerical failure, not a usage error
@@ -216,7 +217,7 @@ def _emit(payload: dict, series: Optional[SeriesReport], cfg: RunConfig) -> None
         except ValueError as exc:
             raise ArithmeticError(f"report holds a NaN ({exc})") from exc
     else:
-        text = _csv_text(payload, series)
+        text = _csv_text(payload)
     if cfg.out:
         with open(cfg.out, "w") as fh:
             fh.write(text + ("\n" if not text.endswith("\n") else ""))
@@ -319,7 +320,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
     try:
-        _emit(*args.func(args, cfg), cfg)
+        _emit(args.func(args, cfg), cfg)
     except (ValueError, OSError) as exc:
         # every domain error of the library is a ValueError
         print(f"error: {exc}", file=sys.stderr)

@@ -249,6 +249,9 @@ def divergence_probe(
     cps = sorted(int(c) for c in checkpoints)
     if len(cps) < 2 or cps[0] < 1:
         raise ValueError("need at least two positive checkpoints")
+    if len(set(cps)) < len(cps):
+        # a repeated checkpoint gives a zero model increment to compare with
+        raise ValueError(f"checkpoints must be distinct, got {cps}")
     denom = 1.0 + tau * tau
     sums = []
     running = 0.0

@@ -82,10 +82,6 @@ class LogComplexValue:
         return cls(-math.inf, 0.0)
 
     @classmethod
-    def one(cls) -> "LogComplexValue":
-        return cls(0.0, 0.0)
-
-    @classmethod
     def from_complex(cls, w: complex) -> "LogComplexValue":
         w = complex(w)
         if w == 0:
@@ -112,46 +108,12 @@ class LogComplexValue:
         """
         return _rect(self.log_mag, self.phase)
 
-    def abs(self) -> float:
-        """|w| as a float; returns inf when not representable."""
-        if self.is_zero:
-            return 0.0
-        try:
-            return math.exp(self.log_mag)
-        except OverflowError:
-            return math.inf
-
     def __mul__(self, other: "LogComplexValue") -> "LogComplexValue":
         if not isinstance(other, LogComplexValue):
             return NotImplemented
         if self.is_zero or other.is_zero:
             return LogComplexValue.zero()
         return LogComplexValue(self.log_mag + other.log_mag, self.phase + other.phase)
-
-    def __truediv__(self, other: "LogComplexValue") -> "LogComplexValue":
-        if not isinstance(other, LogComplexValue):
-            return NotImplemented
-        if other.is_zero:
-            raise ZeroDivisionError("division by an exact LogComplexValue zero")
-        if self.is_zero:
-            return LogComplexValue.zero()
-        return LogComplexValue(self.log_mag - other.log_mag, self.phase - other.phase)
-
-    def conjugate(self) -> "LogComplexValue":
-        return LogComplexValue(self.log_mag, -self.phase)
-
-    def negated(self) -> "LogComplexValue":
-        if self.is_zero:
-            return self
-        return LogComplexValue(self.log_mag, self.phase + math.pi)
-
-    def powered(self, exponent: float) -> "LogComplexValue":
-        """Principal-branch real power."""
-        if self.is_zero:
-            if exponent <= 0:
-                raise ZeroDivisionError("zero to a non-positive power")
-            return self
-        return LogComplexValue(exponent * self.log_mag, exponent * self.phase)
 
 
 def log_sum(values: Iterable[LogComplexValue]) -> LogComplexValue:

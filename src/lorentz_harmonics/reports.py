@@ -44,16 +44,6 @@ class SeriesReport:
     extras: dict[str, Any] = field(default_factory=dict)
 
 
-SERIES_CSV_COLUMNS = ["j", "log_mag", "phase", "ratio", "partial_re", "partial_im"]
-
-
-def series_csv_rows(report: SeriesReport) -> list[list]:
-    rows = []
-    for t, s in zip(report.terms, report.partial_sums):
-        rows.append([t.j, t.log_mag, t.phase, t.ratio if t.ratio is not None else "", s.real, s.imag])
-    return rows
-
-
 def to_json(obj: Any) -> Any:
     """The strict-JSON form of a report: a dataclass becomes a dict of its
     fields, a complex number [re, im], a tuple a list, and an infinity the
@@ -76,7 +66,16 @@ def to_json(obj: Any) -> Any:
 def cauchy_verdict(
     partial_sums: Sequence[complex], tolerance: float, window: int
 ) -> tuple[str, Optional[float]]:
-    """Converged iff |S_J - S_{J-window}| < tolerance at the last index."""
+    """Converged iff |S_J - S_{J-window}| < tolerance at the last index.
+
+    Raises ValueError unless 0 < tolerance < inf and window >= 1: every
+    series verdict passes through here, so no setting can make one vacuous.
+    """
+    if not 0.0 < tolerance < math.inf or window < 1:
+        raise ValueError(
+            f"invalid Cauchy settings: tolerance {tolerance} must be positive and "
+            f"finite, window {window} at least 1"
+        )
     if len(partial_sums) <= window:
         return VERDICT_INCONCLUSIVE, None
     delta = abs(partial_sums[-1] - partial_sums[-1 - window])
@@ -162,7 +161,6 @@ def series_report(
 
 __all__ = [
     "RATIO_TAIL_COUNT",
-    "SERIES_CSV_COLUMNS",
     "SeriesReport",
     "TermRecord",
     "VERDICT_CONVERGED",
@@ -173,7 +171,6 @@ __all__ = [
     "empirical_tail_ratio",
     "log_term",
     "log_terms",
-    "series_csv_rows",
     "series_report",
     "to_json",
 ]

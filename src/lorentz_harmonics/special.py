@@ -1,8 +1,7 @@
-"""Special functions: complex log-gamma, Pochhammer symbols, the Gauss
-hypergeometric function for complex parameters and real argument, and the
-large-j saddle-point term used for boost coefficients beyond the exact
-evaluation window, for one pair (j, m) or a batch of them (with Watson's
-tau = 0 form kept for comparison).
+"""Special functions: complex log-gamma, the Gauss hypergeometric function
+for complex parameters and real argument, and the large-j saddle-point term
+used for boost coefficients beyond the exact evaluation window, for one pair
+(j, m) or a batch of them (with Watson's tau = 0 form kept for comparison).
 
 All magnitude-critical results come back as LogComplexValue.
 """
@@ -10,7 +9,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -116,43 +114,6 @@ def log_gamma(z: complex) -> complex:
         s += _LANCZOS_C[k] / (zm + k)
     t = zm + _LANCZOS_G + 0.5
     return _LOG_SQRT_2PI + (zm + 0.5) * cmath.log(t) - t + cmath.log(s)
-
-
-def pochhammer(q: complex, n: int) -> LogComplexValue:
-    """Rising factorial (q)_n = q (q+1) ... (q+n-1) as a log-space product.
-
-    (q)_0 = 1 for any q; a zero factor yields an exact LogComplexValue zero.
-    """
-    if n < 0:
-        raise ValueError("pochhammer order must be a natural number")
-    q = complex(q)
-    log_mag = 0.0
-    phase = 0.0
-    for k in range(n):
-        f = q + k
-        if f == 0:
-            return LogComplexValue.zero()
-        log_mag += math.log(abs(f))
-        # math.atan2 rather than cmath.phase, which raises OverflowError when
-        # the angle underflows to a subnormal (e.g. 2 + 5e-324j)
-        phase += math.atan2(f.imag, f.real)
-    return LogComplexValue(log_mag, phase)
-
-
-@dataclass(frozen=True)
-class Hyp2F1Params:
-    """Parameters of 2F1(a, b; c; z) with real argument z."""
-
-    a: complex
-    b: complex
-    c: complex
-    z: float
-
-    def __post_init__(self) -> None:
-        if _is_nonpositive_integer(self.c):
-            raise Hyp2F1DomainError(f"c = {self.c} is a non-positive integer")
-        if not math.isfinite(self.z):
-            raise Hyp2F1DomainError("z must be finite")
 
 
 def _sum_series(
@@ -331,18 +292,18 @@ def check_cancellation(cancellation, weight=1.0) -> None:
         )
 
 
-def hyp2f1(a, b=None, c=None, z=None) -> LogComplexValue:
+def hyp2f1(a, b, c, z) -> LogComplexValue:
     """Gauss hypergeometric function 2F1(a, b; c; z) for real z < 1.
 
-    Accepts either a single Hyp2F1Params or the four parameters.  The one-row
-    case of hyp2f1_rows; raises SeriesConvergenceError where the series
-    cancels beyond CANCELLATION_LIMIT relative to the value.
+    The one-row case of hyp2f1_rows; raises Hyp2F1DomainError where c is a
+    non-positive integer or z is not finite, and SeriesConvergenceError where
+    the series cancels beyond CANCELLATION_LIMIT relative to the value.
     """
-    if isinstance(a, Hyp2F1Params):
-        p = a
-    else:
-        p = Hyp2F1Params(complex(a), complex(b), complex(c), float(z))
-    log_mag, phase, cancellation = hyp2f1_rows(p.a, p.b, p.c, p.z)
+    if _is_nonpositive_integer(c):
+        raise Hyp2F1DomainError(f"c = {complex(c)} is a non-positive integer")
+    if not math.isfinite(z):
+        raise Hyp2F1DomainError("z must be finite")
+    log_mag, phase, cancellation = hyp2f1_rows(complex(a), complex(b), complex(c), z)
     check_cancellation(cancellation)
     return LogComplexValue(float(log_mag[0]), float(phase[0]))
 
@@ -589,7 +550,6 @@ def saddle_point_2f1(j: int, m: int, tau: complex, epsilon: float) -> LogComplex
 __all__ = [
     "GammaPoleError",
     "Hyp2F1DomainError",
-    "Hyp2F1Params",
     "SeriesConvergenceError",
     "CANCELLATION_LIMIT",
     "MAX_SERIES_TERMS",
@@ -601,7 +561,6 @@ __all__ = [
     "hyp2f1",
     "hyp2f1_rows",
     "log_gamma",
-    "pochhammer",
     "saddle_point_2f1",
     "saddle_point_log",
     "saddle_point_exponent",

@@ -9,8 +9,10 @@ import warnings
 from pathlib import Path
 
 import jsonschema
+import numpy as np
 import pytest
 
+from conftest import random_su2_matrix
 from lorentz_harmonics.cli import main, parse_complex
 from lorentz_harmonics.config import RunConfig, load_run_config, parse_config_file
 from lorentz_harmonics.wigner import FourierTableSU2
@@ -219,6 +221,27 @@ def test_ratio_csv_columns(argv, tmp_path, capsys):
         assert row == [str(x) for x in expected]
 
 
+@pytest.mark.parametrize("argv, header, rows", [
+    (("coeff", "--j", "3", "--m", "1", "--tau", "0.5", "--eps", "2"),
+     "j,m,tau_re,tau_im,epsilon,path,log_mag,phase,value_re,value_im", 1),
+    (("norm", "--tau", "0.5,0.2", "--jmax", "100"),
+     "j_max,computed_re,computed_im,target_re,target_im,deviation,tail_bound", 1),
+    (("diverge", "--tau", "0.3", "--checkpoints", "10,100,1000"),
+     "checkpoint,partial_re,partial_im,increment_re,increment_im,model_re,model_im,"
+     "relative_deviation", 3),
+    (("asymcheck", "--j", "32", "--m", "2", "--tau", "0.5", "--eps", "2"),
+     "j,m,tau_re,tau_im,epsilon,exact_log_mag,exact_phase,asym_log_mag,asym_phase,"
+     "relative_error", 1),
+], ids=["coeff", "norm", "diverge", "asymcheck"])
+def test_scalar_csv_columns(capsys, argv, header, rows):
+    code, out = run_cli(capsys, *argv, "--format", "csv")
+    assert code == 0
+    table = list(csv.reader(io.StringIO(out)))
+    assert table[0] == header.split(",")
+    assert len(table) - 1 == rows
+    assert all(len(row) == len(table[0]) for row in table[1:])
+
+
 def test_sum_modes(capsys):
     p = run_json(capsys, "sum", "--mode", "diagonal", "--m", "0", "--tau", "0",
                  "--eps", "0.5", "--jmax", "150")
@@ -262,6 +285,24 @@ def test_ymap_subcommand(tmp_path, capsys):
     )
     bounds = payload["report"]["bounds"]
     assert bounds["product_bound"] >= bounds["apply_abs"][-1]
+
+
+@pytest.mark.filterwarnings("ignore:table band")
+def test_ymap_group_element_matches_eps(tmp_path, capsys, rng):
+    # the map depends on g only through its boost: g = u1 diag(1/2, 2) u2
+    # gives the partial sums of eps = 2
+    entries = {(tj, tm): complex(0.5**tj, 0.1 * tm) for tj in (0, 2, 4)
+               for tm in range(-tj, tj + 1, 2)}
+    path = tmp_path / "table.json"
+    path.write_text(json.dumps(FourierTableSU2(0, 4, entries).to_json_dict()))
+    g = random_su2_matrix(rng) @ np.diag([0.5, 2.0]) @ random_su2_matrix(rng)
+    flat = [repr(float(x)) for v in g.reshape(-1) for x in (v.real, v.imag)]
+    argv = ("ymap", "--table", str(path), "--tau", "0.3", "--jmax", "30")
+    by_g = run_json(capsys, *argv, "--g", *flat)["report"]["partial_sums"]
+    by_eps = run_json(capsys, *argv, "--eps", "2")["report"]["partial_sums"]
+    assert len(by_g) == len(by_eps) == 31
+    for a, b in zip(by_g, by_eps):
+        assert complex(*a) == pytest.approx(complex(*b), rel=1e-9, abs=1e-12)
 
 
 def test_asymcheck_subcommand(capsys):
@@ -323,17 +364,6 @@ def test_subprocess_entry_point(tmp_path):
     assert payload["report"]["path"] == "exact"
 
 
-def test_series_csv_helper_matches_contract(capsys):
-    from lorentz_harmonics.principal_series import ratio_test
-    from lorentz_harmonics.reports import SERIES_CSV_COLUMNS, series_csv_rows
-
-    rep = ratio_test(0, 0.0, 2.0, 20)
-    rows = series_csv_rows(rep)
-    assert SERIES_CSV_COLUMNS == ["j", "log_mag", "phase", "ratio", "partial_re", "partial_im"]
-    assert len(rows) == len(rep.terms)
-    assert rows[0][0] == 1 and rows[0][3] == ""
-
-
 @pytest.mark.filterwarnings("ignore:table band")
 def test_zero_terms_emit_strict_json(tmp_path, capsys):
     # rows with exact-zero terms must not leak bare Infinity literals
@@ -393,6 +423,15 @@ def test_file_errors_exit_2_with_one_line(tmp_path, capsys, table, text, out):
     assert code == 2
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+def test_repeated_checkpoints_exit_2(capsys):
+    # a repeated checkpoint gave a zero model increment to divide by (exit 1)
+    code = main(["diverge", "--tau", "0", "--checkpoints", "5,5"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "distinct" in captured.err
 
 
 def test_nan_in_report_is_numerical_failure(capsys):

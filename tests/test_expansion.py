@@ -14,7 +14,14 @@ from lorentz_harmonics.expansion import (
     synthesize,
     triple_blocks,
 )
-from lorentz_harmonics.principal_series import EpsilonDomainError, diagonal_coefficient
+from lorentz_harmonics.principal_series import (
+    EpsilonDomainError,
+    boundary_ratio_test,
+    diagonal_coefficient,
+    ratio_test,
+)
+from lorentz_harmonics.wigner import FourierTableSU2
+from lorentz_harmonics.ymap import YMapRequest, ymap_apply, ymap_convergence_report
 
 
 # ---------------------------------------------------------------- containers
@@ -36,6 +43,39 @@ def test_config_rejects_non_finite_epsilon_and_tolerance(value):
     # an infinite tolerance would make every scan "converged"
     with pytest.raises(ValueError, match="Cauchy"):
         ExpansionConfig(tau=0.0, m=0, epsilon=2.0, j_max=10, cauchy_tolerance=value)
+
+
+def _ymap_request(tol, window):
+    table = FourierTableSU2(0, 4, {(0, 0): 1.0, (2, 0): 0.5, (4, 2): 0.25j})
+    return YMapRequest(table=table, tau=0.3, j_max=4, epsilon=2.0,
+                       cauchy_tolerance=tol, cauchy_window=window)
+
+
+# every series verdict goes through reports.cauchy_verdict
+CAUCHY_SERIES = {
+    "ratio_test": lambda tol, window: ratio_test(
+        0, 0.0, 2.0, 30, cauchy_tolerance=tol, cauchy_window=window),
+    "boundary_ratio_test": lambda tol, window: boundary_ratio_test(
+        "m_equals_0", 0.0, 2.0, 30, cauchy_tolerance=tol, cauchy_window=window),
+    "partial_sum_triple": lambda tol, window: partial_sum_triple(
+        0.0, 2.0, 30, cauchy_tolerance=tol, cauchy_window=window),
+    "synthesize": lambda tol, window: synthesize(
+        CoefficientTable.geometric(0, 0.5, 20), 0.0, 2.0, 30,
+        cauchy_tolerance=tol, cauchy_window=window),
+    "ymap_apply": lambda tol, window: ymap_apply(_ymap_request(tol, window)),
+    "ymap_convergence_report": lambda tol, window: ymap_convergence_report(
+        _ymap_request(tol, window)),
+}
+
+
+@pytest.mark.parametrize("tol, window", [
+    (math.inf, 10), (math.nan, 10), (0.0, 10), (-1.0, 10), (1e-6, 0), (1e-6, -3),
+])
+@pytest.mark.parametrize("series", sorted(CAUCHY_SERIES))
+def test_series_reject_invalid_cauchy_settings(series, tol, window):
+    # an infinite tolerance or a zero window made these scans "converged"
+    with pytest.raises(ValueError, match="Cauchy"):
+        CAUCHY_SERIES[series](tol, window)
 
 
 @pytest.mark.parametrize("eps", [math.inf, math.nan])
@@ -179,6 +219,10 @@ def test_divergence_probe_validation():
         divergence_probe(1j, [10, 100])
     with pytest.raises(ValueError):
         divergence_probe(0.0, [100])
+    # a repeated checkpoint gave a zero model increment to divide by
+    for cps in ([5, 5], [10, 100, 10]):
+        with pytest.raises(ValueError, match="distinct"):
+            divergence_probe(0.0, cps)
 
 
 # ----------------------------------------------------------------- synthesis

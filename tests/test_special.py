@@ -3,19 +3,17 @@ import math
 
 import mpmath as mp
 import pytest
-from hypothesis import example, given
+from hypothesis import given
 from hypothesis import strategies as st
 
 from lorentz_harmonics.logcomplex import LogComplexValue
 from lorentz_harmonics.special import (
     GammaPoleError,
     Hyp2F1DomainError,
-    Hyp2F1Params,
     SaddlePointDomainError,
     SeriesConvergenceError,
     hyp2f1,
     log_gamma,
-    pochhammer,
     saddle_point_2f1,
     saddle_point_exponent,
     watson_asymptotic_2f1,
@@ -71,39 +69,6 @@ def test_log_gamma_vs_mpmath_complex():
     for z in (2.5 + 1.5j, 30.0 + 40.0j, 65.0 - 16.0j, 0.5 + 90.0j):
         ref = complex(mp.loggamma(mp.mpc(z)))
         assert abs(log_gamma(z) - ref) <= 1e-12 * max(1.0, abs(ref))
-
-
-# --------------------------------------------------------------- pochhammer
-
-def test_pochhammer_base_cases():
-    assert pochhammer(2.5 + 1j, 0).to_complex() == 1 + 0j
-    assert pochhammer(1.0, 5).to_complex().real == pytest.approx(120.0, rel=1e-13)
-    assert pochhammer(-2.0, 4).is_zero
-
-
-@given(
-    st.builds(
-        complex,
-        st.floats(min_value=-8, max_value=8),
-        st.floats(min_value=-8, max_value=8),
-    ),
-    st.integers(min_value=0, max_value=12),
-)
-@example(q=5e-324j, n=3)  # factor 2 + 5e-324j has a subnormal angle
-def test_pochhammer_matches_direct_product(q, n):
-    direct = 1 + 0j
-    for k in range(n):
-        direct *= q + k
-    got = pochhammer(q, n)
-    if direct == 0:
-        assert got.is_zero
-    else:
-        assert got.to_complex() == pytest.approx(direct, rel=1e-10)
-
-
-def test_pochhammer_negative_order():
-    with pytest.raises(ValueError):
-        pochhammer(1.0, -1)
 
 
 # ------------------------------------------------------------------- hyp2f1
@@ -197,15 +162,12 @@ def test_hyp2f1_domain_errors():
         hyp2f1(1, 2, 3, 1.0)
     with pytest.raises(Hyp2F1DomainError):
         hyp2f1(1, 2, 3, 2.5)
-    with pytest.raises(Hyp2F1DomainError):
-        Hyp2F1Params(1, 2, 0, 0.5)
-    with pytest.raises(Hyp2F1DomainError):
-        Hyp2F1Params(1, 2, -3, 0.5)
-
-
-def test_hyp2f1_params_object_call():
-    p = Hyp2F1Params(1, 1, 2, 0.5)
-    assert hyp2f1(p).to_complex().real == pytest.approx(TWO_LN_2, rel=1e-12)
+    for c in (0, -3):
+        with pytest.raises(Hyp2F1DomainError, match="non-positive integer"):
+            hyp2f1(1, 2, c, 0.5)
+    for z in (-math.inf, math.nan):
+        with pytest.raises(Hyp2F1DomainError):
+            hyp2f1(1, 2, 3, z)
 
 
 def test_hyp2f1_nonconvergence_raises():

@@ -3,9 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import random_su2_matrix
 from lorentz_harmonics.expansion import triple_blocks
-from lorentz_harmonics.lie_group import SL2CElement
 from lorentz_harmonics.principal_series import (
     CoefficientIndex,
     EpsilonDomainError,
@@ -36,10 +34,6 @@ def band8_table(scale: float = 1.0) -> FourierTableSU2:
 
 def test_request_validation():
     tab = band8_table()
-    with pytest.raises(ValueError):
-        YMapRequest(table=tab, tau=0.0, j_max=20)  # neither target
-    with pytest.raises(ValueError):
-        YMapRequest(table=tab, tau=0.0, j_max=20, epsilon=2.0, g=SL2CElement.identity())
     with pytest.raises(EpsilonDomainError):
         YMapRequest(table=tab, tau=0.0, j_max=20, epsilon=-2.0)
     for eps in (math.inf, math.nan):
@@ -48,19 +42,6 @@ def test_request_validation():
     tabp = FourierTableSU2(4, 8, {})
     with pytest.raises(ValueError):
         YMapRequest(table=tabp, tau=0.0, j_max=2, epsilon=2.0)
-
-
-def test_group_element_target_resolves_boost(rng):
-    tab = band8_table()
-    eps0 = 2.0
-    g = SL2CElement(
-        random_su2_matrix(rng) @ np.diag([1 / eps0, eps0]) @ random_su2_matrix(rng),
-        tol=1e-9,
-    )
-    rep_g = ymap_apply(YMapRequest(table=tab, tau=0.3, j_max=30, g=g))
-    rep_e = ymap_apply(YMapRequest(table=tab, tau=0.3, j_max=30, epsilon=eps0))
-    for a, b in zip(rep_g.partial_sums, rep_e.partial_sums):
-        assert a == pytest.approx(b, rel=1e-9, abs=1e-12)
 
 
 # ----------------------------------------------------------------- map values
@@ -165,6 +146,29 @@ def test_report_terms_match_ymap_apply(p, tau):
     req = YMapRequest(table=FourierTableSU2(p, 8, entries), tau=tau, j_max=12, epsilon=0.7)
     applied = [abs(s) for s in ymap_apply(req).partial_sums]
     assert ymap_convergence_report(req).apply_abs == pytest.approx(applied, rel=1e-12)
+
+
+@pytest.mark.parametrize("p", [0, 2])
+def test_report_partials_are_running_sums(p):
+    # the report's cumsums add left to right, as a running-sum loop does, so
+    # they equal the loop bit for bit
+    rng = np.random.default_rng(5)
+    entries = {(tj, tm): complex(*rng.standard_normal(2)) * 0.5**tj
+               for tj in range(p, 9, 2) for tm in range(-tj, tj + 1, 2)}
+    table = FourierTableSU2(p, 8, entries)
+    bounds = ymap_convergence_report(YMapRequest(table=table, tau=0.3, j_max=12, epsilon=0.7))
+    rows = table.abs_sum_by_row()
+    f, c, fs, cs = 0.0, 0.0, [], []
+    for j, block in enumerate(triple_blocks(0.3, 0.7, 12)):
+        c += abs(block)
+        if j >= p:
+            f += rows.get(j, 0.0)
+            fs.append(f)
+            cs.append(c)
+    assert bounds.js == tuple(range(p, 13))
+    assert bounds.fourier_partials == tuple(fs)
+    assert bounds.coefficient_partials == tuple(cs)
+    assert bounds.product_partials == tuple(a * b for a, b in zip(fs, cs))
 
 
 def test_coefficient_bound_uses_column_sums():
