@@ -6,12 +6,15 @@ schemas/report.schema.json) or a CSV flattening of that envelope with a
 fixed column order (_csv_text; a series report gives one row per term).
 Exit codes: 0 success, 1 numerical failure, 2 domain/usage error (including
 non-finite --tau/--eps and unreadable or malformed files).
+The parser is built once per process, so an in-process caller of main pays
+only for its request.
 """
 from __future__ import annotations
 
 import argparse
 import cmath
 import csv
+import functools
 import io
 import json
 import math
@@ -225,7 +228,9 @@ def _emit(payload: dict, cfg: RunConfig) -> None:
         sys.stdout.write(text + ("\n" if not text.endswith("\n") else ""))
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """Built on the first call and shared by every later one: do not mutate it."""
     parser = argparse.ArgumentParser(
         prog="lorentz-harmonics",
         description="Boost-coefficient numerics and series diagnostics for the "

@@ -252,6 +252,9 @@ def divergence_probe(
     if len(set(cps)) < len(cps):
         # a repeated checkpoint gives a zero model increment to compare with
         raise ValueError(f"checkpoints must be distinct, got {cps}")
+    if not 0.0 < cauchy_tolerance < math.inf:
+        # the rule of reports.cauchy_verdict: any other tolerance fixes the verdict
+        raise ValueError(f"cauchy_tolerance {cauchy_tolerance} must be positive and finite")
     denom = 1.0 + tau * tau
     sums = []
     running = 0.0

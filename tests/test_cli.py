@@ -1,3 +1,4 @@
+import argparse
 import csv
 import io
 import json
@@ -13,7 +14,7 @@ import numpy as np
 import pytest
 
 from conftest import random_su2_matrix
-from lorentz_harmonics.cli import main, parse_complex
+from lorentz_harmonics.cli import build_parser, main, parse_complex
 from lorentz_harmonics.config import RunConfig, load_run_config, parse_config_file
 from lorentz_harmonics.wigner import FourierTableSU2
 
@@ -21,6 +22,7 @@ SCHEMA = json.loads(
     (Path(__file__).resolve().parents[1] / "schemas" / "report.schema.json").read_text()
 )
 SRC = str(Path(__file__).resolve().parents[1] / "src")
+SUBCOMMANDS = ("coeff", "ratio", "sum", "norm", "diverge", "ymap", "asymcheck")
 
 
 def run_cli(capsys, *argv) -> tuple[int, str]:
@@ -476,3 +478,83 @@ def test_to_json_encodes_dataclasses_field_by_field():
     # NaN is left for json.dumps(allow_nan=False) to reject
     with pytest.raises(ValueError):
         json.dumps(to_json(TermRecord(1, math.nan, 0.0)), allow_nan=False)
+
+
+# ------------------------------------------- one parser shared by every call
+
+def test_parser_is_built_once(capsys, monkeypatch):
+    assert build_parser() is build_parser()
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    for j in range(1, 6):
+        assert run_cli(capsys, "coeff", "--j", str(j), "--tau", "0", "--eps", "2")[0] == 0
+    assert built == []
+
+
+def test_subcommands_match_parser(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    assert "{" + ",".join(SUBCOMMANDS) + "}" in capsys.readouterr().out
+
+
+def test_bounds_flag_does_not_leak(tmp_path, capsys):
+    path = tmp_path / "table.json"
+    path.write_text(json.dumps(FourierTableSU2(0, 2, {(0, 0): 1.0 + 0j}).to_json_dict()))
+    argv = ("ymap", "--table", str(path), "--tau", "0.3", "--eps", "2", "--jmax", "2")
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        assert "bounds" in run_json(capsys, *argv, "--bounds")["report"]
+        assert "bounds" not in run_json(capsys, *argv)["report"]
+
+
+def test_format_flag_does_not_leak(capsys):
+    argv = ("coeff", "--j", "3", "--tau", "0.5", "--eps", "2")
+    code, out = run_cli(capsys, *argv, "--format", "csv")
+    assert code == 0 and out.startswith("j,m,tau_re")
+    assert run_json(capsys, *argv)["command"] == "coeff"
+
+
+def test_group_element_does_not_leak(capsys):
+    # g = diag(1/2, 2) has eps = 2; a leaked --g would win over --eps 3
+    argv = ("coeff", "--j", "2", "--m", "1", "--tau", "0.3")
+    by_g = run_json(capsys, *argv, "--g", "0.5", "0", "0", "0", "0", "0", "2", "0")
+    assert by_g["params"]["epsilon"] == pytest.approx(2.0)
+    assert run_json(capsys, *argv, "--eps", "3")["params"]["epsilon"] == 3.0
+
+
+def test_environment_read_on_every_call(capsys, monkeypatch):
+    argv = ("ratio", "--m", "0", "--tau", "0", "--eps", "2", "--jmax", "60")
+    assert run_json(capsys, *argv)["report"]["terms"][-1]["j"] == 60
+    monkeypatch.setenv("LH_J_MAX", "37")
+    assert run_json(capsys, *argv)["report"]["terms"][-1]["j"] == 37
+
+
+def test_repeated_usage_errors(capsys):
+    errors = []
+    for _ in range(2):
+        with pytest.raises(SystemExit) as exc:
+            main(["coeff", "--tau", "0", "--eps", "2"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        errors.append(captured.err)
+    assert "--j" in errors[0] and errors[0] == errors[1]
+
+
+@pytest.mark.parametrize("command", SUBCOMMANDS)
+def test_help_from_shared_parser(capsys, command):
+    texts = []
+    for _ in range(2):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--help"])
+        assert exc.value.code == 0
+        texts.append(capsys.readouterr().out)
+    assert texts[0].startswith(f"usage: lorentz-harmonics {command} ")
+    assert texts[0] == texts[1]

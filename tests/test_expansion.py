@@ -225,6 +225,13 @@ def test_divergence_probe_validation():
             divergence_probe(0.0, cps)
 
 
+@pytest.mark.parametrize("tol", [-1.0, 0.0, math.nan, math.inf])
+def test_divergence_probe_rejects_invalid_tolerance(tol):
+    # -1 and 0 would make every probe 'diverged', nan and inf every one 'inconclusive'
+    with pytest.raises(ValueError, match="positive and finite"):
+        divergence_probe(0.0, [10, 100], cauchy_tolerance=tol)
+
+
 # ----------------------------------------------------------------- synthesis
 
 def test_synthesize_single_entry_reproduces_scaled_coefficient():
