@@ -49,7 +49,6 @@ from .special import (
     hyp2f1,
     log_gamma,
     saddle_point_2f1,
-    watson_asymptotic_2f1,
 )
 from .wigner import (
     FourierTableSU2,

@@ -12,6 +12,8 @@ from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import Any, Optional
 
+from .reports import check_cauchy
+
 ENV_PREFIX = "LH_"
 
 FORMAT_CHOICES = ("json", "csv")
@@ -29,10 +31,9 @@ class RunConfig:
     def __post_init__(self) -> None:
         if self.j_max < 1:
             raise ValueError("j_max must be >= 1")
-        if not (0 < self.cauchy_tolerance < math.inf and 0 < self.det_tolerance < math.inf):
-            raise ValueError("tolerances must be positive and finite")
-        if self.cauchy_window < 1:
-            raise ValueError("cauchy_window must be >= 1")
+        check_cauchy(self.cauchy_tolerance, self.cauchy_window)
+        if not 0 < self.det_tolerance < math.inf:
+            raise ValueError("det_tolerance must be positive and finite")
         if self.format not in FORMAT_CHOICES:
             raise ValueError(f"format must be one of {FORMAT_CHOICES}")
 

@@ -23,11 +23,12 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .logcomplex import to_complex_values
-from .principal_series import EpsilonDomainError, check_epsilon, diagonal_coefficients
+from .principal_series import check_boost, diagonal_coefficients
 from .reports import (
     SeriesReport,
     VERDICT_DIVERGED,
     VERDICT_INCONCLUSIVE,
+    check_cauchy,
     complex_term,
     empirical_tail_ratio,
     log_terms,
@@ -35,6 +36,10 @@ from .reports import (
 )
 
 PI_SQUARED_OVER_6 = math.pi**2 / 6.0
+# Terms per numpy pass of the norm-type sums (about 3 MB of arrays), so that
+# memory stays bounded at any j_max; a sum of at most this many terms is one
+# np.sum, as the defaults are
+_SUM_CHUNK = 1 << 17
 
 
 class SingularTauError(ValueError):
@@ -50,7 +55,7 @@ def _check_tau_regular(tau: complex) -> complex:
 
 @dataclass(frozen=True)
 class ExpansionConfig:
-    """Parameters of a fixed-m diagonal scan."""
+    """Parameters of a fixed-m diagonal scan at a boost eps != 1."""
 
     tau: complex
     m: int
@@ -61,11 +66,10 @@ class ExpansionConfig:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "tau", complex(self.tau))
-        check_epsilon(self.epsilon)
+        check_boost(self.epsilon)
         if self.j_max < 1:
             raise ValueError("j_max must be positive")
-        if not 0.0 < self.cauchy_tolerance < math.inf or self.cauchy_window < 1:
-            raise ValueError("invalid Cauchy settings")
+        check_cauchy(self.cauchy_tolerance, self.cauchy_window)
 
 
 @dataclass(frozen=True)
@@ -104,21 +108,6 @@ class CoefficientTable:
                 ratios.append(abs(self.entries[b]) / abs(self.entries[a]))
         return empirical_tail_ratio(ratios)
 
-    def to_json_dict(self) -> dict:
-        return {
-            "m": self.m,
-            "entries": [
-                {"j": j, "re": v.real, "im": v.imag} for j, v in sorted(self.entries.items())
-            ],
-        }
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "CoefficientTable":
-        return cls(
-            m=int(data["m"]),
-            entries={int(e["j"]): complex(e["re"], e["im"]) for e in data["entries"]},
-        )
-
 
 def partial_sum_diagonal(cfg: ExpansionConfig) -> SeriesReport:
     """Partial sums of the fixed-m diagonal coefficient series at one boost.
@@ -126,8 +115,6 @@ def partial_sum_diagonal(cfg: ExpansionConfig) -> SeriesReport:
     The scan starts at j = max(|m|, 1); for m = 0 the j = 0 coefficient (which
     the formula leaves nonzero) is reported separately in extras["j0_value"].
     """
-    if cfg.epsilon == 1.0:
-        raise EpsilonDomainError("partial sums require eps != 1")
     j_start = max(abs(cfg.m), 1)
     # m = 0 also reads j = 0, which is reported apart from the sum
     js = np.arange(0 if cfg.m == 0 else j_start, cfg.j_max + 1)
@@ -177,15 +164,25 @@ def partial_sum_triple(
     """Partial sums over j of the inner column sums of the full triple series
     (the off-diagonal terms vanish identically, leaving 2j+1 terms per block).
     """
-    epsilon = check_epsilon(epsilon)
-    if epsilon == 1.0:
-        raise EpsilonDomainError("partial sums require eps != 1")
+    epsilon = check_boost(epsilon)
     blocks = triple_blocks(tau, epsilon, j_max)
     return series_report(
         {"kind": "triple_sum", "tau": tau, "epsilon": epsilon, "j_max": int(j_max)},
         (complex_term(j, b) for j, b in enumerate(blocks)),
         cauchy_tolerance, cauchy_window,
     )
+
+
+def _chunked_sum(term, first: int, last: int) -> float:
+    """The sum of term(js) over the floats js = first, ..., last (counting
+    down where last < first), one np.sum of at most _SUM_CHUNK terms at a
+    time, added in that order."""
+    step = 1 if last >= first else -1
+    total = 0.0
+    for lo in range(first, last + step, step * _SUM_CHUNK):
+        hi = min(lo + _SUM_CHUNK - 1, last) if step > 0 else max(lo - _SUM_CHUNK + 1, last)
+        total += float(np.sum(term(np.arange(lo, hi + step, step, dtype=float))))
+    return total
 
 
 @dataclass(frozen=True)
@@ -210,8 +207,7 @@ def norm_identity(tau: complex, j_max: int) -> NormIdentityReport:
         raise ValueError("j_max must be positive")
     denom = 1.0 + tau * tau
     # ascending magnitudes: sum small terms first
-    js = np.arange(j_max, 0, -1, dtype=float)
-    base = float(np.sum(1.0 / (js * js)))
+    base = _chunked_sum(lambda js: 1.0 / (js * js), j_max, 1)
     computed = base / denom
     target = PI_SQUARED_OVER_6 / denom
     return NormIdentityReport(
@@ -252,16 +248,13 @@ def divergence_probe(
     if len(set(cps)) < len(cps):
         # a repeated checkpoint gives a zero model increment to compare with
         raise ValueError(f"checkpoints must be distinct, got {cps}")
-    if not 0.0 < cauchy_tolerance < math.inf:
-        # the rule of reports.cauchy_verdict: any other tolerance fixes the verdict
-        raise ValueError(f"cauchy_tolerance {cauchy_tolerance} must be positive and finite")
+    check_cauchy(cauchy_tolerance, window=1)   # the probe has no window
     denom = 1.0 + tau * tau
     sums = []
     running = 0.0
     prev = 0
     for cp in cps:
-        js = np.arange(prev + 1, cp + 1, dtype=float)
-        running += float(np.sum((2.0 * js + 1.0) / (js * js)))
+        running += _chunked_sum(lambda js: (2.0 * js + 1.0) / (js * js), prev + 1, cp)
         sums.append(running / denom)
         prev = cp
     increments = [b - a for a, b in zip(sums, sums[1:])]
@@ -296,9 +289,7 @@ def synthesize(
     """
     tau = complex(tau)
     _check_tau_regular(tau)
-    epsilon = float(epsilon)
-    if epsilon == 1.0:
-        raise EpsilonDomainError("synthesis requires eps != 1")
+    epsilon = check_boost(epsilon)
     tr = table.tail_ratio()
     if tr is not None and tr > 1.0 + 1e-9:
         warnings.warn(

@@ -68,13 +68,6 @@ class SL2CElement:
         vals = [complex(parts[2 * i], parts[2 * i + 1]) for i in range(4)]
         return cls(np.array([[vals[0], vals[1]], [vals[2], vals[3]]]), tol=tol)
 
-    def to_flat(self) -> list[float]:
-        out: list[float] = []
-        for r in range(2):
-            for c in range(2):
-                out.extend((self.matrix[r, c].real, self.matrix[r, c].imag))
-        return out
-
 
 @dataclass(frozen=True, eq=False)
 class SU2Element:
@@ -99,13 +92,6 @@ class SU2Element:
     @classmethod
     def identity(cls) -> "SU2Element":
         return cls(np.eye(2, dtype=complex))
-
-    @classmethod
-    def from_flat(cls, parts: Sequence[float], tol: float = 1e-12) -> "SU2Element":
-        return cls(SL2CElement.from_flat(parts, tol=max(tol, 1e-9)).matrix, tol=tol)
-
-    def to_flat(self) -> list[float]:
-        return SL2CElement(self.matrix, tol=1e-9).to_flat()
 
     def euler_angles(self) -> tuple[float, float, float]:
         """z-y-z Euler angles (alpha, beta, gamma) with alpha in [0, 2pi),
@@ -177,7 +163,11 @@ class CartanFactors:
         return SL2CElement(self.u1.matrix @ self.boost_matrix() @ self.u2.matrix, tol=1e-9)
 
 
-def cartan_decompose(g: SL2CElement, degeneracy_tol: float = 1e-12) -> CartanFactors:
+# Largest eps - 1 that cartan_decompose treats as no boost at all
+_DEGENERACY_TOL = 1e-12
+
+
+def cartan_decompose(g: SL2CElement) -> CartanFactors:
     """Factor g = u1 diag(1/eps, eps) u2 via the 2x2 singular value decomposition.
 
     eps is the larger singular value (a det-1 matrix has singular values eps
@@ -185,11 +175,12 @@ def cartan_decompose(g: SL2CElement, degeneracy_tol: float = 1e-12) -> CartanFac
     determinant 1, and the remaining diagonal phase freedom is fixed by making
     the first nonzero component of u1's first column real positive, with the
     compensating phase pushed into u2.  When eps = 1 the factors are
-    non-unique; the convention u2 = identity, u1 = g is returned.
+    non-unique; the convention u2 = identity, u1 = g is returned, as it is
+    for eps within _DEGENERACY_TOL of 1.
     """
     U, sv, Vh = np.linalg.svd(g.matrix)
     eps = float(sv[0])
-    if eps <= 1.0 + degeneracy_tol:
+    if eps <= 1.0 + _DEGENERACY_TOL:
         u1 = SU2Element(g.matrix, tol=1e-9)
         return CartanFactors(u1, 1.0, SU2Element.identity())
     # reorder so the boost is diag(1/eps, eps)
@@ -252,17 +243,6 @@ class QuadratureGrid:
             _check_su2(stack, _EULER_TOL)
             stack.setflags(write=False)
             yield (SU2Element._checked(m, _EULER_TOL) for m in stack)
-
-    def iter_nodes(self) -> Iterator[tuple[SU2Element, float]]:
-        wa = 1.0 / len(self.alphas)
-        wg = 1.0 / len(self.gammas)
-        weights = [wa * (wb / 2.0) * wg for wb in self.beta_weights for _ in self.gammas]
-        for nodes in self._alpha_slices():
-            yield from zip(nodes, weights)
-
-    @property
-    def nodes(self) -> list[tuple[SU2Element, float]]:
-        return list(self.iter_nodes())
 
     def weight_array(self) -> np.ndarray:
         """Weights on the (alpha, beta, gamma) tensor grid, total mass 1."""

@@ -39,7 +39,11 @@ def wrap_phase(phi):
 
 def wrap_phases(phi: np.ndarray) -> np.ndarray:
     """Wrap angles into (-pi, pi], elementwise."""
-    return math.pi - np.remainder(math.pi - phi, TWO_PI)
+    y = math.pi - np.remainder(math.pi - phi, TWO_PI)
+    # the remainder rounds up to 2 pi itself just above an odd multiple of pi
+    # (at nextafter(pi, inf), say), and pi - 2 pi is -pi: that is +pi, which
+    # LogComplexValue's wrap_phase also makes of it
+    return np.where(y == -math.pi, math.pi, y)
 
 
 def _rect(log_mag: float, phase: float) -> complex:

@@ -25,9 +25,11 @@ where cancellation has emptied a series past special.CANCELLATION_LIMIT,
 judged against the value itself, or, for callers that only add the values,
 against the largest value of the call or of the pair's label (its column,
 for the triple sum's grid).  Both reject an eps that is not positive and
-finite (check_epsilon) before any series work.  ratio_test reads its
-coefficients one at a time through diagonal_coefficient; boundary_ratio_test
-reads its track in one batch.  Nothing is cached between calls.
+finite (special.check_epsilon, re-exported here) before any series work;
+every series diagnostic also rejects eps = 1 (check_boost).  ratio_test
+reads its coefficients one at a time through diagonal_coefficient;
+boundary_ratio_test reads its track in one batch.  Nothing is cached
+between calls.
 """
 from __future__ import annotations
 
@@ -40,8 +42,10 @@ import numpy as np
 from .logcomplex import LogComplexValue, log_sum, wrap_phase, wrap_phases
 from .reports import SeriesReport, log_term, series_report
 from .special import (
+    EpsilonDomainError,
     SaddlePointDomainError,
     check_cancellation,
+    check_epsilon,
     hyp2f1,
     hyp2f1_rows,
     saddle_point_exponent,
@@ -59,10 +63,6 @@ TRACK_M_EQUALS_0 = "m_equals_0"
 
 class IndexRangeError(ValueError):
     """Coefficient index outside its admissible range."""
-
-
-class EpsilonDomainError(ValueError):
-    """Boost parameter outside the operation's domain."""
 
 
 @dataclass(frozen=True)
@@ -105,12 +105,12 @@ class CoefficientIndex:
         return cls(j=j, j_prime=j, m=m, n=m)
 
 
-def check_epsilon(epsilon) -> float:
-    """eps as a float; raises EpsilonDomainError unless it is positive and
-    finite, before any series work."""
-    epsilon = float(epsilon)
-    if not 0.0 < epsilon < math.inf:
-        raise EpsilonDomainError(f"epsilon must be positive and finite, got {epsilon}")
+def check_boost(epsilon) -> float:
+    """check_epsilon(eps), which must also differ from 1: at eps = 1 every
+    coefficient is exactly 1, so no series diagnostic has a boost to judge."""
+    epsilon = check_epsilon(epsilon)
+    if epsilon == 1.0:
+        raise EpsilonDomainError("series diagnostics require a boost, eps != 1")
     return epsilon
 
 
@@ -363,7 +363,7 @@ def predicted_boundary_ratio(track: str, epsilon: float, tau: complex = 0.0) -> 
     predicted_diagonal_ratio(eps, tau); on the m = j track the tau = 0 closed
     form eps^2/(eps^2+1)^2, which ignores tau."""
     if track == TRACK_M_EQUALS_J:
-        e2 = float(epsilon) ** 2
+        e2 = check_epsilon(epsilon) ** 2
         return e2 / (e2 + 1.0) ** 2
     if track == TRACK_M_EQUALS_0:
         return predicted_diagonal_ratio(epsilon, tau)
@@ -398,10 +398,8 @@ def ratio_test(
     max(|m|, 1) so every term is well defined.
     """
     m = int(m)
-    epsilon = float(epsilon)
+    epsilon = check_boost(epsilon)
     j_max = int(j_max)
-    if epsilon == 1.0:
-        raise EpsilonDomainError("ratio diagnostics require eps != 1")
     if j_max < abs(m) + 8:
         raise ValueError("j_max must be at least |m| + 8")
     j_start = max(abs(m), 1)
@@ -435,10 +433,8 @@ def boundary_ratio_test(
     """
     if track not in (TRACK_M_EQUALS_J, TRACK_M_EQUALS_0):
         raise ValueError(f"unknown track {track!r}")
-    epsilon = float(epsilon)
+    epsilon = check_boost(epsilon)
     j_max = int(j_max)
-    if epsilon == 1.0:
-        raise EpsilonDomainError("ratio diagnostics require eps != 1")
     if j_max < 9:
         raise ValueError("j_max too small for a tail estimate")
     js = np.arange(1, j_max + 1)
@@ -470,6 +466,7 @@ __all__ = [
     "TRACK_M_EQUALS_J",
     "admissible_pairs",
     "boundary_ratio_test",
+    "check_boost",
     "check_epsilon",
     "diagonal_coefficient",
     "diagonal_coefficients",

@@ -63,19 +63,24 @@ def to_json(obj: Any) -> Any:
     return obj
 
 
+def check_cauchy(tolerance: float, window: int) -> None:
+    """Raise ValueError unless 0 < tolerance < inf and window >= 1: any other
+    setting makes every verdict the same, whatever the series does."""
+    if not 0.0 < tolerance < math.inf:
+        raise ValueError(f"Cauchy tolerance {tolerance} must be positive and finite")
+    if window < 1:
+        raise ValueError(f"Cauchy window {window} must be at least 1")
+
+
 def cauchy_verdict(
     partial_sums: Sequence[complex], tolerance: float, window: int
 ) -> tuple[str, Optional[float]]:
     """Converged iff |S_J - S_{J-window}| < tolerance at the last index.
 
-    Raises ValueError unless 0 < tolerance < inf and window >= 1: every
-    series verdict passes through here, so no setting can make one vacuous.
+    Every series verdict passes through here, and raises on the settings
+    that check_cauchy rejects, so no setting can make one vacuous.
     """
-    if not 0.0 < tolerance < math.inf or window < 1:
-        raise ValueError(
-            f"invalid Cauchy settings: tolerance {tolerance} must be positive and "
-            f"finite, window {window} at least 1"
-        )
+    check_cauchy(tolerance, window)
     if len(partial_sums) <= window:
         return VERDICT_INCONCLUSIVE, None
     delta = abs(partial_sums[-1] - partial_sums[-1 - window])
@@ -167,6 +172,7 @@ __all__ = [
     "VERDICT_DIVERGED",
     "VERDICT_INCONCLUSIVE",
     "cauchy_verdict",
+    "check_cauchy",
     "complex_term",
     "empirical_tail_ratio",
     "log_term",

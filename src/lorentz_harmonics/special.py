@@ -1,7 +1,8 @@
 """Special functions: complex log-gamma, the Gauss hypergeometric function
 for complex parameters and real argument, and the large-j saddle-point term
 used for boost coefficients beyond the exact evaluation window, for one pair
-(j, m) or a batch of them (with Watson's tau = 0 form kept for comparison).
+(j, m) or a batch of them; and the one rule for a boost parameter eps
+(check_epsilon), which every coefficient and series function applies.
 
 All magnitude-critical results come back as LogComplexValue.
 """
@@ -65,12 +66,25 @@ class SeriesConvergenceError(RuntimeError):
     """A hypergeometric series failed to reach tolerance within the term cap."""
 
 
+class EpsilonDomainError(ValueError):
+    """Boost parameter outside the operation's domain."""
+
+
 class SaddlePointDomainError(RuntimeError):
     """The single-saddle large-j term does not apply at these parameters.
 
     The labels themselves are valid, so this is a numerical failure rather
     than a domain (ValueError) error: no value is returned.
     """
+
+
+def check_epsilon(epsilon) -> float:
+    """eps as a float; raises EpsilonDomainError unless it is positive and
+    finite, before any series work."""
+    epsilon = float(epsilon)
+    if not 0.0 < epsilon < math.inf:
+        raise EpsilonDomainError(f"epsilon must be positive and finite, got {epsilon}")
+    return epsilon
 
 
 def _is_nonpositive_integer(z: complex, tol: float = 1e-12) -> bool:
@@ -116,15 +130,7 @@ def log_gamma(z: complex) -> complex:
     return _LOG_SQRT_2PI + (zm + 0.5) * cmath.log(t) - t + cmath.log(s)
 
 
-def _sum_series(
-    a,
-    b,
-    c,
-    w: float,
-    *,
-    max_terms: int = MAX_SERIES_TERMS,
-    tail_rel: float = SERIES_TAIL_REL,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _sum_series(a, b, c, w: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Sum the defining series sum_n (a)_n (b)_n / ((c)_n n!) w^n, 0 < w < 1,
     for each row of the parameter arrays a, b, c.
 
@@ -135,7 +141,8 @@ def _sum_series(
     ratio/|ratio|, with no per-term angle; block sums are accumulated with
     Kahan compensation, so the summation error stays bounded independent of
     the term count; and a row stops once its running term drops below
-    tail_rel relative to its partial sum on the decaying side of the peak.
+    SERIES_TAIL_REL relative to its partial sum on the decaying side of the
+    peak, or raises SeriesConvergenceError past MAX_SERIES_TERMS terms.
     Rows share only the numpy calls of a block, so a row's value does not
     depend on the other rows summed with it.
 
@@ -152,12 +159,11 @@ def _sum_series(
     with np.errstate(divide="ignore", invalid="ignore"):
         for k in range(0, a.size, size):
             rows = slice(k, k + size)
-            _sum_rows(a[rows, None], b[rows, None], c[rows, None], float(w),
-                      max_terms, tail_rel, out[:, rows])
+            _sum_rows(a[rows, None], b[rows, None], c[rows, None], float(w), out[:, rows])
     return out[0], out[1], out[2]
 
 
-def _sum_rows(a, b, c, w, max_terms, tail_rel, out) -> None:
+def _sum_rows(a, b, c, w, out) -> None:
     """The loop of _sum_series over the parameter columns a, b, c: writes
     log_mag, phase and cancellation into the columns of out."""
     rows = a.shape[0]
@@ -172,14 +178,14 @@ def _sum_rows(a, b, c, w, max_terms, tail_rel, out) -> None:
     unit_t = np.ones(rows, dtype=complex)   # t / |t| of the current term
     log_w = math.log(w)
     log_w_powers = log_w * (_STEPS + 1.0)
-    log_tail = math.log(tail_rel)
+    log_tail = math.log(SERIES_TAIL_REL)
     n = 1
     while True:
-        if n > max_terms:
+        if n > MAX_SERIES_TERMS:
             raise SeriesConvergenceError(
-                f"hypergeometric series did not reach tolerance within {max_terms} terms"
+                f"hypergeometric series did not reach tolerance within {MAX_SERIES_TERMS} terms"
             )
-        size = min(_BLOCK, max_terms + 1 - n)
+        size = min(_BLOCK, MAX_SERIES_TERMS + 1 - n)
         k = _STEPS[:size] + (n - 1.0)
         n += size
         ratios = (a + k) * ((b + k) / ((c + k) * (k + 1.0)))
@@ -225,7 +231,7 @@ def _sum_rows(a, b, c, w, max_terms, tail_rel, out) -> None:
         unit_t /= np.abs(unit_t)
         magnitude = np.hypot(sums[0], sums[1])
         # stop on an exact zero term, or on the decaying side of the peak once
-        # the term is below tail_rel of the sum
+        # the term is below SERIES_TAIL_REL of the sum
         done = (log_t - offset <= np.log(magnitude) + log_tail) & (decaying | (log_t == -math.inf))
         if not done.any():
             continue
@@ -306,64 +312,6 @@ def hyp2f1(a, b, c, z) -> LogComplexValue:
     log_mag, phase, cancellation = hyp2f1_rows(complex(a), complex(b), complex(c), z)
     check_cancellation(cancellation)
     return LogComplexValue(float(log_mag[0]), float(phase[0]))
-
-
-def watson_asymptotic_2f1(
-    j: int,
-    m: int,
-    tau: complex,
-    epsilon: float,
-) -> LogComplexValue:
-    """Leading large-j term approximating 2F1(j+1+i*tau*j/2, m+j+1; 2j+2; 1-eps^4).
-
-    Evaluated entirely in log space.  For eps < 1 the factors eps^4 - 1 and
-    eps^2 - 1 are written as (1 - eps^4) e^{-i pi} and (1 - eps^2) e^{-i pi};
-    the two enter with exactly opposite exponents, so the sign chosen for
-    i pi does not change the value.
-
-    The O(1/j) correction is omitted.  This is the paper's tau = 0 form: the
-    approximation error vanishes like 1/j only for tau = 0.  For tau != 0 it
-    drops the tau-dependence of the saddle, and the leading term acquires a
-    magnitude defect of order exp(const * Re(tau^2) * j).  Coefficients use
-    saddle_point_2f1; this form is kept for `asymcheck` and comparison.
-    """
-    j = int(j)
-    m = int(m)
-    tau = complex(tau)
-    epsilon = float(epsilon)
-    if j < 1:
-        raise ValueError("asymptotic evaluation needs j >= 1")
-    if abs(m) > j:
-        raise ValueError(f"|m| = {abs(m)} exceeds j = {j}")
-    if epsilon <= 0.0:
-        raise ValueError("epsilon must be positive")
-    if epsilon == 1.0:
-        raise Hyp2F1DomainError(
-            "asymptotic form degenerates at eps = 1 (z = 0); use hyp2f1 instead"
-        )
-
-    s = (1.0 + j) + 0.5j * tau * j
-    if epsilon > 1.0:
-        log_e4m1 = complex(math.log(epsilon**4 - 1.0))
-        log_e2m1 = complex(math.log(epsilon**2 - 1.0))
-    else:
-        log_e4m1 = math.log(1.0 - epsilon**4) - 1j * math.pi
-        log_e2m1 = math.log(1.0 - epsilon**2) - 1j * math.pi
-    log_e2p1 = math.log(epsilon**2 + 1.0)
-
-    log_val = (
-        -s * log_e4m1
-        + (1.0 + 1j * tau * j) * math.log(2.0)
-        + log_gamma(2.0 + 2.0 * j)
-        + 0.5 * math.log(math.pi)
-        - 0.5 * math.log(j)
-        - log_gamma(m + 1.0 + j)
-        - log_gamma(1.0 - m + j)
-        + s * (log_e2m1 - log_e2p1)
-        + (-0.5 - 0.5j * tau * j + m) * (math.log(2.0) - log_e2p1)
-        + (-m - 0.5j * tau * j - 0.5) * (math.log(2.0 * epsilon**2) - log_e2p1)
-    )
-    return LogComplexValue.from_log(log_val)
 
 
 # Domain of the saddle-point term; see _coefficient_saddles and saddle_point_2f1.
@@ -470,8 +418,7 @@ def saddle_point_log(j, m, tau: complex, epsilon: float):
             raise ValueError(f"|m| = {abs(int(m[over[0]]))} exceeds j = {int(j[over[0]])}")
     elif abs(m) > j:
         raise ValueError(f"|m| = {abs(m)} exceeds j = {j}")
-    if epsilon <= 0.0:
-        raise ValueError("epsilon must be positive")
+    epsilon = check_epsilon(epsilon)
     if epsilon == 1.0:
         raise Hyp2F1DomainError(
             "asymptotic form degenerates at eps = 1 (z = 0); use hyp2f1 instead"
@@ -528,16 +475,19 @@ def saddle_point_2f1(j: int, m: int, tau: complex, epsilon: float) -> LogComplex
         Gamma(2j+2) / (Gamma(j+m+1) Gamma(j-m+1))
           * t0^m (1-t0)^{-m} (1-z t0)^{-1} * e^{j phi(t0)} * sqrt(2 pi / (-j phi''(t0))),
 
-    evaluated in log space.  At tau = 0 this is Watson's term
-    (watson_asymptotic_2f1) to rounding; for tau != 0 it keeps the
-    tau-dependence of the saddle.  The relative error is O(1/j) for fixed m.
+    evaluated in log space.  At tau = 0 the saddle is t0 = 1/(1+eps^2), the
+    point of Watson's tau = 0 asymptotic, which the paper uses; for tau != 0
+    the term keeps the tau-dependence of the saddle.  The relative error is
+    O(1/j) for fixed m, at tau = 0 as at every other tau in the domain.
     Where two saddles contribute (real tau past their meeting point) the
     value oscillates in j, and the error is O(1/j) relative to the size of
     the two terms rather than to their sum.  The one-pair case of
     saddle_point_log.
 
-    Raises SaddlePointDomainError outside the domain of _coefficient_saddles,
-    and when the Gaussian width 1/sqrt(j |phi''(t0)|) of a contributing saddle
+    Raises EpsilonDomainError unless eps is positive and finite
+    (check_epsilon), Hyp2F1DomainError at eps = 1, and
+    SaddlePointDomainError outside the domain of _coefficient_saddles and
+    when the Gaussian width 1/sqrt(j |phi''(t0)|) of a contributing saddle
     is not below the distance from it to the nearest of t = 0, 1, 1/z and the
     other saddle (near the saddles' meeting point, and for eps far from 1 at
     moderate j).  Against mpmath (eps from 0.01 to 20, real and complex tau,
@@ -552,17 +502,18 @@ __all__ = [
     "Hyp2F1DomainError",
     "SeriesConvergenceError",
     "CANCELLATION_LIMIT",
+    "EpsilonDomainError",
     "MAX_SERIES_TERMS",
     "SADDLE_MAX_ABS_RE_TAU",
     "SADDLE_MIN_WIDTHS",
     "SERIES_TAIL_REL",
     "SaddlePointDomainError",
     "check_cancellation",
+    "check_epsilon",
     "hyp2f1",
     "hyp2f1_rows",
     "log_gamma",
     "saddle_point_2f1",
     "saddle_point_log",
     "saddle_point_exponent",
-    "watson_asymptotic_2f1",
 ]

@@ -21,7 +21,7 @@ import numpy as np
 
 from .expansion import coefficient_grid, column_sums
 from .logcomplex import to_complex_values
-from .principal_series import EpsilonDomainError, check_epsilon, diagonal_coefficients
+from .principal_series import check_boost, diagonal_coefficients
 from .reports import (
     SeriesReport,
     VERDICT_CONVERGED,
@@ -47,9 +47,7 @@ class YMapRequest:
         object.__setattr__(self, "tau", complex(self.tau))
         if self.j_max < abs(self.table.p):
             raise ValueError("j_max must be at least |p|")
-        object.__setattr__(self, "epsilon", check_epsilon(self.epsilon))
-        if self.epsilon == 1.0:
-            raise EpsilonDomainError("convergence verdicts require eps != 1")
+        object.__setattr__(self, "epsilon", check_boost(self.epsilon))
 
 
 def _pairs(table: FourierTableSU2, j_max: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

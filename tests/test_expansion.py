@@ -1,5 +1,7 @@
 import math
+import tracemalloc
 
+import mpmath as mp
 import pytest
 
 from lorentz_harmonics.expansion import (
@@ -45,6 +47,28 @@ def test_config_rejects_non_finite_epsilon_and_tolerance(value):
         ExpansionConfig(tau=0.0, m=0, epsilon=2.0, j_max=10, cauchy_tolerance=value)
 
 
+# every series diagnostic needs a boost: check_boost is the one rule
+BOOST_SERIES = {
+    "ratio_test": lambda eps: ratio_test(0, 0.0, eps, 30),
+    "boundary_ratio_test": lambda eps: boundary_ratio_test("m_equals_0", 0.0, eps, 30),
+    "partial_sum_diagonal": lambda eps: partial_sum_diagonal(
+        ExpansionConfig(tau=0.0, m=0, epsilon=eps, j_max=10)),
+    "partial_sum_triple": lambda eps: partial_sum_triple(0.3, eps, 10),
+    "synthesize": lambda eps: synthesize(CoefficientTable(m=0, entries={1: 1.0}), 0.0, eps, 10),
+    "YMapRequest": lambda eps: YMapRequest(
+        table=FourierTableSU2(0, 4, {(0, 0): 1.0}), tau=0.3, j_max=4, epsilon=eps),
+}
+
+
+@pytest.mark.parametrize("series", sorted(BOOST_SERIES))
+def test_series_diagnostics_reject_eps_one_and_non_finite_eps(series):
+    with pytest.raises(EpsilonDomainError, match="eps != 1"):
+        BOOST_SERIES[series](1.0)
+    for eps in (math.inf, math.nan, 0.0):
+        with pytest.raises(EpsilonDomainError, match="positive and finite"):
+            BOOST_SERIES[series](eps)
+
+
 def _ymap_request(tol, window):
     table = FourierTableSU2(0, 4, {(0, 0): 1.0, (2, 0): 0.5, (4, 2): 0.25j})
     return YMapRequest(table=table, tau=0.3, j_max=4, epsilon=2.0,
@@ -84,10 +108,11 @@ def test_triple_sum_rejects_non_finite_epsilon(eps):
         partial_sum_triple(0.3, eps, 10)
 
 
-def test_coefficient_table_roundtrip_and_ratio():
-    t = CoefficientTable(m=1, entries={1: 1.0, 2: 0.5, 3: 0.25})
-    t2 = CoefficientTable.from_json_dict(t.to_json_dict())
-    assert t2.entries == t.entries
+def test_coefficient_table_entries_and_ratio():
+    t = CoefficientTable(m=1, entries={1: 1.0, "2": 0.5, 3.0: 0.25})
+    assert t.entries == {1: 1 + 0j, 2: 0.5 + 0j, 3: 0.25 + 0j}
+    assert all(type(j) is int and type(v) is complex for j, v in t.entries.items())
+    assert t.support() == [1, 2, 3] and t.get(4) == 0j
     assert t.tail_ratio() == pytest.approx(0.5)
     assert CoefficientTable(m=0).tail_ratio() is None
     with pytest.raises(ValueError):
@@ -194,6 +219,25 @@ def test_norm_identity_complex_tau_modulus():
     denom = 1.0 + tau * tau
     assert rep.target == pytest.approx(PI_SQUARED_OVER_6 / denom, rel=1e-14)
     assert isinstance(rep.deviation, float)
+
+
+def test_norm_type_sums_bounded_memory_and_match_mpmath():
+    # both sums built one array of the whole range: 24 bytes a term, a
+    # 240 MB peak here
+    n = 10**7
+    tracemalloc.start()
+    try:
+        norm = norm_identity(0.0, n)
+        probe = divergence_probe(0.0, [10, n])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20, peak
+    with mp.workdps(30):
+        want_norm = mp.zeta(2) - mp.zeta(2, n + 1)
+        want_probe = 2 * mp.harmonic(n) + want_norm
+    assert norm.computed.real == pytest.approx(float(want_norm), rel=1e-14)
+    assert probe.partial_sums[-1].real == pytest.approx(float(want_probe), rel=1e-14)
 
 
 # ---------------------------------------------------------------- divergence

@@ -30,12 +30,12 @@ def test_sl2c_det_invariant():
     assert g.matrix[1, 1] == 2.0
 
 
-def test_sl2c_flat_roundtrip():
-    g = SL2CElement(np.array([[1.0, 0.5j], [0.0, 1.0]]))
-    flat = g.to_flat()
-    assert len(flat) == 8
-    g2 = SL2CElement.from_flat(flat)
-    assert np.allclose(g.matrix, g2.matrix)
+def test_sl2c_from_flat():
+    # 8 reals, row-major entries with re/im interleaved, as `--g` takes them
+    g = SL2CElement.from_flat([1.0, 0.0, 0.0, 0.5, 0.0, 0.0, 1.0, 0.0])
+    assert np.array_equal(g.matrix, np.array([[1.0, 0.5j], [0.0, 1.0]]))
+    with pytest.raises(MatrixInvariantError):
+        SL2CElement.from_flat([1.0] * 7)
 
 
 def test_su2_unitarity_invariant():
@@ -242,9 +242,7 @@ def test_quadrature_exactness_all_pairs_band_4():
     w = grid.weight_array().reshape(-1)
     vals = np.empty((len(entries), w.size), dtype=complex)
     for i, (tj, tm, tn) in enumerate(entries):
-        vals[i] = np.array(
-            [wigner_D(SpinLabel(tj), tm, tn, u) for u, _ in grid.iter_nodes()]
-        )
+        vals[i] = grid.sample(lambda u: wigner_D(SpinLabel(tj), tm, tn, u)).reshape(-1)
     gram = (vals * w) @ vals.conj().T
     expected = np.zeros_like(gram)
     for i, (tj, _, _) in enumerate(entries):
@@ -252,11 +250,12 @@ def test_quadrature_exactness_all_pairs_band_4():
     assert np.max(np.abs(gram - expected)) < 1e-12
 
 
-def test_nodes_listing_matches_weight_array():
+def test_weight_array_matches_sampled_nodes():
     grid = haar_quadrature_su2(2)
-    nodes = grid.nodes
-    assert len(nodes) == grid.n_nodes
-    assert math.fsum(wt for _, wt in nodes) == pytest.approx(1.0, abs=1e-13)
+    weights = grid.weight_array()
+    assert weights.shape == grid.sample(lambda u: 0j).shape
+    assert weights.size == grid.n_nodes
+    assert math.fsum(weights.reshape(-1)) == pytest.approx(1.0, abs=1e-13)
 
 
 def test_grid_nodes_match_su2_from_euler_in_grid_order():
@@ -267,14 +266,12 @@ def test_grid_nodes_match_su2_from_euler_in_grid_order():
     ]
     seen = []
     grid.sample(lambda u: seen.append(u.matrix) or 0j)
-    listed = [u.matrix for u, _ in grid.iter_nodes()]
-    assert len(seen) == len(listed) == len(want) == grid.n_nodes
-    for got in (seen, listed):
-        assert max(float(np.max(np.abs(m - w))) for m, w in zip(got, want)) < 1e-15
-        for m in got:
-            assert not m.flags.writeable
-            with pytest.raises(ValueError):
-                m[0, 0] = 0.0
+    assert len(seen) == len(want) == grid.n_nodes
+    assert max(float(np.max(np.abs(m - w))) for m, w in zip(seen, want)) < 1e-15
+    for m in seen:
+        assert not m.flags.writeable
+        with pytest.raises(ValueError):
+            m[0, 0] = 0.0
 
 
 def test_grid_with_non_finite_angle_raises():
@@ -284,8 +281,6 @@ def test_grid_with_non_finite_angle_raises():
     bad = QuadratureGrid(4, alphas, grid.betas, grid.beta_weights, grid.gammas)
     with pytest.raises(MatrixInvariantError):
         bad.sample(lambda u: 1.0)
-    with pytest.raises(MatrixInvariantError):
-        bad.nodes
 
 
 def test_sample_builds_nodes_one_alpha_slice_at_a_time():

@@ -1,11 +1,12 @@
 import cmath
 import math
 
+import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from lorentz_harmonics.logcomplex import LogComplexValue, log_sum, wrap_phase
+from lorentz_harmonics.logcomplex import LogComplexValue, log_sum, wrap_phase, wrap_phases
 
 finite = st.floats(
     min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False
@@ -49,6 +50,26 @@ def test_phase_wrap_boundaries():
     assert wrap_phase(-math.pi) == pytest.approx(math.pi)
     assert wrap_phase(3 * math.pi) == pytest.approx(math.pi)
     assert abs(wrap_phase(2 * math.pi)) < 1e-15
+
+
+def test_wrap_phases_in_range_at_float_neighbours_of_odd_multiples_of_pi():
+    # just above pi the remainder in wrap_phases rounds up to 2 pi itself, which
+    # gave -pi: outside (-pi, pi], and not the +pi that LogComplexValue's rewrap
+    # makes of it, so a batch and a one-pair coefficient differed in the phase
+    assert wrap_phases(np.array([math.nextafter(math.pi, math.inf)]))[0] == math.pi
+    for k in range(-101, 102, 2):
+        angles = [k * math.pi]
+        below = above = k * math.pi
+        for _ in range(4):
+            below = math.nextafter(below, -math.inf)
+            above = math.nextafter(above, math.inf)
+            angles += [below, above]
+        phi = np.array(angles)
+        got = wrap_phases(phi)
+        assert np.all((-math.pi < got) & (got <= math.pi)), (k, got)
+        # in range, so LogComplexValue keeps every bit of it
+        assert [LogComplexValue(0.0, y).phase for y in got.tolist()] == got.tolist()
+        assert np.max(np.abs(np.exp(1j * got) - np.exp(1j * phi))) < 1e-13
 
 
 def test_mul_with_zero():

@@ -130,10 +130,11 @@ def no_series_work(monkeypatch):
     lambda eps: diagonal_coefficient(10, 0, 0.0, eps),
     lambda eps: diagonal_coefficients([10, 3], [0, 1], 0.3, eps),
     lambda eps: predicted_diagonal_ratio(eps),
+    lambda eps: predicted_boundary_ratio("m_equals_j", eps),
     lambda eps: duc_hieu_general(PrincipalSeriesLabel.simple(2, 0.0),
                                  CoefficientIndex.diagonal(2, 0), eps),
 ], ids=["diagonal_coefficient", "diagonal_coefficients", "predicted_diagonal_ratio",
-        "duc_hieu_general"])
+        "predicted_boundary_ratio", "duc_hieu_general"])
 def test_non_finite_epsilon_is_rejected_before_series_work(no_series_work, call, eps):
     # eps = inf used to sum 100,000 terms before a SeriesConvergenceError
     with pytest.raises(EpsilonDomainError, match="finite"):

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from lorentz_harmonics.logcomplex import LogComplexValue
 from lorentz_harmonics.special import (
+    EpsilonDomainError,
     GammaPoleError,
     Hyp2F1DomainError,
     SaddlePointDomainError,
@@ -16,7 +17,6 @@ from lorentz_harmonics.special import (
     log_gamma,
     saddle_point_2f1,
     saddle_point_exponent,
-    watson_asymptotic_2f1,
 )
 
 TWO_LN_2 = 2.0 * math.log(2.0)
@@ -186,59 +186,6 @@ def test_hyp2f1_terminating_polynomial():
     assert got == pytest.approx(s, rel=1e-13)
 
 
-# --------------------------------------------------- large-parameter regime
-
-def test_watson_leading_term_accuracy_tau_zero():
-    w = watson_asymptotic_2f1(32, 0, 0.0, 2.0)
-    e = hyp2f1(33, 33, 66, 1.0 - 2.0**4)
-    err32 = rel_diff(w, e)
-    assert err32 < 0.05
-    w64 = watson_asymptotic_2f1(64, 0, 0.0, 2.0)
-    e64 = hyp2f1(65, 65, 130, 1.0 - 2.0**4)
-    err64 = rel_diff(w64, e64)
-    assert err64 <= 0.6 * err32
-
-
-@pytest.mark.parametrize("m", [0, 1])
-@pytest.mark.parametrize("eps", [0.5, 2.0])
-def test_watson_error_monotone_at_real_label(m, eps):
-    errs = []
-    for j in (8, 16, 32, 64):
-        w = watson_asymptotic_2f1(j, m, 0.0, eps)
-        e = hyp2f1(j + 1, m + j + 1, 2 * j + 2, 1.0 - eps**4)
-        errs.append(rel_diff(w, e))
-    for lo, hi in zip(errs, errs[1:]):
-        assert hi <= 1.5 * lo
-    assert errs[-1] < 0.05
-
-
-def test_watson_error_grows_off_the_real_axis_regime():
-    # the leading term is only an asymptotic for tau = 0: with tau = 0.5 the
-    # parameters grow with j and the relative error increases instead
-    errs = []
-    for j in (8, 16, 32, 64):
-        w = watson_asymptotic_2f1(j, 0, 0.5, 2.0)
-        e = hyp2f1(j + 1 + 0.25j * j, j + 1, 2 * j + 2, 1.0 - 2.0**4)
-        errs.append(rel_diff(w, e))
-    assert errs[-1] > errs[0]
-    assert errs[-1] > 1.0
-
-
-def test_watson_finite_at_mixed_parameters():
-    v = watson_asymptotic_2f1(32, 1, 0.5, 0.5)
-    assert math.isfinite(v.log_mag)
-    assert math.isfinite(v.phase)
-
-
-def test_watson_domain_errors():
-    with pytest.raises(Hyp2F1DomainError):
-        watson_asymptotic_2f1(16, 0, 0.0, 1.0)
-    with pytest.raises(ValueError):
-        watson_asymptotic_2f1(0, 0, 0.0, 2.0)
-    with pytest.raises(ValueError):
-        watson_asymptotic_2f1(4, 7, 0.0, 2.0)
-
-
 # ------------------------------------------------------ saddle-point route
 
 def mp_log_coefficient_2f1(j, m, tau, eps):
@@ -251,20 +198,7 @@ def rel_to_log(v: LogComplexValue, log_ref: complex) -> float:
     return abs(cmath.exp(complex(v.log_mag - log_ref.real, v.phase - log_ref.imag)) - 1.0)
 
 
-def test_saddle_route_is_watson_at_tau_zero():
-    # includes m = j, where neither form is a valid approximation but the
-    # values must stay as they were
-    worst = 0.0
-    for eps in (0.5, 2.0):
-        for j in (65, 128, 200):
-            for m in (0, 1, -3, j):
-                worst = max(worst, rel_diff(
-                    saddle_point_2f1(j, m, 0.0, eps), watson_asymptotic_2f1(j, m, 0.0, eps)
-                ))
-    assert worst < 1e-12
-
-
-@pytest.mark.parametrize("tau", [0.5, -0.5, 1.0, 0.3 + 0.2j, 0.5j])
+@pytest.mark.parametrize("tau", [0.0, 0.5, -0.5, 1.0, 0.3 + 0.2j, 0.5j])
 def test_saddle_route_error_is_order_one_over_j(tau):
     errs = [
         rel_to_log(saddle_point_2f1(j, 1, tau, 2.0), mp_log_coefficient_2f1(j, 1, tau, 2.0))
@@ -304,6 +238,13 @@ def test_saddle_route_domain():
         saddle_point_2f1(0, 0, 0.0, 2.0)
     with pytest.raises(ValueError):
         saddle_point_2f1(4, 7, 0.0, 2.0)
+
+
+@pytest.mark.parametrize("eps", [0.0, -1.0, math.inf, math.nan])
+def test_saddle_route_rejects_eps_outside_its_domain(eps):
+    # the rule of check_epsilon, as the coefficient routes apply it
+    with pytest.raises(EpsilonDomainError, match="positive and finite"):
+        saddle_point_2f1(65, 0, 0.0, eps)
 
 
 @given(
