@@ -12,6 +12,8 @@ its whole (j, |m| <= j) grid in one call (coefficient_grid) and takes the
 column sums as numpy slices of it.  As the values are only added,
 cancellation in a coefficient's series is judged against the largest
 coefficient of the call, or, on the grid, of the coefficient's column.
+Reports are built from arrays of the terms (reports.series_report); the
+synthesis weights, log|term| and phase are array operations too.
 """
 from __future__ import annotations
 
@@ -29,9 +31,7 @@ from .reports import (
     VERDICT_DIVERGED,
     VERDICT_INCONCLUSIVE,
     check_cauchy,
-    complex_term,
     empirical_tail_ratio,
-    log_terms,
     series_report,
 )
 
@@ -124,12 +124,12 @@ def partial_sum_diagonal(cfg: ExpansionConfig) -> SeriesReport:
     extras = {}
     if cfg.m == 0:
         extras["j0_value"] = to_complex_values(log_mag[:1], phase[:1]).tolist()[0]
-        js, log_mag, phase = js[1:], log_mag[1:], phase[1:]
-    coeffs = log_terms(js.tolist(), log_mag, phase)
+        log_mag, phase = log_mag[1:], phase[1:]
     return series_report(
         {"kind": "diagonal_sum", "m": cfg.m, "tau": cfg.tau, "epsilon": cfg.epsilon,
          "j_max": cfg.j_max, "j_start": j_start},
-        coeffs, cfg.cauchy_tolerance, cfg.cauchy_window, extras=extras,
+        j_start, cfg.cauchy_tolerance, cfg.cauchy_window,
+        log_polar=(log_mag, phase), extras=extras,
     )
 
 
@@ -165,11 +165,9 @@ def partial_sum_triple(
     (the off-diagonal terms vanish identically, leaving 2j+1 terms per block).
     """
     epsilon = check_boost(epsilon)
-    blocks = triple_blocks(tau, epsilon, j_max)
     return series_report(
         {"kind": "triple_sum", "tau": tau, "epsilon": epsilon, "j_max": int(j_max)},
-        (complex_term(j, b) for j, b in enumerate(blocks)),
-        cauchy_tolerance, cauchy_window,
+        0, cauchy_tolerance, cauchy_window, values=np.array(triple_blocks(tau, epsilon, j_max)),
     )
 
 
@@ -299,17 +297,17 @@ def synthesize(
         )
     m = table.m
     j_start = max(abs(m), 1)
-    factor = 1.0 + tau * tau
-    js = [j for j in range(j_start, int(j_max) + 1) if table.get(j) != 0]
-    values = to_complex_values(
-        *diagonal_coefficients(js, [m] * len(js), tau, epsilon, against_largest=True)
-    ).tolist()
-    terms = {j: (j * j) * factor * table.get(j) * v for j, v in zip(js, values)}
+    # the terms j^2 (1 + tau^2) c_j D_j(m), exact zeros where c_j is zero
+    cs = np.array([table.get(j) for j in range(j_start, int(j_max) + 1)])
+    at = np.flatnonzero(cs)
+    js = at + j_start
+    coeffs = diagonal_coefficients(js, np.full(js.shape, m), tau, epsilon, against_largest=True)
+    terms = np.zeros(cs.shape, dtype=complex)
+    terms[at] = js * js * (1.0 + tau * tau) * cs[at] * to_complex_values(*coeffs)
     return series_report(
         {"kind": "synthesis", "m": m, "tau": tau, "epsilon": epsilon,
          "j_max": int(j_max), "j_start": j_start, "coefficient_tail_ratio": tr},
-        (complex_term(j, terms.get(j, 0j)) for j in range(j_start, int(j_max) + 1)),
-        cauchy_tolerance, cauchy_window,
+        j_start, cauchy_tolerance, cauchy_window, values=terms,
     )
 
 

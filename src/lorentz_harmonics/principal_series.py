@@ -28,8 +28,10 @@ for the triple sum's grid).  Both reject an eps that is not positive and
 finite (special.check_epsilon, re-exported here) before any series work;
 every series diagnostic also rejects eps = 1 (check_boost).  ratio_test
 reads its coefficients one at a time through diagonal_coefficient;
-boundary_ratio_test reads its track in one batch.  Nothing is cached
-between calls.
+boundary_ratio_test reads its track in one batch; both hand their terms to
+reports.series_report as arrays.  A slow series (eps below about 0.47 or
+above 2.1) is summed in 384-term blocks rather than 192 (see
+special._sum_series).  Nothing is cached between calls.
 """
 from __future__ import annotations
 
@@ -40,7 +42,7 @@ from typing import Optional
 import numpy as np
 
 from .logcomplex import LogComplexValue, log_sum, wrap_phase, wrap_phases
-from .reports import SeriesReport, log_term, series_report
+from .reports import SeriesReport, series_report
 from .special import (
     EpsilonDomainError,
     SaddlePointDomainError,
@@ -408,11 +410,11 @@ def ratio_test(
     # down, so that the saddle-point pairs' domain checks come before the
     # series work, as in diagonal_coefficients
     values = [diagonal_coefficient(j, m, tau, epsilon) for j in range(j_max, j_start - 1, -1)]
-    coeffs = (log_term(j, v) for j, v in enumerate(reversed(values), start=j_start))
+    log_mag, phase = np.array([(v.log_mag, v.phase) for v in reversed(values)]).T
     return series_report(
         {"kind": "diagonal_ratio", "m": m, "tau": tau, "epsilon": epsilon,
          "j_max": j_max, "j_start": j_start},
-        coeffs, cauchy_tolerance, cauchy_window,
+        j_start, cauchy_tolerance, cauchy_window, log_polar=(log_mag, phase),
         predicted_limit=_predicted_limit(TRACK_M_EQUALS_0, tau, epsilon),
     )
 
@@ -443,12 +445,11 @@ def boundary_ratio_test(
     else:
         ms, weights = np.zeros_like(js), js.astype(float)
     log_mag, _ = diagonal_coefficients(js, ms, tau, epsilon)
-    logs = (np.log(weights) + log_mag).tolist()
     return series_report(
         {"kind": "boundary_ratio", "track": track, "tau": tau, "epsilon": epsilon,
          "j_max": j_max},
-        ((j, lt, 0.0, math.exp(lt)) for j, lt in enumerate(logs, start=1)),
-        cauchy_tolerance, cauchy_window,
+        1, cauchy_tolerance, cauchy_window,
+        log_polar=(np.log(weights) + log_mag, np.zeros(js.shape)),
         predicted_limit=_predicted_limit(track, tau, epsilon),
     )
 

@@ -10,11 +10,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, fields, is_dataclass
 from statistics import median
-from typing import Any, Iterable, Optional, Sequence
+from typing import Any, Optional, Sequence
 
 import numpy as np
 
-from .logcomplex import LogComplexValue, to_complex_values
+from .logcomplex import to_complex_values
 
 VERDICT_CONVERGED = "converged"
 VERDICT_DIVERGED = "diverged"
@@ -97,55 +97,47 @@ def empirical_tail_ratio(ratios: Sequence[float], tail: int = RATIO_TAIL_COUNT) 
     return float(median(usable[-tail:]))
 
 
-def log_term(j: int, value: LogComplexValue) -> tuple[int, float, float, complex]:
-    """The series_report term of a log-polar value."""
-    return j, value.log_mag, value.phase, value.to_complex()
-
-
-def log_terms(
-    js: Sequence[int], log_mag: np.ndarray, phase: np.ndarray
-) -> Iterable[tuple[int, float, float, complex]]:
-    """The series_report terms of log-polar values given as arrays."""
-    return zip(js, log_mag.tolist(), phase.tolist(), to_complex_values(log_mag, phase).tolist())
-
-
-def complex_term(j: int, value: complex) -> tuple[int, float, float, complex]:
-    """The series_report term of a linear-space value; an exact zero has
-    log_mag -inf and phase 0."""
-    if value == 0:
-        return j, -math.inf, 0.0, value
-    return j, math.log(abs(value)), np.angle(value), value
-
-
 def series_report(
     params: dict[str, Any],
-    terms: Iterable[tuple[int, float, float, complex]],
+    j_start: int,
     cauchy_tolerance: float,
     cauchy_window: int,
+    *,
+    values: Optional[np.ndarray] = None,
+    log_polar: Optional[tuple[np.ndarray, np.ndarray]] = None,
     predicted_limit: Optional[float] = None,
     extras: Optional[dict[str, Any]] = None,
 ) -> SeriesReport:
-    """Build a SeriesReport from one (j, log_mag, phase, linear value) per j.
+    """Build a SeriesReport from the terms at j = j_start, j_start + 1, ...,
+    given as a complex array values or as arrays log_polar = (log_mag, phase);
+    the other form is taken from it (an exact zero: log_mag -inf, phase 0).
 
-    The ratio of a term is |term / previous term|; an exact zero
-    (log_mag = -inf) has no ratio and gives the next term none.  The
-    empirical limit is the median of the last RATIO_TAIL_COUNT ratios, and
-    params gains tau as a complex number and `informational` (tau not real:
-    closed-form comparisons are asserted for real tau only).
+    A term's ratio is exp of the difference of its and the previous term's
+    log_mag; an exact zero has no ratio and gives the next term none.  The
+    partial sums are one sequential cumulative sum, bit for bit a running sum
+    from 0j.  The empirical limit is the median of the last RATIO_TAIL_COUNT
+    ratios, and params gains tau as a complex number and `informational` (tau
+    not real: closed-form comparisons are asserted for real tau only).
     """
-    records: list[TermRecord] = []
-    partials: list[complex] = []
-    running = 0j
-    prev = None
-    for j, log_mag, phase, value in terms:
-        zero = log_mag == -math.inf
-        ratio = None if prev is None or zero else math.exp(log_mag - prev)
-        prev = None if zero else log_mag
-        records.append(TermRecord(j, log_mag, phase, ratio))
-        running += value
-        partials.append(running)
+    if log_polar is None:
+        with np.errstate(divide="ignore"):
+            log_polar = np.log(np.abs(values)), np.where(values == 0, 0.0, np.angle(values))
+    log_mag, phase = log_polar
+    if values is None:
+        values = to_complex_values(log_mag, phase)
+    # a zero before the first term, so that term has no ratio either
+    padded = np.concatenate(([-math.inf], log_mag))
+    zero = np.isneginf(padded)
+    with np.errstate(invalid="ignore"):
+        ratios = list(map(math.exp, np.diff(padded).tolist()))
+    for k in np.flatnonzero(zero[1:] | zero[:-1]).tolist():
+        ratios[k] = None
+    records = tuple(map(TermRecord, range(j_start, j_start + len(ratios)),
+                        log_mag.tolist(), phase.tolist(), ratios))
+    # + 0j: a running sum from 0j has no -0.0 part
+    partials = tuple((np.cumsum(values) + 0j).tolist())
     verdict, delta = cauchy_verdict(partials, cauchy_tolerance, cauchy_window)
-    empirical = empirical_tail_ratio([t.ratio for t in records])
+    empirical = empirical_tail_ratio(ratios)
     deviation = (
         None if empirical is None or predicted_limit is None
         else abs(empirical - predicted_limit) / predicted_limit
@@ -153,8 +145,8 @@ def series_report(
     tau = complex(params["tau"])
     return SeriesReport(
         params={**params, "tau": tau, "informational": tau.imag != 0.0},
-        terms=tuple(records),
-        partial_sums=tuple(partials),
+        terms=records,
+        partial_sums=partials,
         verdict=verdict,
         cauchy_delta=delta,
         predicted_limit=predicted_limit,
@@ -173,10 +165,7 @@ __all__ = [
     "VERDICT_INCONCLUSIVE",
     "cauchy_verdict",
     "check_cauchy",
-    "complex_term",
     "empirical_tail_ratio",
-    "log_term",
-    "log_terms",
     "series_report",
     "to_json",
 ]

@@ -18,13 +18,14 @@ from .logcomplex import LogComplexValue, wrap_phases
 MAX_SERIES_TERMS = 100_000
 SERIES_TAIL_REL = 1e-17
 # Terms per block of the series kernel, a multiple of the SIMD width, so that
-# every row meets the same vector lanes whatever rows share its call.
+# every row meets the same vector lanes whatever rows share its call; a slow
+# series (see _sum_series) takes blocks of twice this length.
 _BLOCK = 192
-_STEPS = np.arange(_BLOCK, dtype=float)
-# Rows per kernel pass, which bounds the size of a block's arrays: summing
-# every row in one pass raised the peak RSS of a round of the benchmark's
-# triple-grid and diag-scan ops by 0.6 and 1.0 MB over passes of 32 rows,
-# and saved at most 5% of their time.
+_STEPS = np.arange(2 * _BLOCK, dtype=float)
+# Rows per kernel pass of _BLOCK-term blocks, which bounds the size of a
+# block's arrays: summing every row in one pass raised the peak RSS of a round
+# of the benchmark's triple-grid and diag-scan ops by 0.6 and 1.0 MB over
+# passes of 32 rows, and saved at most 5% of their time.
 _ROW_CHUNK = 32
 _TINY = np.finfo(float).tiny
 _ULP = 2.0**-52
@@ -146,26 +147,37 @@ def _sum_series(a, b, c, w: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     Rows share only the numpy calls of a block, so a row's value does not
     depend on the other rows summed with it.
 
+    Blocks are 2 * _BLOCK terms long where the tail at rate w needs 4 * _BLOCK
+    terms or more (w >= 0.9503), else _BLOCK, in passes of half as many rows,
+    so a slow series pays the numpy calls of a block half as often with arrays
+    of the same size.  The length reads only w, shared by every row of a
+    call, so a row has the same bits alone and in any batch.
+
     Each row also sums |t|.  Every term carries a relative rounding error of
     a few ulps, so a sum is wrong by about C * 2^-52 relative times a small
     factor, where C = sum|t| / |sum t| is its cancellation (returned; see
     check_cancellation).
     """
     a = np.asarray(a, dtype=complex).reshape(-1)
-    b, c = (np.asarray(x).reshape(-1) for x in (b, c))
+    # integer b and c as floats once, not in every block (exact below 2^53)
+    b, c = (np.asarray(x, dtype=np.result_type(x, float)).reshape(-1) for x in (b, c))
     out = np.empty((3, a.size))
-    # equal passes of at most _ROW_CHUNK rows
-    size = -(-a.size // -(-a.size // _ROW_CHUNK)) if a.size else 1
+    w = float(w)
+    length = 2 * _BLOCK if math.log(SERIES_TAIL_REL) / math.log(w) >= 4 * _BLOCK else _BLOCK
+    # equal passes of at most _ROW_CHUNK * _BLOCK / length rows
+    chunk = _ROW_CHUNK * _BLOCK // length
+    size = -(-a.size // -(-a.size // chunk)) if a.size else 1
     with np.errstate(divide="ignore", invalid="ignore"):
         for k in range(0, a.size, size):
             rows = slice(k, k + size)
-            _sum_rows(a[rows, None], b[rows, None], c[rows, None], float(w), out[:, rows])
+            _sum_rows(a[rows, None], b[rows, None], c[rows, None], w, length, out[:, rows])
     return out[0], out[1], out[2]
 
 
-def _sum_rows(a, b, c, w, out) -> None:
-    """The loop of _sum_series over the parameter columns a, b, c: writes
-    log_mag, phase and cancellation into the columns of out."""
+def _sum_rows(a, b, c, w, length, out) -> None:
+    """The loop of _sum_series over the parameter columns a, b, c, in blocks
+    of length terms: writes log_mag, phase and cancellation into the columns
+    of out."""
     rows = a.shape[0]
     live = np.arange(rows)    # column of out of each row still summing
     # Re and Im of the partial sum and sum |t|, relative to exp(offset) and
@@ -177,7 +189,8 @@ def _sum_rows(a, b, c, w, out) -> None:
     log_t = np.zeros(rows)    # log|t| of the current term
     unit_t = np.ones(rows, dtype=complex)   # t / |t| of the current term
     log_w = math.log(w)
-    log_w_powers = log_w * (_STEPS + 1.0)
+    steps = _STEPS[:length]
+    log_w_powers = log_w * (steps + 1.0)
     log_tail = math.log(SERIES_TAIL_REL)
     n = 1
     while True:
@@ -185,8 +198,8 @@ def _sum_rows(a, b, c, w, out) -> None:
             raise SeriesConvergenceError(
                 f"hypergeometric series did not reach tolerance within {MAX_SERIES_TERMS} terms"
             )
-        size = min(_BLOCK, MAX_SERIES_TERMS + 1 - n)
-        k = _STEPS[:size] + (n - 1.0)
+        size = min(length, MAX_SERIES_TERMS + 1 - n)
+        k = steps[:size] + (n - 1.0)
         n += size
         ratios = (a + k) * ((b + k) / ((c + k) * (k + 1.0)))
         # log|r| summed and r/|r| (two real divisions; a zero ratio gives a

@@ -26,7 +26,6 @@ from .reports import (
     SeriesReport,
     VERDICT_CONVERGED,
     cauchy_verdict,
-    complex_term,
     series_report,
 )
 from .wigner import FourierTableSU2
@@ -72,9 +71,9 @@ def ymap_apply(req: YMapRequest) -> SeriesReport:
     values = to_complex_values(
         *diagonal_coefficients(js, ms, req.tau, req.epsilon, against_largest=True))
     # each j-term: the sum over integer m of d(j, 2m) D_j(m), left to right
-    terms = dict.fromkeys(range(abs(table.p), req.j_max + 1), 0j)
-    for j, d, v in zip(js.tolist(), ds.tolist(), values.tolist()):
-        terms[j] += d * v
+    p = abs(table.p)
+    terms = np.zeros(req.j_max + 1 - p, dtype=complex)
+    np.add.at(terms, js - p, ds * values)
     if table.band_limit < req.j_max:
         warnings.warn(
             f"table band {table.band_limit} is below j_max = {req.j_max}; "
@@ -84,8 +83,7 @@ def ymap_apply(req: YMapRequest) -> SeriesReport:
     return series_report(
         {"kind": "ymap", "p": table.p, "band_limit": table.band_limit,
          "tau": req.tau, "epsilon": req.epsilon, "j_max": req.j_max},
-        (complex_term(j, t) for j, t in terms.items()),
-        req.cauchy_tolerance, req.cauchy_window,
+        p, req.cauchy_tolerance, req.cauchy_window, values=terms,
     )
 
 

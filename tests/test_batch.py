@@ -1,8 +1,9 @@
 """Batch evaluation of the diagonal coefficients: one series-kernel call and
 one saddle-point call per batch, bit-for-bit agreement with one-pair calls,
 the Euler reflection of the m > 0 rows, the (j, m) grid read in one call with
-each column judged on its own, and how much work each caller asks of the
-kernel and of the large-j term."""
+each column judged on its own, how much work each caller asks of the kernel
+and of the large-j term, and the kernel's block length, set by the series'
+rate alone."""
 import cmath
 import math
 import sys
@@ -30,6 +31,12 @@ from lorentz_harmonics.ymap import YMapRequest, ymap_apply, ymap_convergence_rep
 
 
 def mp_coefficient(j, m, tau, eps):
+    """D_j(m, tau, eps) at 40 digits.  Below |tau| j = 1e-40 it is taken at
+    tau = 0, a relative change of order 1e-40: mpmath's hyp2f1 fails to
+    converge at a subnormal tau (j = 432, eps = 0.625, say), whose value is
+    that at tau = 0 to every digit a test reads."""
+    if abs(tau) * j < 1e-40:
+        tau = 0.0
     with mp.workdps(40):
         e = mp.mpf(eps)
         t = mp.mpc(tau)
@@ -315,6 +322,8 @@ def test_large_j_batch_matches_single_pairs(domain, large, small, data):
     m=st.integers(-3, 3),
 )
 @example(eps=3.6, frac=0.8, im=0.0, j=65, m=3)
+# a subnormal tau, where the oracle must not fail
+@example(eps=0.625, frac=2.225073858507203e-309, im=0.0, j=432, m=0)
 def test_large_j_route_within_benchmark_tolerance(eps, frac, im, j, m):
     # the benchmark's domain and its tolerance 6 (1 + m^2) / j for the
     # leading term's O(1/j) error
@@ -433,3 +442,65 @@ def test_large_j_scan_is_one_saddle_call(term_calls):
     js = np.arange(65, 401)
     diagonal_coefficients(js, np.ones_like(js), 0.3, 1.6)
     assert term_calls == {"saddle_point_log": 1}
+
+
+# ------------------------------------------------------------- the block rule
+
+@pytest.fixture
+def kernel_passes(monkeypatch):
+    """(rows, block length) of every kernel pass, in call order."""
+    passes = []
+    original = special._sum_rows
+
+    def spied(a, b, c, w, length, out):
+        passes.append((a.shape[0], length))
+        return original(a, b, c, w, length, out)
+
+    monkeypatch.setattr(special, "_sum_rows", spied)
+    return passes
+
+
+def slow_pairs(count: int) -> list:
+    """count distinct exact-window pairs (j, m), seeded, in no order."""
+    rng = np.random.default_rng(17)
+    pairs = set()
+    while len(pairs) < count:
+        j = int(rng.integers(0, 65))
+        pairs.add((j, int(rng.integers(-j, j + 1))))
+    return rng.permutation(sorted(pairs)).tolist()
+
+
+@pytest.mark.parametrize("tau", [0.3, -0.2 + 0.05j])
+@pytest.mark.parametrize("eps", [0.32, 3.6])
+def test_slow_series_pairs_keep_their_bits_in_any_batch(tau, eps):
+    # both sides of eps = 1 sum a series at rate w above 0.95, in blocks of
+    # 384 terms; a pair alone and at every batch length from 1 to 70 (up to
+    # five passes of rows) gives the same bits
+    pairs = slow_pairs(70)
+    singles = [diagonal_coefficient(j, m, tau, eps) for j, m in pairs]
+    js, ms = np.array(pairs).T
+    for n in range(1, len(pairs) + 1):
+        log_mag, phase = diagonal_coefficients(js[:n], ms[:n], tau, eps, against_largest=True)
+        for k in range(n):
+            assert (log_mag[k], phase[k]) == (singles[k].log_mag, singles[k].phase), (n, pairs[k])
+
+
+@pytest.mark.parametrize("eps,length", [
+    # w = 1 - eps^4 below 1, 1 - eps^-4 above (after Pfaff); the tail needs
+    # at least 768 terms from w = 0.9503, between eps 0.47 and 0.48 and
+    # between eps 2.1 and 2.15
+    (0.32, 384), (0.47, 384), (0.48, 192), (0.7, 192),
+    (1.6, 192), (2.1, 192), (2.15, 384), (3.6, 384),
+])
+def test_block_length_and_rows_per_pass_follow_the_rate(kernel_passes, eps, length):
+    js = np.repeat(np.arange(8, 65, 8), 9)
+    ms = np.tile(np.arange(-4, 5), 8)
+    diagonal_coefficients(js, ms, 0.2 + 0.03j, eps)
+    assert {n for _, n in kernel_passes} == {length}
+    assert max(rows for rows, _ in kernel_passes) <= (16 if length == 384 else 32)
+    # 72 rows: passes of equal size, every row summed once
+    assert sum(rows for rows, _ in kernel_passes) == 72
+    assert len(kernel_passes) == -(-72 // (16 if length == 384 else 32))
+    kernel_passes.clear()
+    diagonal_coefficient(40, 1, 0.2 + 0.03j, eps)
+    assert kernel_passes == [(1, length)]
