@@ -163,7 +163,8 @@ def _sum_series(a, b, c, w: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     b, c = (np.asarray(x, dtype=np.result_type(x, float)).reshape(-1) for x in (b, c))
     out = np.empty((3, a.size))
     w = float(w)
-    length = 2 * _BLOCK if math.log(SERIES_TAIL_REL) / math.log(w) >= 4 * _BLOCK else _BLOCK
+    # no division by log(w): a w rounded to 1.0 sums as a slow series
+    length = 2 * _BLOCK if 4 * _BLOCK * math.log(w) >= math.log(SERIES_TAIL_REL) else _BLOCK
     # equal passes of at most _ROW_CHUNK * _BLOCK / length rows
     chunk = _ROW_CHUNK * _BLOCK // length
     size = -(-a.size // -(-a.size // chunk)) if a.size else 1

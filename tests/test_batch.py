@@ -54,6 +54,8 @@ def rel_error(log_mag, phase, ref) -> float:
 
 eps_values = st.one_of(st.floats(0.3, 0.99), st.floats(1.01, 3.6))
 taus = st.builds(complex, st.floats(-0.5, 0.5), st.sampled_from([0.0, 0.0, 0.07, -0.1]))
+SLOW_JS = [8, 16, 24, 32, 40, 48, 56, 64]
+SLOW_M_FRACS = [-1.0, -0.6, -0.25, -0.1, 0.0, 0.15, 0.3, 0.7, 1.0]
 
 
 @settings(max_examples=30, deadline=None)
@@ -66,6 +68,11 @@ taus = st.builds(complex, st.floats(-0.5, 0.5), st.sampled_from([0.0, 0.0, 0.07,
 )
 @example(js=[64], m_fracs=[0.0, 0.05, -0.05], tau=complex(0.5, 0.0), eps=3.6, pick=0)
 @example(js=[48, 64], m_fracs=[1.0, -1.0, 0.1], tau=complex(-0.45, 0.1), eps=0.3, pick=4)
+# 72 pairs of slow series (384-term blocks), in five passes of the kernel's rows
+@example(js=SLOW_JS, m_fracs=SLOW_M_FRACS, tau=complex(0.3, 0.0), eps=0.32, pick=5)
+@example(js=SLOW_JS, m_fracs=SLOW_M_FRACS, tau=complex(-0.2, 0.05), eps=0.32, pick=40)
+@example(js=SLOW_JS, m_fracs=SLOW_M_FRACS, tau=complex(0.3, 0.0), eps=3.6, pick=21)
+@example(js=SLOW_JS, m_fracs=SLOW_M_FRACS, tau=complex(-0.2, 0.05), eps=3.6, pick=70)
 def test_batch_matches_single_pairs_and_mpmath(js, m_fracs, tau, eps, pick):
     pairs = sorted({(j, round(f * j)) for j in js for f in m_fracs})
     bj, bm = zip(*pairs)
@@ -99,6 +106,15 @@ def test_euler_reflection_against_mpmath(tau, eps):
         log_mag, phase = diagonal_coefficients([j] * len(ms), ms, tau, eps)
         for m, lm, ph in zip(ms, log_mag, phase):
             assert rel_error(lm, ph, mp_coefficient(j, m, tau, eps)) < 1e-10, (j, m)
+
+
+def test_rate_rounding_to_one_sums_like_any_slow_series():
+    # from eps of about 1.2e4 the rate 1 - eps^-4 rounds to 1.0: a row whose
+    # terms fall like n^(-|m|-1) still converges, the others raise
+    v = diagonal_coefficient(10, -5, 0.2, 2e4)
+    assert rel_error(v.log_mag, v.phase, mp_coefficient(10, -5, 0.2, 2e4)) < 1e-12
+    with pytest.raises(SeriesConvergenceError):
+        diagonal_coefficient(10, 0, 0.0, 2e4)
 
 
 def test_sums_judge_cancellation_against_the_largest_coefficient():
@@ -458,31 +474,6 @@ def kernel_passes(monkeypatch):
 
     monkeypatch.setattr(special, "_sum_rows", spied)
     return passes
-
-
-def slow_pairs(count: int) -> list:
-    """count distinct exact-window pairs (j, m), seeded, in no order."""
-    rng = np.random.default_rng(17)
-    pairs = set()
-    while len(pairs) < count:
-        j = int(rng.integers(0, 65))
-        pairs.add((j, int(rng.integers(-j, j + 1))))
-    return rng.permutation(sorted(pairs)).tolist()
-
-
-@pytest.mark.parametrize("tau", [0.3, -0.2 + 0.05j])
-@pytest.mark.parametrize("eps", [0.32, 3.6])
-def test_slow_series_pairs_keep_their_bits_in_any_batch(tau, eps):
-    # both sides of eps = 1 sum a series at rate w above 0.95, in blocks of
-    # 384 terms; a pair alone and at every batch length from 1 to 70 (up to
-    # five passes of rows) gives the same bits
-    pairs = slow_pairs(70)
-    singles = [diagonal_coefficient(j, m, tau, eps) for j, m in pairs]
-    js, ms = np.array(pairs).T
-    for n in range(1, len(pairs) + 1):
-        log_mag, phase = diagonal_coefficients(js[:n], ms[:n], tau, eps, against_largest=True)
-        for k in range(n):
-            assert (log_mag[k], phase[k]) == (singles[k].log_mag, singles[k].phase), (n, pairs[k])
 
 
 @pytest.mark.parametrize("eps,length", [

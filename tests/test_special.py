@@ -173,6 +173,9 @@ def test_hyp2f1_domain_errors():
 def test_hyp2f1_nonconvergence_raises():
     with pytest.raises(SeriesConvergenceError):
         hyp2f1(0.5, 0.5, 1.5, 1.0 - 1e-12)
+    # the Pfaff rate z / (z - 1) rounds to 1.0
+    with pytest.raises(SeriesConvergenceError):
+        hyp2f1(0.5 + 0.1j, 1.0, 2.0, -1.6e17)
 
 
 def test_hyp2f1_terminating_polynomial():
