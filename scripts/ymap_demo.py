@@ -23,7 +23,7 @@ def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--band", type=int, default=6)
     ap.add_argument("--tau", type=float, default=0.3)
-    ap.add_argument("--jmax", type=int, default=64)
+    ap.add_argument("--jmax", type=int, default=120)
     ap.add_argument("--eps", type=float, nargs="+", default=[0.5, 1.5, 2.0, 4.0])
     ap.add_argument("--seed", type=int, default=5)
     args = ap.parse_args()

@@ -29,14 +29,11 @@ from .lie_group import (
 from .logcomplex import LogComplexValue, log_sum
 from .principal_series import (
     EXACT_J_LIMIT,
-    CoefficientIndex,
     EpsilonDomainError,
     IndexRangeError,
-    PrincipalSeriesLabel,
     boundary_ratio_test,
     diagonal_coefficient,
     diagonal_coefficients,
-    duc_hieu_general,
     evaluation_path,
     ratio_test,
 )

@@ -4,14 +4,13 @@ the norm-identity series with its closed-form target, the divergent
 multiplicity-weighted variant, and the synthesis operator that rebuilds a
 function from a coefficient table.
 
-Each series asks principal_series.diagonal_coefficients for all the
-coefficients it needs at once: a fixed-m sum or synthesis reads its whole j
-range in one call (the exact window as one batch of series rows, the pairs
-beyond it as one batch of the saddle-point term), and the triple sum reads
-its whole (j, |m| <= j) grid in one call (coefficient_grid) and takes the
-column sums as numpy slices of it.  As the values are only added,
-cancellation in a coefficient's series is judged against the largest
-coefficient of the call, or, on the grid, of the coefficient's column.
+A fixed-m sum or synthesis asks principal_series.diagonal_coefficients for
+its whole j range in one call (the exact window as one batch of series rows,
+the pairs beyond it as one batch of the saddle-point term); as the values
+are only added, cancellation in a coefficient's series is judged against the
+largest coefficient of the call.  The triple sum's j-th term, the block
+sum_{|m| <= j} D_j(m), is one Euler integral (special.triple_block_log, all
+blocks in one call; triple_blocks), judged against the largest block.
 Reports are built from arrays of the terms (reports.series_report); the
 synthesis weights, log|term| and phase are array operations too.
 """
@@ -25,7 +24,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .logcomplex import to_complex_values
-from .principal_series import check_boost, diagonal_coefficients
+from .principal_series import check_boost, check_epsilon, diagonal_coefficients
 from .reports import (
     SeriesReport,
     VERDICT_DIVERGED,
@@ -34,6 +33,7 @@ from .reports import (
     empirical_tail_ratio,
     series_report,
 )
+from .special import check_cancellation, triple_block_log
 
 PI_SQUARED_OVER_6 = math.pi**2 / 6.0
 # Terms per numpy pass of the norm-type sums (about 3 MB of arrays), so that
@@ -133,24 +133,15 @@ def partial_sum_diagonal(cfg: ExpansionConfig) -> SeriesReport:
     )
 
 
-def coefficient_grid(tau: complex, epsilon: float, j_max: int) -> np.ndarray:
-    """D_j(m) for j = 0 .. j_max and m = -j .. j, in linear space, column j at
-    [j^2, (j+1)^2), from one call of diagonal_coefficients that judges each
-    coefficient's cancellation against the largest |D| of its own column."""
-    js = np.repeat(np.arange(j_max + 1), 2 * np.arange(j_max + 1) + 1)
-    ms = np.arange(js.size) - js * (js + 1)
-    return to_complex_values(*diagonal_coefficients(js, ms, tau, epsilon, against_largest=js))
-
-
-def column_sums(grid: np.ndarray) -> np.ndarray:
-    """The sum over m of each column of a coefficient_grid-shaped array."""
-    return np.add.reduceat(grid, np.arange(math.isqrt(grid.size)) ** 2)
-
-
 def triple_blocks(tau: complex, epsilon: float, j_max: int) -> list[complex]:
-    """Inner column sums sum_{|m| <= j} D_j(m) for j = 0 .. j_max, from one
-    coefficient grid."""
-    return column_sums(coefficient_grid(tau, epsilon, int(j_max))).tolist()
+    """The inner sums sum_{|m| <= j} D_j(m) for j = 0 .. j_max, from one call
+    of special.triple_block_log; raises SeriesConvergenceError where a
+    block's cancellation passes special.CANCELLATION_LIMIT, judged against
+    the largest |block| of the call, as the blocks are only added."""
+    js = np.arange(int(j_max) + 1)
+    log_mag, phase, cancellation = triple_block_log(js, tau, check_epsilon(epsilon))
+    check_cancellation(cancellation, np.exp(log_mag - log_mag.max()))
+    return to_complex_values(log_mag, phase).tolist()
 
 
 def partial_sum_triple(
@@ -318,8 +309,6 @@ __all__ = [
     "NormIdentityReport",
     "PI_SQUARED_OVER_6",
     "SingularTauError",
-    "coefficient_grid",
-    "column_sums",
     "divergence_probe",
     "norm_identity",
     "partial_sum_diagonal",

@@ -1,8 +1,7 @@
 """SL(2,C) principal-series matrix coefficients at the simple labels
 (k = j, rho = tau * j), and their D'Alembert ratio diagnostics.
 
-Two evaluation routes are provided: the general double-sum coefficient formula
-(used as a small-j oracle) and the simplified diagonal form
+Coefficients follow the diagonal form
 
     D_j(m, tau, eps) = eps^{2(m+j+1+i tau j/2)}
                        * 2F1(j+1+i tau j/2, m+j+1; 2j+2; 1-eps^4),
@@ -23,8 +22,8 @@ one call of special.saddle_point_log.  diagonal_coefficient is its one-pair
 case, with the same value bit for bit.  Both raise SeriesConvergenceError
 where cancellation has emptied a series past special.CANCELLATION_LIMIT,
 judged against the value itself, or, for callers that only add the values,
-against the largest value of the call or of the pair's label (its column,
-for the triple sum's grid).  Both reject an eps that is not positive and
+against the largest value of the call or of the pair's label (its j, for
+the terms of the boost-series map).  Both reject an eps that is not positive and
 finite (special.check_epsilon, re-exported here) before any series work;
 every series diagnostic also rejects eps = 1 (check_boost).  ratio_test
 reads its coefficients one at a time through diagonal_coefficient;
@@ -36,19 +35,17 @@ special._sum_series).  Nothing is cached between calls.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .logcomplex import LogComplexValue, log_sum, wrap_phase, wrap_phases
+from .logcomplex import LogComplexValue, wrap_phase, wrap_phases
 from .reports import SeriesReport, series_report
 from .special import (
     EpsilonDomainError,
     SaddlePointDomainError,
     check_cancellation,
     check_epsilon,
-    hyp2f1,
     hyp2f1_rows,
     saddle_point_exponent,
     saddle_point_log,
@@ -65,46 +62,6 @@ TRACK_M_EQUALS_0 = "m_equals_0"
 
 class IndexRangeError(ValueError):
     """Coefficient index outside its admissible range."""
-
-
-@dataclass(frozen=True)
-class PrincipalSeriesLabel:
-    """Representation labels (k, rho)."""
-
-    k: int
-    rho: complex
-
-    def __post_init__(self) -> None:
-        rho = complex(self.rho)
-        if not (math.isfinite(rho.real) and math.isfinite(rho.imag)):
-            raise ValueError("rho must be finite")
-        object.__setattr__(self, "rho", rho)
-
-    @classmethod
-    def simple(cls, j: int, tau: complex) -> "PrincipalSeriesLabel":
-        """The constrained labels k = j, rho = tau * j."""
-        return cls(k=int(j), rho=complex(tau) * int(j))
-
-
-@dataclass(frozen=True)
-class CoefficientIndex:
-    """Row/column labels (j m, j' n) of a general matrix coefficient."""
-
-    j: int
-    j_prime: int
-    m: int
-    n: int
-
-    def __post_init__(self) -> None:
-        if self.j < 0 or self.j_prime < 0:
-            raise IndexRangeError("j and j_prime must be non-negative")
-        jmin = min(self.j, self.j_prime)
-        if abs(self.m) > jmin or abs(self.n) > jmin:
-            raise IndexRangeError("|m| and |n| must not exceed min(j, j_prime)")
-
-    @classmethod
-    def diagonal(cls, j: int, m: int) -> "CoefficientIndex":
-        return cls(j=j, j_prime=j, m=m, n=m)
 
 
 def check_boost(epsilon) -> float:
@@ -280,68 +237,6 @@ def diagonal_coefficient(
     return LogComplexValue(float(log_mag[0]), float(phase[0]))
 
 
-def admissible_pairs(label: PrincipalSeriesLabel, idx: CoefficientIndex) -> list[tuple[int, int]]:
-    """The (d, d') summation support of the general coefficient formula:
-    all pairs keeping every factorial argument non-negative."""
-    k, j, jp, m = label.k, idx.j, idx.j_prime, idx.m
-    lo = max(0, -(k + m))
-    pairs = []
-    for d in range(lo, min(j - m, j - k) + 1):
-        for dp in range(lo, min(jp - m, jp - k) + 1):
-            if j + jp - d - dp - m - k >= 0:
-                pairs.append((d, dp))
-    return pairs
-
-
-def duc_hieu_general(
-    label: PrincipalSeriesLabel,
-    idx: CoefficientIndex,
-    epsilon: float,
-) -> LogComplexValue:
-    """General principal-series matrix coefficient (Duc-Hieu 1967 closed form):
-    Kronecker delta in (m, n), a square-root factorial block, and a double sum
-    over (d, d') of signed factorial ratios times boost powers times 2F1
-    evaluations.
-
-    Exact but O(j^2) hypergeometric evaluations per call; intended as an
-    independent oracle at small j rather than a production route.
-    """
-    epsilon = check_epsilon(epsilon)
-    k = label.k
-    rho = complex(label.rho)
-    j, jp, m, n = idx.j, idx.j_prime, idx.m, idx.n
-    if abs(k) > min(j, jp):
-        raise IndexRangeError("|k| must not exceed min(j, j_prime)")
-    if m != n:
-        return LogComplexValue.zero()
-
-    lg = math.lgamma
-    log_pref = 0.5 * (
-        math.log(2 * j + 1.0)
-        + math.log(2 * jp + 1.0)
-        + lg(j + m + 1) + lg(jp + m + 1) + lg(j - m + 1) + lg(jp - m + 1)
-        + lg(j + k + 1) + lg(jp + k + 1) + lg(j - k + 1) + lg(jp - k + 1)
-    ) - lg(j + jp + 2)
-
-    log_eps = math.log(epsilon)
-    terms: list[LogComplexValue] = []
-    for d, dp in admissible_pairs(label, idx):
-        log_num = lg(d + dp + m + k + 1) + lg(j + jp - d - dp - m - k + 1)
-        log_den = (
-            lg(d + 1) + lg(dp + 1)
-            + lg(j - m - d + 1) + lg(jp - m - dp + 1)
-            + lg(k + m + d + 1) + lg(k + m + dp + 1)
-            + lg(j - k - d + 1) + lg(jp - k - dp + 1)
-        )
-        power = LogComplexValue.from_log(
-            (complex(2 * (2 * dp + m + k + 1), 0.0) + 1j * rho) * log_eps
-        )
-        f = hyp2f1(jp + 1 + 0.5j * rho, d + dp + m + k + 1, j + jp + 2, 1.0 - epsilon**4)
-        term = LogComplexValue(log_num - log_den, math.pi * ((d + dp) % 2)) * power * f
-        terms.append(term)
-    return LogComplexValue(log_pref, 0.0) * log_sum(terms)
-
-
 def predicted_diagonal_ratio(epsilon: float, tau: complex = 0.0) -> float:
     """Tail limit of |D_{j+1}/D_j| at fixed m, from the large-j saddle term:
     |4 eps^{2 + i tau} e^{phi(t0)}| = 4 eps^{2 - Im tau} |e^{phi(t0)}|, with
@@ -455,23 +350,19 @@ def boundary_ratio_test(
 
 
 __all__ = [
-    "CoefficientIndex",
     "EXACT_J_LIMIT",
     "EpsilonDomainError",
     "IndexRangeError",
     "PATH_ASYMPTOTIC",
     "PATH_EXACT",
-    "PrincipalSeriesLabel",
     "SaddlePointDomainError",
     "TRACK_M_EQUALS_0",
     "TRACK_M_EQUALS_J",
-    "admissible_pairs",
     "boundary_ratio_test",
     "check_boost",
     "check_epsilon",
     "diagonal_coefficient",
     "diagonal_coefficients",
-    "duc_hieu_general",
     "evaluation_path",
     "predicted_boundary_ratio",
     "predicted_diagonal_ratio",

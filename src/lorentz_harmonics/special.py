@@ -9,6 +9,7 @@ All magnitude-critical results come back as LogComplexValue.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 
 import numpy as np
@@ -32,6 +33,13 @@ _ULP = 2.0**-52
 # Largest accepted 2^-52 * sum|t| / |sum t| (times the caller's weight) of a
 # series; see check_cancellation.
 CANCELLATION_LIMIT = 3e-12
+# Gauss-Legendre nodes per panel of triple_block_log, and the largest phase
+# turn (radians) of its integrand within one panel
+_GAUSS_NODES = 20
+_PANEL_TURN = 3.0
+# triple_block_log skips a node whose term is below e^-_NEGLIGIBLE of its
+# row's largest (with weights summing to 1, far below the row's sum|w f|)
+_NEGLIGIBLE = 60.0
 
 # Lanczos approximation, g = 607/128, 15 coefficients (Godfrey's set).
 _LANCZOS_G = 607.0 / 128.0
@@ -310,6 +318,121 @@ def check_cancellation(cancellation, weight=1.0) -> None:
             f"hypergeometric series cancels: its value is uncertain to about "
             f"{worst:.2g} of its scale (limit {CANCELLATION_LIMIT:g})"
         )
+
+
+@functools.cache
+def _gauss_rule() -> tuple[np.ndarray, np.ndarray]:
+    """The _GAUSS_NODES-point Gauss-Legendre rule on [0, 1], built on first
+    use by Newton's method (importing numpy.polynomial costs ms and ~1 MB)."""
+    n = _GAUSS_NODES
+    x = np.cos(math.pi * (np.arange(n) + 0.75) / (n + 0.5))
+    for _ in range(8):
+        p0, p1 = np.ones(n), x
+        for k in range(2, n + 1):
+            p0, p1 = p1, ((2 * k - 1) * x * p1 - (k - 1) * p0) / k
+        slope = n * (x * p1 - p0) / (x * x - 1.0)
+        x = x - p1 / slope
+    return 0.5 * (x + 1.0), 1.0 / ((1.0 - x * x) * slope * slope)
+
+
+def _half_panels(c: float, start: float, turn: float) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss nodes and weights in u on [0, 1/2]: panels [0, start], [start,
+    2 start], ... up to 1/2, each split into equal steps of log1p(c u) so
+    that the phase turn * log1p(c u) turns by at most _PANEL_TURN in one."""
+    count = max(0, math.ceil(math.log2(0.5 / start))) + 1
+    ends = np.minimum(start * 2.0 ** np.arange(-1, count), 0.5)
+    ends[0] = 0.0
+    logs = np.log1p(c * ends)
+    splits = np.maximum(np.ceil(turn * np.abs(np.diff(logs)) / _PANEL_TURN), 1.0).astype(int)
+    panel = np.repeat(np.arange(count), splits)
+    step = np.arange(panel.size) - np.repeat(np.cumsum(splits) - splits, splits)
+    lo, hi = (logs[panel] + (logs[panel + 1] - logs[panel]) * ((step + k) / splits[panel])
+              for k in (0, 1))
+    # a step's ends from its logs, the first and last of a panel exactly
+    lo, hi = np.expm1(lo) / c, np.expm1(hi) / c
+    lo[step == 0] = ends[panel[step == 0]]
+    last = step == splits[panel] - 1
+    hi[last] = ends[panel[last] + 1]
+    nodes, weights = _gauss_rule()
+    width = (hi - lo)[:, None]
+    return (lo[:, None] + width * nodes).ravel(), (width * weights).ravel()
+
+
+def triple_block_log(js, tau: complex, epsilon: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The triple-sum blocks sum_{|m| <= j} D_j(m, tau, eps) for each j of
+    the integer array js, as arrays (log_mag, phase, cancellation).
+
+    With x = eps^2, z = 1 - eps^4, Euler's integral (DLMF 15.6.1) summed over
+    m is block_j = (2j+1) x eps^{i tau j} int_0^1 exp(j A - (i tau j/2 + 1) B)
+    dt, A = 2 log(1-t+xt) - log(1-zt) <= 0 (zero at both ends), B = log(1-zt).
+    Every j shares one set of Gauss-Legendre panels, graded geometrically
+    toward both ends from 1e-3 min(1, x^2, x^-2) / ((j_max+1) max(1, (x-1)^2))
+    (the end layers are 1/(j (x-1)^2) and x^2/(j (x-1)^2) wide) and split so
+    that the phase -(Re tau j_max/2) B turns by at most _PANEL_TURN within
+    one; t > 1/2 is written in s = 1 - t, so nodes near t = 1 keep their
+    digits.  A and B are taken once; each j is a sum over the nodes scaled by
+    its largest exponent (complex tau cannot overflow it), in passes of at
+    most _ROW_CHUNK * _BLOCK entries (or one j) that skip the nodes whose
+    terms have fallen below e^-_NEGLIGIBLE of an end node's.  cancellation is
+    sum|w f| / |sum w f| (see check_cancellation; nothing is checked here).
+    At eps = 1 every block is 2j+1.
+    """
+    js = np.asarray(js, dtype=np.int64).reshape(-1)
+    tau = complex(tau)
+    epsilon = check_epsilon(epsilon)
+    out = np.empty((3, js.size))
+    out[0], out[1], out[2] = np.log(2.0 * js + 1.0), 0.0, 1.0
+    if epsilon == 1.0 or not js.size:
+        return out[0], out[1], out[2]
+    x = epsilon * epsilon
+    j_max = int(js.max())
+    start = 1e-3 * min(1.0, x * x, 1.0 / (x * x)) / ((j_max + 1) * max(1.0, (x - 1.0) ** 2))
+    turn = 0.5 * abs(tau.real) * j_max
+    # t <= 1/2 in t, t > 1/2 in s = 1 - t, where 1-t+xt = x (1 + (1/x - 1) s)
+    # and 1 - zt = x^2 (1 + (1/x^2 - 1) s)
+    halves = []
+    for c1, c2, offset in ((x - 1.0, x * x - 1.0, 0.0),
+                           (1.0 / x - 1.0, 1.0 / (x * x) - 1.0, 2.0 * math.log(x))):
+        u, w = _half_panels(c2, start, turn)
+        log_2 = np.log1p(c2 * u)
+        halves.append((2.0 * np.log1p(c1 * u) - log_2, log_2 + offset, w))
+    a, b, w = (np.concatenate(v) for v in zip(*halves))
+    # the real exponent is j * slope - b, the phase j * twist
+    slope = a + 0.5 * tau.imag * b
+    twist = -0.5 * tau.real * b
+    # the last j at which a node's exponent is within _NEGLIGIBLE of both end
+    # nodes' (t = 0 and t = 1), so of its row's largest; nodes in order of it
+    ends = [0, halves[0][0].size]
+    fall = slope[ends, None] - slope
+    with np.errstate(divide="ignore", invalid="ignore"):
+        reach = np.where(fall > 0, (_NEGLIGIBLE + b[ends, None] - b) / fall, np.inf).min(axis=0)
+    order = np.argsort(-reach, kind="stable")
+    slope, b, twist, w = slope[order], b[order], twist[order], w[order]
+    neg_reach = -reach[order]
+    # rows in increasing j, each pass over the nodes that reach its first j
+    rows_by_j = np.argsort(js, kind="stable")
+    k = 0
+    while k < js.size:
+        count = int(np.searchsorted(neg_reach, -js[rows_by_j[k]], side="right"))
+        chunk = rows_by_j[k:k + max(1, _ROW_CHUNK * _BLOCK // count)]
+        k += chunk.size
+        j = js[chunk, None].astype(float)
+        exponent = j * slope[:count] - b[:count]
+        top = exponent.max(axis=1)
+        size = np.exp(exponent - top[:, None])
+        size *= w[:count]
+        angle = j * twist[:count]
+        re = (size * np.cos(angle)).sum(axis=1)
+        im = (size * np.sin(angle)).sum(axis=1)
+        magnitude = np.hypot(re, im)
+        out[0, chunk] += top + np.log(magnitude)
+        out[1, chunk] = np.arctan2(im, re)
+        out[2, chunk] = size.sum(axis=1) / magnitude
+    # the prefactor x eps^{i tau j}
+    log_eps = 0.5 * math.log(x)
+    out[0] += math.log(x) - tau.imag * log_eps * js
+    out[1] = wrap_phases(out[1] + tau.real * log_eps * js)
+    return out[0], out[1], out[2]
 
 
 def hyp2f1(a, b, c, z) -> LogComplexValue:

@@ -7,10 +7,10 @@ request takes eps itself (the CLI turns --g into eps).
 The table's column index is matched against the integer magnetic index of the
 boost coefficients via twice_m = 2m; keys outside the table's natural range
 read as exact zeros, so rows of the wrong parity contribute nothing.  Both
-functions read the table through _pairs: ymap_apply evaluates only the
-coefficients with a nonzero table entry, and ymap_convergence_report reads
-the whole coefficient grid in one call (expansion.coefficient_grid) and takes
-both the block sums and the mapped terms from it as column sums.
+functions take the mapped terms from _mapped_terms, which evaluates only the
+coefficients with a nonzero table entry, in one call; the convergence report
+takes its coefficient factor from the triple blocks sum_m D_j(m)
+(expansion.triple_blocks, one Euler integral per j).
 """
 from __future__ import annotations
 
@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .expansion import coefficient_grid, column_sums
+from . import expansion
 from .logcomplex import to_complex_values
 from .principal_series import check_boost, diagonal_coefficients
 from .reports import (
@@ -49,31 +49,34 @@ class YMapRequest:
         object.__setattr__(self, "epsilon", check_boost(self.epsilon))
 
 
-def _pairs(table: FourierTableSU2, j_max: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The table's nonzero entries d = d(j, 2m) with j <= j_max, as arrays
-    (j, m, d) in (j, m) order."""
-    pairs = sorted((tj, tm // 2, d) for (tj, tm), d in table.entries.items()
-                   if tm % 2 == 0 and tj <= j_max and d != 0)
+def _mapped_terms(req: YMapRequest) -> np.ndarray:
+    """The j-terms sum over integer m of d(j, 2m) D_j(m), for j = |p| ..
+    j_max, from the table's nonzero entries with j <= j_max, all read in one
+    call of diagonal_coefficients that judges each pair against the largest
+    |D| of its own j (the pairs are only added into their j-term)."""
+    pairs = sorted((tj, tm // 2, d) for (tj, tm), d in req.table.entries.items()
+                   if tm % 2 == 0 and tj <= req.j_max and d != 0)
     js, ms, ds = zip(*pairs) if pairs else ((), (), ())
-    return np.array(js, dtype=int), np.array(ms, dtype=int), np.array(ds, dtype=complex)
+    js, ms = np.array(js, dtype=int), np.array(ms, dtype=int)
+    values = to_complex_values(
+        *diagonal_coefficients(js, ms, req.tau, req.epsilon, against_largest=js))
+    # added left to right in (j, m) order
+    p = abs(req.table.p)
+    terms = np.zeros(req.j_max + 1 - p, dtype=complex)
+    np.add.at(terms, js - p, np.array(ds, dtype=complex) * values)
+    return terms
 
 
 def ymap_apply(req: YMapRequest) -> SeriesReport:
     """Partial sums of the mapped function at the requested boost.
 
-    Only the coefficients with a nonzero table entry are evaluated, all in one
-    call of diagonal_coefficients.  For j beyond the table band the
-    zero-extension makes every term vanish, which is exact for genuinely
-    band-limited input; a warning notes when the scan range outruns the band.
+    Only the coefficients with a nonzero table entry are evaluated
+    (_mapped_terms).  For j beyond the table band the zero-extension makes
+    every term vanish, which is exact for genuinely band-limited input; a
+    warning notes when the scan range outruns the band.
     """
     table = req.table
-    js, ms, ds = _pairs(table, req.j_max)
-    values = to_complex_values(
-        *diagonal_coefficients(js, ms, req.tau, req.epsilon, against_largest=True))
-    # each j-term: the sum over integer m of d(j, 2m) D_j(m), left to right
-    p = abs(table.p)
-    terms = np.zeros(req.j_max + 1 - p, dtype=complex)
-    np.add.at(terms, js - p, ds * values)
+    terms = _mapped_terms(req)
     if table.band_limit < req.j_max:
         warnings.warn(
             f"table band {table.band_limit} is below j_max = {req.j_max}; "
@@ -83,14 +86,14 @@ def ymap_apply(req: YMapRequest) -> SeriesReport:
     return series_report(
         {"kind": "ymap", "p": table.p, "band_limit": table.band_limit,
          "tau": req.tau, "epsilon": req.epsilon, "j_max": req.j_max},
-        p, req.cauchy_tolerance, req.cauchy_window, values=terms,
+        abs(table.p), req.cauchy_tolerance, req.cauchy_window, values=terms,
     )
 
 
 @dataclass(frozen=True)
 class YMapBoundsReport:
     """The two factor bounds of the majorization: the absolute table sum and
-    the absolute column-sum series of the coefficients, with the running
+    the absolute triple-block series of the coefficients, with the running
     product bound recorded per j for termwise comparison."""
 
     js: tuple[int, ...]
@@ -108,23 +111,17 @@ class YMapBoundsReport:
 
 def ymap_convergence_report(req: YMapRequest) -> YMapBoundsReport:
     """Evaluate the majorization of the mapped series: its partial sums are
-    bounded by (sum of |table entries|) x (sum over j of |column sums of the
-    coefficients|), each factor carrying its own Cauchy verdict.
+    bounded by (sum of |table entries|) x (sum over j of |sum_m D_j(m)|),
+    each factor carrying its own Cauchy verdict.
     """
     table = req.table
     p = abs(table.p)
-    # one coefficient grid serves both the blocks and the mapped terms; the
-    # table entry d(j, 2m) weighs D_j(m) at grid index j^2 + j + m
-    grid = coefficient_grid(req.tau, req.epsilon, req.j_max)
-    js, ms, ds = _pairs(table, req.j_max)
-    weights = np.zeros(grid.shape, dtype=complex)
-    weights[js * (js + 1) + ms] = ds
-    terms = column_sums(weights * grid)[p:]
-
+    terms = _mapped_terms(req)
     j_range = range(p, req.j_max + 1)
     abs_rows = table.abs_sum_by_row()
     f_part = np.cumsum([abs_rows.get(j, 0.0) for j in j_range])
-    c_part = np.cumsum(np.abs(column_sums(grid)))[p:]
+    # the blocks through the module, where a caller may rebind them
+    c_part = np.cumsum(np.abs(expansion.triple_blocks(req.tau, req.epsilon, req.j_max)))[p:]
     f_verdict, _ = cauchy_verdict(f_part, req.cauchy_tolerance, req.cauchy_window)
     c_verdict, _ = cauchy_verdict(c_part, req.cauchy_tolerance, req.cauchy_window)
     # a finite-band table is an exactly convergent factor even on short scans

@@ -27,11 +27,8 @@ from lorentz_harmonics.expansion import (
 )
 from lorentz_harmonics.lie_group import haar_quadrature_su2, su2_from_euler
 from lorentz_harmonics.principal_series import (
-    CoefficientIndex,
-    PrincipalSeriesLabel,
     boundary_ratio_test,
     diagonal_coefficient,
-    duc_hieu_general,
     ratio_test,
 )
 from lorentz_harmonics.wigner import (
@@ -44,6 +41,7 @@ from lorentz_harmonics.wigner import (
     wigner_D,
 )
 from lorentz_harmonics.ymap import YMapRequest, ymap_apply, ymap_convergence_report
+from oracle import CoefficientIndex, PrincipalSeriesLabel, duc_hieu_general
 
 
 def _announce(criterion: str, detail: str) -> None:

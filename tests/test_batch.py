@@ -1,9 +1,9 @@
 """Batch evaluation of the diagonal coefficients: one series-kernel call and
 one saddle-point call per batch, bit-for-bit agreement with one-pair calls,
 the Euler reflection of the m > 0 rows, the (j, m) grid read in one call with
-each column judged on its own, how much work each caller asks of the kernel
-and of the large-j term, and the kernel's block length, set by the series'
-rate alone."""
+each column judged on its own, how much work each caller asks of the kernel,
+of the large-j term and of the triple-block engine, and the kernel's block
+length, set by the series' rate alone."""
 import cmath
 import math
 import sys
@@ -398,15 +398,48 @@ def dense_table(j_max: int) -> FourierTableSU2:
     return FourierTableSU2(0, j_max, entries)
 
 
+class EngineCalls(list):
+    """Calls of the triple-block engine, and panels counts its panel builds."""
+
+    panels = 0
+
+
+@pytest.fixture
+def engine_calls(monkeypatch):
+    """The (js, tau, eps) of every call of special.triple_block_log, and
+    the panels it builds, counted wherever the package holds them."""
+    calls = EngineCalls()
+    original, panels = special.triple_block_log, special._half_panels
+
+    def counted(js, tau, eps):
+        calls.append((tuple(np.asarray(js).tolist()), complex(tau), float(eps)))
+        return original(js, tau, eps)
+
+    def counted_panels(*args):
+        calls.panels += 1
+        return panels(*args)
+
+    for name, module in list(sys.modules.items()):
+        if name == "lorentz_harmonics" or name.startswith("lorentz_harmonics."):
+            for key, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, key, counted)
+    monkeypatch.setattr(special, "_half_panels", counted_panels)
+    return calls
+
+
 @pytest.mark.parametrize("tau", [0.3, 0.3 + 0.05j])
-def test_convergence_report_sums_each_pair_once(kernel_rows, tau):
+def test_convergence_report_sums_each_pair_once(kernel_rows, engine_calls, tau):
     req = YMapRequest(table=dense_table(12), tau=tau, j_max=12, epsilon=1.8)
     ymap_convergence_report(req)
     assert kernel_rows.calls == 1
     assert max(kernel_rows.values()) == 1
-    # real tau: m and -m share a row; complex tau: one row per (j, m)
-    per_column = (lambda j: j + 1) if complex(tau).imag == 0 else (lambda j: 2 * j + 1)
-    assert sum(kernel_rows.values()) == sum(per_column(j) for j in range(13))
+    # the table's pairs only, |m| <= j/2 at even j; real tau: m and -m share
+    # a row; complex tau: one row per (j, m)
+    per_j = (lambda j: j // 2 + 1) if complex(tau).imag == 0 else (lambda j: j + 1)
+    assert sum(kernel_rows.values()) == sum(per_j(j) for j in range(0, 13, 2))
+    # and the blocks in one engine call
+    assert engine_calls == [(tuple(range(13)), complex(tau), 1.8)]
 
 
 def test_ymap_apply_sums_only_present_entries(kernel_rows):
@@ -418,19 +451,20 @@ def test_ymap_apply_sums_only_present_entries(kernel_rows):
     assert {(j, mu) for j, mu, _ in kernel_rows} == {(4, 1), (6, 0), (8, 2)}
 
 
-def test_identical_calls_do_the_work_twice(kernel_rows):
+def test_identical_calls_do_the_work_twice(engine_calls):
     partial_sum_triple(0.25, 0.8, 20)
-    first = sum(kernel_rows.values())
+    assert engine_calls.panels == 2   # one per half of [0, 1]
     partial_sum_triple(0.25, 0.8, 20)
-    assert first > 0
-    assert sum(kernel_rows.values()) == 2 * first
+    # the same engine call, panels and all, made again
+    assert engine_calls == [(tuple(range(21)), 0.25, 0.8)] * 2
+    assert engine_calls.panels == 4
 
 
-def test_triple_blocks_read_one_column_per_j(kernel_rows):
+def test_triple_blocks_are_one_engine_call(kernel_rows, engine_calls):
     blocks = triple_blocks(0.3, 2.0, 10)
     assert len(blocks) == 11
-    assert kernel_rows.calls == 1
-    assert sum(kernel_rows.values()) == sum(j + 1 for j in range(11))
+    assert engine_calls == [(tuple(range(11)), 0.3, 2.0)]
+    assert kernel_rows.calls == 0 and not kernel_rows
 
 
 @pytest.fixture

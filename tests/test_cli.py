@@ -251,8 +251,24 @@ def test_sum_modes(capsys):
     p = run_json(capsys, "sum", "--mode", "triple", "--tau", "0", "--eps", "0.5",
                  "--jmax", "90")
     assert p["report"]["verdict"] == "converged"
+
+
+def test_sum_diagonal_requires_m(capsys):
     code, _ = run_cli(capsys, "sum", "--mode", "diagonal", "--tau", "0", "--eps", "2")
     assert code == 2  # --m required
+
+
+def test_triple_sum_past_the_exact_window(capsys):
+    # the j = 65 block against 30-digit mpmath (its log is
+    # 0.59744646883347252969); past j = 64 every block was about 12 orders of
+    # magnitude too small, and the report read converged
+    p = run_json(capsys, "sum", "--mode", "triple", "--tau", "0", "--eps", "0.5",
+                 "--jmax", "300")
+    terms = p["report"]["terms"]
+    assert [t["j"] for t in terms] == list(range(301))
+    assert terms[65]["phase"] == 0.0
+    assert math.exp(terms[65]["log_mag"]) == pytest.approx(1.81747189877367, rel=1e-10)
+    assert p["report"]["verdict"] != "converged"
 
 
 def test_norm_subcommand(capsys):

@@ -8,15 +8,11 @@ from hypothesis import strategies as st
 
 from lorentz_harmonics.principal_series import (
     EXACT_J_LIMIT,
-    CoefficientIndex,
     EpsilonDomainError,
     IndexRangeError,
-    PrincipalSeriesLabel,
-    admissible_pairs,
     boundary_ratio_test,
     diagonal_coefficient,
     diagonal_coefficients,
-    duc_hieu_general,
     evaluation_path,
     predicted_boundary_ratio,
     predicted_diagonal_ratio,
@@ -27,6 +23,7 @@ from lorentz_harmonics.special import (
     SaddlePointDomainError,
     SeriesConvergenceError,
 )
+from oracle import CoefficientIndex, PrincipalSeriesLabel, admissible_pairs, duc_hieu_general
 
 
 def rel_between(a, b) -> float:

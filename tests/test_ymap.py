@@ -4,15 +4,10 @@ import numpy as np
 import pytest
 
 from lorentz_harmonics.expansion import triple_blocks
-from lorentz_harmonics.principal_series import (
-    CoefficientIndex,
-    EpsilonDomainError,
-    PrincipalSeriesLabel,
-    diagonal_coefficient,
-    duc_hieu_general,
-)
+from lorentz_harmonics.principal_series import EpsilonDomainError, diagonal_coefficient
 from lorentz_harmonics.wigner import FourierTableSU2
 from lorentz_harmonics.ymap import YMapRequest, ymap_apply, ymap_convergence_report
+from oracle import CoefficientIndex, PrincipalSeriesLabel, duc_hieu_general
 
 # scanning past the band is the point of several cases here
 pytestmark = pytest.mark.filterwarnings("ignore:table band")
@@ -138,8 +133,7 @@ def test_majorization_bounds_dominate_partial_sums():
 
 @pytest.mark.parametrize("p, tau", [(0, 0.3), (0, 0.2 - 0.05j), (2, 0.3)])
 def test_report_terms_match_ymap_apply(p, tau):
-    # the report reads its mapped terms from the whole coefficient grid,
-    # ymap_apply sums d(j, 2m) D_j(m) entry by entry
+    # the report's |S_J| are those of ymap_apply's partial sums
     rng = np.random.default_rng(3)
     entries = {(tj, tm): complex(*rng.standard_normal(2)) * 0.5**tj
                for tj in range(p, 9, 2) for tm in range(-tj, tj + 1, 2)}
