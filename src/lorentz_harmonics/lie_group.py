@@ -7,7 +7,7 @@ import cmath
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -228,21 +228,16 @@ class QuadratureGrid:
     def __post_init__(self) -> None:
         for name in ("alphas", "betas", "beta_weights", "gammas"):
             arr = np.asarray(getattr(self, name), dtype=float).copy()
+            if arr.ndim != 1 or arr.size == 0:
+                raise ValueError(f"{name} must be a non-empty 1-D array, got shape {arr.shape}")
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
+        if self.beta_weights.shape != self.betas.shape:
+            raise ValueError(f"{self.beta_weights.size} beta_weights for {self.betas.size} betas")
 
     @property
     def n_nodes(self) -> int:
         return len(self.alphas) * len(self.betas) * len(self.gammas)
-
-    def _alpha_slices(self) -> Iterator[Iterator[SU2Element]]:
-        """Per alpha, the (beta, gamma) nodes in row-major order, built and
-        checked as one read-only stack of n_beta * n_gamma matrices."""
-        for a in self.alphas:
-            stack = _euler_matrices(a, self.betas[:, None], self.gammas[None, :]).reshape(-1, 2, 2)
-            _check_su2(stack, _EULER_TOL)
-            stack.setflags(write=False)
-            yield (SU2Element._checked(m, _EULER_TOL) for m in stack)
 
     def weight_array(self) -> np.ndarray:
         """Weights on the (alpha, beta, gamma) tensor grid, total mass 1."""
@@ -251,10 +246,14 @@ class QuadratureGrid:
         return wa[:, None, None] * (self.beta_weights / 2.0)[None, :, None] * wg[None, None, :]
 
     def sample(self, phi: Callable[[SU2Element], complex]) -> np.ndarray:
-        """Evaluate phi on the tensor grid; shape (n_alpha, n_beta, n_gamma)."""
+        """Evaluate phi on the tensor grid; shape (n_alpha, n_beta, n_gamma). The nodes
+        are built and checked one read-only (beta, gamma) stack per alpha."""
         out = np.empty((len(self.alphas), len(self.betas), len(self.gammas)), dtype=complex)
-        for row, nodes in zip(out.reshape(len(self.alphas), -1), self._alpha_slices()):
-            row[:] = [phi(u) for u in nodes]
+        for a, row in zip(self.alphas, out.reshape(len(self.alphas), -1)):
+            stack = _euler_matrices(a, self.betas[:, None], self.gammas[None, :]).reshape(-1, 2, 2)
+            _check_su2(stack, _EULER_TOL)
+            stack.setflags(write=False)
+            row[:] = [phi(SU2Element._checked(m, _EULER_TOL)) for m in stack]
         return out
 
     def integrate(self, phi: Callable[[SU2Element], complex]) -> complex:
@@ -262,18 +261,19 @@ class QuadratureGrid:
 
 
 def haar_quadrature_su2(twice_band_limit: int) -> QuadratureGrid:
-    """Quadrature grid integrating conj(D^{s1}) D^{s2} exactly for
-    2 s1, 2 s2 <= twice_band_limit."""
+    """The smallest tensor grid integrating conj(D^{s1}) D^{s2} exactly for
+    2 s1, 2 s2 <= B = twice_band_limit: B + 1 uniform alphas on [0, 2pi)
+    (|m1 - m2| <= B), 2B + 1 uniform gammas on [0, 4pi) (|2(n1 - n2)| <= 2B,
+    and a mixed-parity product sums to exactly zero) and B//2 + 1
+    Gauss-Legendre betas (d^{s1}_{mn} d^{s2}_{mn} is a polynomial of degree
+    s1 + s2 <= B in cos beta): (B + 1)(B//2 + 1)(2B + 1) nodes."""
     B = int(twice_band_limit)
     if B < 0:
         raise ValueError("band limit must be non-negative")
-    n_circle = 2 * B + 2
-    n_beta = B + 1
-    alphas = 2.0 * math.pi * np.arange(n_circle) / n_circle
-    gammas = 4.0 * math.pi * np.arange(n_circle) / n_circle
-    x, wq = np.polynomial.legendre.leggauss(n_beta)
-    betas = np.arccos(x)
-    return QuadratureGrid(B, alphas, betas, wq, gammas)
+    alphas = 2.0 * math.pi * np.arange(B + 1) / (B + 1)
+    gammas = 4.0 * math.pi * np.arange(2 * B + 1) / (2 * B + 1)
+    x, wq = np.polynomial.legendre.leggauss(B // 2 + 1)
+    return QuadratureGrid(B, alphas, np.arccos(x), wq, gammas)
 
 
 __all__ = [

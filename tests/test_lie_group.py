@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 
@@ -230,24 +231,44 @@ def test_quadrature_orthogonal_to_trivial():
     assert abs(val) < 1e-13
 
 
-def test_quadrature_exactness_all_pairs_band_4():
-    band = 4
-    grid = haar_quadrature_su2(band)
+def _gram_error(grid, twice_js):
+    """Largest error of the grid's Gram matrix of every D^{s}_{mn} with 2s in twice_js."""
     entries = [
         (tj, tm, tn)
-        for tj in range(band + 1)
+        for tj in twice_js
         for tm in range(-tj, tj + 1, 2)
         for tn in range(-tj, tj + 1, 2)
     ]
+    nodes = []
+    grid.sample(lambda u: nodes.append(u) or 0j)
     w = grid.weight_array().reshape(-1)
-    vals = np.empty((len(entries), w.size), dtype=complex)
-    for i, (tj, tm, tn) in enumerate(entries):
-        vals[i] = grid.sample(lambda u: wigner_D(SpinLabel(tj), tm, tn, u)).reshape(-1)
+    vals = np.array([[wigner_D(SpinLabel(tj), tm, tn, u) for u in nodes] for tj, tm, tn in entries])
     gram = (vals * w) @ vals.conj().T
-    expected = np.zeros_like(gram)
-    for i, (tj, _, _) in enumerate(entries):
-        expected[i, i] = 1.0 / (tj + 1)
-    assert np.max(np.abs(gram - expected)) < 1e-12
+    expected = np.diag([1.0 / (tj + 1) for tj, _, _ in entries])
+    return float(np.max(np.abs(gram - expected)))
+
+
+@pytest.mark.parametrize("band", range(9))
+def test_quadrature_exactness_all_pairs(band):
+    grid = haar_quadrature_su2(band)
+    assert grid.n_nodes == (band + 1) * (band // 2 + 1) * (2 * band + 1)
+    assert _gram_error(grid, range(band + 1)) < 1e-12
+
+
+@pytest.mark.parametrize("band", range(2, 9))
+@pytest.mark.parametrize("axis", ["alphas", "betas", "gammas"])
+def test_quadrature_one_node_fewer_on_any_axis_misintegrates(axis, band):
+    # alpha aliases D^{B/2}_{B/2,n} against D^{B/2}_{-B/2,n}, gamma the same in
+    # n; beta loses one degree on d^{s1} d^{s2} with s1 + s2 = B or B - 1
+    grid = haar_quadrature_su2(band)
+    n = len(getattr(grid, axis)) - 1
+    if axis == "betas":
+        x, w = np.polynomial.legendre.leggauss(n)
+        fewer = dataclasses.replace(grid, betas=np.arccos(x), beta_weights=w)
+    else:
+        period = 2.0 * math.pi if axis == "alphas" else 4.0 * math.pi
+        fewer = dataclasses.replace(grid, **{axis: period * np.arange(n) / n})
+    assert _gram_error(fewer, (band - 1, band)) > 1e-2
 
 
 def test_weight_array_matches_sampled_nodes():
@@ -284,8 +305,8 @@ def test_grid_with_non_finite_angle_raises():
 
 
 def test_sample_builds_nodes_one_alpha_slice_at_a_time():
-    # a whole-grid matrix stack at band 24 (62,500 nodes) alone takes 4 MB;
-    # the output array takes 1 MB
+    # a whole-grid matrix stack at band 24 (15,925 nodes) alone takes 1.0 MB;
+    # the output array takes 255 KB and one alpha slice of matrices 41 KB
     grid = haar_quadrature_su2(24)
     tracemalloc.start()
     try:
@@ -294,3 +315,18 @@ def test_sample_builds_nodes_one_alpha_slice_at_a_time():
     finally:
         tracemalloc.stop()
     assert peak < 2 * out.nbytes
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("beta_weights", [2.0]),         # would broadcast against every beta
+        ("beta_weights", np.ones((3, 1))),
+        ("betas", np.ones((3, 1))),
+        ("alphas", []),
+        ("gammas", []),
+    ],
+)
+def test_grid_rejects_malformed_node_arrays(field, value):
+    with pytest.raises(ValueError):
+        dataclasses.replace(haar_quadrature_su2(4), **{field: value})

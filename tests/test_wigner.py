@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from lorentz_harmonics import wigner
 from lorentz_harmonics.lie_group import haar_quadrature_su2, su2_from_euler
 from lorentz_harmonics.wigner import (
     FourierTableSU2,
@@ -261,6 +262,68 @@ def test_fourier_underresolution_warning():
     grid = haar_quadrature_su2(2)
     with pytest.warns(UserWarning, match="below the transform band"):
         su2_fourier(lambda u: 1.0 + 0j, p=0, band_limit=6, grid=grid)
+
+
+def test_fourier_default_grid_is_the_transform_band(monkeypatch):
+    built = []
+
+    def recording_grid(twice_band_limit):
+        built.append(haar_quadrature_su2(twice_band_limit))
+        return built[-1]
+
+    monkeypatch.setattr(wigner, "haar_quadrature_su2", recording_grid)
+    calls = []
+    su2_fourier(lambda u: calls.append(u) or 1.0 + 0j, p=1, band_limit=7)
+    assert [g.twice_band_limit for g in built] == [7]
+    assert len(calls) == built[0].n_nodes == 8 * 4 * 15
+
+
+@pytest.mark.parametrize("band", [5, 6, 9])
+@pytest.mark.parametrize("p", [0, 1, 2, 3])
+def test_fourier_mixed_parity_matches_closed_form(p, band):
+    # phi holds both integer and half-integer spins up to the band, on every
+    # row; the table keeps row p only, and the default grid must be exact
+    rng = np.random.default_rng(1000 * p + band)
+    terms = []
+    for tj in range(band + 1):
+        rows = {int(rng.integers(0, tj + 1)) * 2 - tj}
+        if tj >= p and (tj - p) % 2 == 0:
+            rows.add(p)
+        for row in rows:
+            tm = int(rng.integers(0, tj + 1)) * 2 - tj
+            terms.append((tj, row, tm, complex(rng.normal(), rng.normal())))
+
+    calls = []
+
+    def phi(u):
+        calls.append(u)
+        return sum(c * wigner_D(SpinLabel(tj), row, tm, u) for tj, row, tm, c in terms)
+
+    tab = su2_fourier(phi, p=p, band_limit=band)
+    assert len(calls) == (band + 1) * (band // 2 + 1) * (2 * band + 1)
+    want = {}
+    for tj, row, tm, c in terms:
+        if row == p:
+            want[(tj, tm)] = want.get((tj, tm), 0j) + c / math.sqrt(tj + 1.0)
+    assert set(want) <= set(tab.entries)
+    assert max(abs(v - want.get(k, 0j)) for k, v in tab.entries.items()) < 1e-12
+
+
+@pytest.mark.parametrize("band", [8, 12, 24])
+def test_fourier_closed_form_zeros_sit_below_the_noise_floor(band):
+    # spins up to 7/2, one column each; measured at most 0.0034 of the floor
+    rng = np.random.default_rng(band)
+    coeffs = {
+        (tj, int(rng.integers(0, tj + 1)) * 2 - tj): complex(rng.normal(), rng.normal())
+        for tj in (1, 3, 5, 7)
+    }
+
+    def phi(u):
+        return sum(c * wigner_D(SpinLabel(tj), 1, tm, u) for (tj, tm), c in coeffs.items())
+
+    tab = su2_fourier(phi, p=1, band_limit=band)
+    zeros = [abs(v) for k, v in tab.entries.items() if k not in coeffs]
+    assert zeros and max(zeros) <= 0.05 * tab.noise_floor
 
 
 def test_roundtrip_and_parseval_band_4(rng):
