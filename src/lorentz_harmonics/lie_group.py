@@ -216,7 +216,8 @@ class QuadratureGrid:
 
     Uniform nodes in alpha over [0, 2pi) and gamma over [0, 4pi), and
     Gauss-Legendre nodes in cos(beta).  Weights are normalized Haar measure
-    (they sum to 1).  Immutable and safe to share across threads.
+    (they sum to 1).  Immutable and safe to share across threads.  Raises
+    ValueError where the node counts cannot carry twice_band_limit.
     """
 
     twice_band_limit: int
@@ -234,6 +235,10 @@ class QuadratureGrid:
             object.__setattr__(self, name, arr)
         if self.beta_weights.shape != self.betas.shape:
             raise ValueError(f"{self.beta_weights.size} beta_weights for {self.betas.size} betas")
+        B = self.twice_band_limit
+        for name, need in (("alphas", B + 1), ("betas", B // 2 + 1), ("gammas", 2 * B + 1)):
+            if getattr(self, name).size < need:
+                raise ValueError(f"{getattr(self, name).size} {name} cannot carry band {B}")
 
     @property
     def n_nodes(self) -> int:

@@ -37,12 +37,15 @@ def wrap_phase(phi):
     return y - math.pi
 
 
-def wrap_phases(phi: np.ndarray) -> np.ndarray:
-    """Wrap angles into (-pi, pi], elementwise."""
-    y = math.pi - np.remainder(math.pi - phi, TWO_PI)
+def wrap_phases(phi):
+    """Wrap angles into (-pi, pi], elementwise, or one float angle with the
+    bits it gets in an array (float % is np.remainder's floored remainder)."""
+    y = math.pi - (math.pi - phi) % TWO_PI
     # the remainder rounds up to 2 pi itself just above an odd multiple of pi
     # (at nextafter(pi, inf), say), and pi - 2 pi is -pi: that is +pi, which
     # LogComplexValue's wrap_phase also makes of it
+    if isinstance(y, float):
+        return math.pi if y == -math.pi else y
     return np.where(y == -math.pi, math.pi, y)
 
 

@@ -19,7 +19,9 @@ special.hyp2f1_rows call, a pair with m > 0 through Euler's transformation
 onto the series with b = j+1-m (for real tau, the conjugate of the (j, -m)
 row, which is summed once for both), and evaluates all its large-j pairs in
 one call of special.saddle_point_log.  diagonal_coefficient is its one-pair
-case, with the same value bit for bit.  Both raise SeriesConvergenceError
+case, with the same value bit for bit: it builds its row from Python numbers
+by the batch's arithmetic and sums it in the same kernel, or takes the saddle
+term without repeating its checks.  Both raise SeriesConvergenceError
 where cancellation has emptied a series past special.CANCELLATION_LIMIT,
 judged against the value itself, or, for callers that only add the values,
 against the largest value of the call or of the pair's label (its j, for
@@ -46,6 +48,7 @@ from .special import (
     SaddlePointDomainError,
     check_cancellation,
     check_epsilon,
+    check_saddle_pair,
     hyp2f1_rows,
     saddle_point_exponent,
     saddle_point_log,
@@ -95,12 +98,11 @@ def _asymptotic_route(j, m, tau: complex, epsilon: float):
     return re + boost.real, wrap_phase(wrap_phase(im) + wrap_phase(boost.imag))
 
 
-def _exact_coefficients(
-    js: np.ndarray, ms: np.ndarray, tau: complex, epsilon: float
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The exact route for every pair, one hyp2f1_rows row per distinct
-    series.  Returns (log_mag, phase, cancellation), the last being that of
-    the series summed for the pair (see special.check_cancellation).
+def _exact_coefficients(js, ms, tau: complex, epsilon: float):
+    """The exact route at Python ints j, m, or at integer arrays with one
+    hyp2f1_rows row per distinct series, by the same IEEE operations in the
+    same order: (log_mag, phase, cancellation), numbers for ints (cancellation
+    an array of one; see special.check_cancellation).
 
     D_j(m, tau) = eps^{2(j+1+m) + i tau j} 2F1(a, j+1+m; 2j+2; 1-eps^4) with
     a = j+1+i tau j/2.  Euler's transformation (DLMF 15.8.1),
@@ -110,32 +112,32 @@ def _exact_coefficients(
     tau the row at -tau is the conjugate of the row at tau, so (j, m) and
     (j, -m) share one row.
     """
-    real = tau.imag == 0.0
-    # the row of each pair: (j, -|m|) at tau, or at -tau for m > 0 when tau is
-    # complex; real tau keeps every row at tau
-    rj, rm = js, -np.abs(ms)
-    sign = np.where(ms > 0, -1.0, 1.0) if not real else np.ones(js.shape)
-    inverse = None
-    if js.size > 1:
-        # one row per distinct (j, |m|, sign), in the order of the keys
-        key = (rj * (js.max() + 1) - rm) * 2 + (sign < 0)
+    batch = isinstance(js, np.ndarray)
+    rj, rm, inverse = js, ms, None
+    if batch and js.size > 1:
+        # one row per distinct (j, |m|, reflected), in the order of the keys
+        key = (js * (js.max() + 1) + np.abs(ms)) * 2 + ((ms > 0) & (tau.imag != 0.0))
         _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
         if first.size < js.size:
-            rj, rm, sign = rj[first], rm[first], sign[first]
+            rj, rm = js[first], ms[first]
         else:
             inverse = None
-    row_tau = tau * sign
+    # the row of each pair: (j, -|m|) at tau, or at -tau for m > 0 when tau is complex
+    row_tau = tau * (1.0 - 2.0 * ((rm > 0) & (tau.imag != 0.0)))
+    rm = -abs(rm)
     j1 = rj + 1
     log_mag, phase, cancellation = hyp2f1_rows(
         j1 + 0.5j * row_tau * rj, j1 + rm, 2 * j1, 1.0 - epsilon**4
     )
+    if not batch:
+        log_mag, phase = float(log_mag[0]), float(phase[0])
     boost = _boost_log(rj, rm, row_tau, epsilon)
     log_mag = log_mag + boost.real
     phase = phase + boost.imag
     if inverse is not None:
         log_mag, phase, cancellation = log_mag[inverse], phase[inverse], cancellation[inverse]
-    if real and ms.max() > 0:
-        phase = np.where(ms > 0, -phase, phase)
+    # real tau: a pair with m > 0 is the conjugate of its row
+    phase = phase * (1.0 - 2.0 * ((ms > 0) & (tau.imag == 0.0)))
     return log_mag, wrap_phases(phase), cancellation
 
 
@@ -224,17 +226,17 @@ def diagonal_coefficient(
         raise IndexRangeError("j must be non-negative")
     if abs(m) > j:
         raise IndexRangeError(f"|m| = {abs(m)} exceeds j = {j}")
-    if method == "auto":
+    if method == "auto":   # beyond EXACT_J_LIMIT, off eps = 1: check_saddle_pair holds
         method = evaluation_path(j, epsilon)
+    elif method == PATH_ASYMPTOTIC:
+        check_saddle_pair(j, m, epsilon)
     if method == PATH_ASYMPTOTIC:
         return LogComplexValue(*_asymptotic_route(j, m, tau, epsilon))
     if method != PATH_EXACT:
         raise ValueError(f"unknown method {method!r}")
-    log_mag, phase, cancellation = _exact_coefficients(
-        np.array([j]), np.array([m]), tau, epsilon
-    )
+    log_mag, phase, cancellation = _exact_coefficients(j, m, tau, epsilon)
     check_cancellation(cancellation)
-    return LogComplexValue(float(log_mag[0]), float(phase[0]))
+    return LogComplexValue(log_mag, phase)
 
 
 def predicted_diagonal_ratio(epsilon: float, tau: complex = 0.0) -> float:
@@ -292,7 +294,11 @@ def ratio_test(
     apply).
 
     The empirical limit is the median of the last 10 ratios.  j runs from
-    max(|m|, 1) so every term is well defined.
+    max(|m|, 1) so every term is well defined.  Terms are read one pair at a
+    time through diagonal_coefficient, where the benchmark's check moves one.
+    Batching them waits for ROADMAP item 5's benchmark change, which must move
+    perfbench/test_bench.py and tests/test_principal_series.py's
+    test_ratio_test_reads_each_term_through_diagonal_coefficient together.
     """
     m = int(m)
     epsilon = check_boost(epsilon)
@@ -300,12 +306,11 @@ def ratio_test(
     if j_max < abs(m) + 8:
         raise ValueError("j_max must be at least |m| + 8")
     j_start = max(abs(m), 1)
-    # one pair at a time through diagonal_coefficient, the seam that
-    # perfbench/test_bench.py patches to move a term of a scan; from the top
-    # down, so that the saddle-point pairs' domain checks come before the
+    # one pair at a time through diagonal_coefficient (see above); from the
+    # top down, so that the saddle-point pairs' domain checks come before the
     # series work, as in diagonal_coefficients
     values = [diagonal_coefficient(j, m, tau, epsilon) for j in range(j_max, j_start - 1, -1)]
-    log_mag, phase = np.array([(v.log_mag, v.phase) for v in reversed(values)]).T
+    log_mag, phase = np.array([[v.log_mag for v in values], [v.phase for v in values]])[:, ::-1]
     return series_report(
         {"kind": "diagonal_ratio", "m": m, "tau": tau, "epsilon": epsilon,
          "j_max": j_max, "j_start": j_start},

@@ -18,11 +18,15 @@ from .logcomplex import LogComplexValue, wrap_phases
 
 MAX_SERIES_TERMS = 100_000
 SERIES_TAIL_REL = 1e-17
+_LOG_TAIL = math.log(SERIES_TAIL_REL)
 # Terms per block of the series kernel, a multiple of the SIMD width, so that
 # every row meets the same vector lanes whatever rows share its call; a slow
 # series (see _sum_series) takes blocks of twice this length.
 _BLOCK = 192
 _STEPS = np.arange(2 * _BLOCK, dtype=float)
+# the kernel's sums (Re, Im, |t|, their Kahan compensations) and unit at n = 0
+_SEED = np.array([[1.0], [0.0], [1.0], [0.0], [0.0], [0.0]])
+_UNIT = np.ones(1, dtype=complex)
 # Rows per kernel pass of _BLOCK-term blocks, which bounds the size of a
 # block's arrays: summing every row in one pass raised the peak RSS of a round
 # of the benchmark's triple-grid and diag-scan ops by 0.6 and 1.0 MB over
@@ -141,7 +145,8 @@ def log_gamma(z: complex) -> complex:
 
 def _sum_series(a, b, c, w: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Sum the defining series sum_n (a)_n (b)_n / ((c)_n n!) w^n, 0 < w < 1,
-    for each row of the parameter arrays a, b, c.
+    for each row of the parameter arrays a (complex), b and c (float, or
+    complex for the public hyp2f1), taken as they are.
 
     Returns the arrays (log_mag, phase, cancellation).  Each row is summed on
     its own: terms are generated blockwise from their ratios, log|t| as a
@@ -159,20 +164,17 @@ def _sum_series(a, b, c, w: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     terms or more (w >= 0.9503), else _BLOCK, in passes of half as many rows,
     so a slow series pays the numpy calls of a block half as often with arrays
     of the same size.  The length reads only w, shared by every row of a
-    call, so a row has the same bits alone and in any batch.
+    call, so a row has the same bits alone and in any batch.  One row (one
+    pair) pays the numpy calls of its blocks and little more.
 
     Each row also sums |t|.  Every term carries a relative rounding error of
     a few ulps, so a sum is wrong by about C * 2^-52 relative times a small
     factor, where C = sum|t| / |sum t| is its cancellation (returned; see
     check_cancellation).
     """
-    a = np.asarray(a, dtype=complex).reshape(-1)
-    # integer b and c as floats once, not in every block (exact below 2^53)
-    b, c = (np.asarray(x, dtype=np.result_type(x, float)).reshape(-1) for x in (b, c))
     out = np.empty((3, a.size))
-    w = float(w)
     # no division by log(w): a w rounded to 1.0 sums as a slow series
-    length = 2 * _BLOCK if 4 * _BLOCK * math.log(w) >= math.log(SERIES_TAIL_REL) else _BLOCK
+    length = 2 * _BLOCK if 4 * _BLOCK * math.log(w) >= _LOG_TAIL else _BLOCK
     # equal passes of at most _ROW_CHUNK * _BLOCK / length rows
     chunk = _ROW_CHUNK * _BLOCK // length
     size = -(-a.size // -(-a.size // chunk)) if a.size else 1
@@ -187,20 +189,16 @@ def _sum_rows(a, b, c, w, length, out) -> None:
     """The loop of _sum_series over the parameter columns a, b, c, in blocks
     of length terms: writes log_mag, phase and cancellation into the columns
     of out."""
-    rows = a.shape[0]
-    live = np.arange(rows)    # column of out of each row still summing
+    live = slice(None)   # columns of out of the rows still summing, all at first
     # Re and Im of the partial sum and sum |t|, relative to exp(offset) and
     # seeded with the n = 0 term, then their Kahan compensations
-    acc = np.zeros((6, rows))
-    acc[0] = acc[2] = 1.0
+    acc = _SEED.repeat(a.shape[0], axis=1)
     sums, comp = acc[:3], acc[3:]
-    offset = np.zeros(rows)
-    log_t = np.zeros(rows)    # log|t| of the current term
-    unit_t = np.ones(rows, dtype=complex)   # t / |t| of the current term
+    offset = 0.0
+    log_t = 0.0               # log|t| of the current term
+    unit_t = _UNIT            # t / |t| of the current term
     log_w = math.log(w)
-    steps = _STEPS[:length]
-    log_w_powers = log_w * (steps + 1.0)
-    log_tail = math.log(SERIES_TAIL_REL)
+    log_w_powers = log_w * (_STEPS[:length] + 1.0)
     n = 1
     while True:
         if n > MAX_SERIES_TERMS:
@@ -208,7 +206,7 @@ def _sum_rows(a, b, c, w, length, out) -> None:
                 f"hypergeometric series did not reach tolerance within {MAX_SERIES_TERMS} terms"
             )
         size = min(length, MAX_SERIES_TERMS + 1 - n)
-        k = steps[:size] + (n - 1.0)
+        k = _STEPS[:size] + (n - 1.0)
         n += size
         ratios = (a + k) * ((b + k) / ((c + k) * (k + 1.0)))
         # log|r| summed and r/|r| (two real divisions; a zero ratio gives a
@@ -229,7 +227,6 @@ def _sum_rows(a, b, c, w, length, out) -> None:
         # finite even for a block of zero terms (a terminated series)
         peak = np.maximum.reduce(cl, axis=1, initial=-1e300)
         cl -= peak[:, None]
-        last = cl[:, -1].copy()   # log|t| of the block's last term, relative
         # the block's Re t, Im t and |t| relative to its largest, summed in
         # one reduction
         parts = np.empty((3,) + ratios.shape)
@@ -247,19 +244,21 @@ def _sum_rows(a, b, c, w, length, out) -> None:
         total = sums + y
         comp[:] = (total - sums) - y
         sums[:] = total
-        log_t = top + last
-        # renormalised once per block, from a contiguous copy of the column
-        unit_t = unit[:, -1].copy()
-        unit_t /= np.abs(unit_t)
+        log_t = top + cl[:, -1]   # log|t| of the block's last term
         magnitude = np.hypot(sums[0], sums[1])
         # stop on an exact zero term, or on the decaying side of the peak once
         # the term is below SERIES_TAIL_REL of the sum
-        done = (log_t - offset <= np.log(magnitude) + log_tail) & (decaying | (log_t == -math.inf))
-        if not done.any():
-            continue
-        if done.all():
+        done = (log_t - offset <= np.log(magnitude) + _LOG_TAIL) & (decaying | (log_t == -math.inf))
+        stopped = np.count_nonzero(done)
+        if stopped == done.size:
             _write_rows(out, live, offset, sums, magnitude)
             return
+        # renormalised once per block, from a contiguous copy of the column
+        unit_t = unit[:, -1].copy()
+        unit_t /= np.abs(unit_t)
+        if not stopped:
+            continue
+        live = np.arange(done.size) if isinstance(live, slice) else live
         _write_rows(out, live[done], offset[done], sums[:, done], magnitude[done])
         keep = ~done
         live, acc, offset = live[keep], acc[:, keep], offset[keep]
@@ -276,7 +275,8 @@ def _write_rows(out, at, offset, sums, magnitude) -> None:
 
 def hyp2f1_rows(a, b, c, z: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """2F1(a, b; c; z) for each row of the parameter arrays a, b, c at one
-    real z < 1, as arrays (log_mag, phase, cancellation).
+    real z < 1, as arrays (log_mag, phase, cancellation); a, b, c may also be
+    numbers, for one row.
 
     Route selection: the defining series is summed directly for z in (0, 1)
     (it converges for every |z| < 1 and, for the coefficient family used
@@ -286,7 +286,8 @@ def hyp2f1_rows(a, b, c, z: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     checked here.
     """
     a = np.asarray(a, dtype=complex).reshape(-1)
-    b, c = (np.asarray(x).reshape(-1) for x in (b, c))
+    # integer b and c as floats once, not in every block (exact below 2^53)
+    b, c = (np.asarray(x, dtype=np.result_type(x, float)).reshape(-1) for x in (b, c))
     z = float(z)
     if not z < 1.0:
         raise Hyp2F1DomainError(f"argument z = {z} outside the supported range z < 1")
@@ -312,7 +313,7 @@ def check_cancellation(cancellation, weight=1.0) -> None:
     that only adds values passes weight = |value| / (the scale of its sum),
     so that a near-zero value that adds nothing to the sum is accepted.
     """
-    worst = (cancellation * weight).max() * _ULP
+    worst = np.maximum.reduce(cancellation * weight) * _ULP
     if not worst <= CANCELLATION_LIMIT:
         raise SeriesConvergenceError(
             f"hypergeometric series cancels: its value is uncertain to about "
@@ -531,9 +532,25 @@ def _at(fn, x):
     return fn(x)
 
 
+def check_saddle_pair(j: int, m: int, epsilon) -> float:
+    """eps as a float for the large-j term at ints j, m: raises ValueError unless
+    1 <= j and |m| <= j, check_epsilon's error, and Hyp2F1DomainError at eps = 1."""
+    if j < 1:
+        raise ValueError("asymptotic evaluation needs j >= 1")
+    if abs(m) > j:
+        raise ValueError(f"|m| = {abs(m)} exceeds j = {j}")
+    epsilon = check_epsilon(epsilon)
+    if epsilon == 1.0:
+        raise Hyp2F1DomainError("asymptotic form degenerates at eps = 1 (z = 0); "
+                                "use hyp2f1 instead")
+    return epsilon
+
+
 def saddle_point_log(j, m, tau: complex, epsilon: float):
     """log of saddle_point_2f1's term, as (real part, unwrapped imaginary
-    part), at Python ints j, m or at each pair of equal-shape integer arrays.
+    part), at Python ints j, m or at each pair of equal-shape integer arrays,
+    whose labels and eps the caller has checked as check_saddle_pair does
+    (principal_series checks its pairs before they reach this route).
 
     The j, m arithmetic takes either alike (real operations; math.lgamma and
     math.log entry by entry), so a pair has the same bits alone or in any
@@ -541,25 +558,12 @@ def saddle_point_log(j, m, tau: complex, epsilon: float):
     log(1-z t0), phi''(t0) and the gate's reach) is computed once per call;
     per pair there remain the log-gammas of the integers 2j+2, j+m+1, j-m+1
     and a few real products and sums.  Two contributing saddles are added as
-    an array log-sum-exp.  Raises as saddle_point_2f1 does; the gate's count
-    of Gaussian widths grows with j, so checking it at the smallest j raises
-    exactly when one pair of the batch would.
+    an array log-sum-exp.  Raises SaddlePointDomainError as saddle_point_2f1
+    does; the gate's count of Gaussian widths grows with j, so checking it at
+    the smallest j raises exactly when one pair of the batch would.
     """
     batch = isinstance(j, np.ndarray)
     low = int(j.min()) if batch else j
-    if low < 1:
-        raise ValueError("asymptotic evaluation needs j >= 1")
-    if batch:
-        over = np.flatnonzero(np.abs(m) > j)
-        if over.size:
-            raise ValueError(f"|m| = {abs(int(m[over[0]]))} exceeds j = {int(j[over[0]])}")
-    elif abs(m) > j:
-        raise ValueError(f"|m| = {abs(m)} exceeds j = {j}")
-    epsilon = check_epsilon(epsilon)
-    if epsilon == 1.0:
-        raise Hyp2F1DomainError(
-            "asymptotic form degenerates at eps = 1 (z = 0); use hyp2f1 instead"
-        )
     roots, weights, kappa, z = _coefficient_saddles(tau, epsilon)
     log_beta = (_at(math.lgamma, 2 * j + 2) - _at(math.lgamma, j + m + 1)
                 - _at(math.lgamma, j - m + 1) - 0.5 * _at(math.log, j))
@@ -631,7 +635,9 @@ def saddle_point_2f1(j: int, m: int, tau: complex, epsilon: float) -> LogComplex
     j = 8, 65, 200) the relative error stayed below 1/r^2 at r such widths,
     so the gate r >= SADDLE_MIN_WIDTHS refuses errors of order one.
     """
-    return LogComplexValue(*saddle_point_log(int(j), int(m), complex(tau), float(epsilon)))
+    j, m = int(j), int(m)
+    epsilon = check_saddle_pair(j, m, epsilon)
+    return LogComplexValue(*saddle_point_log(j, m, complex(tau), epsilon))
 
 
 __all__ = [
@@ -647,6 +653,7 @@ __all__ = [
     "SaddlePointDomainError",
     "check_cancellation",
     "check_epsilon",
+    "check_saddle_pair",
     "hyp2f1",
     "hyp2f1_rows",
     "log_gamma",

@@ -255,20 +255,35 @@ def test_quadrature_exactness_all_pairs(band):
     assert _gram_error(grid, range(band + 1)) < 1e-12
 
 
+def _one_node_fewer(grid, axis) -> dict:
+    """The node fields of grid with one node fewer on axis."""
+    n = len(getattr(grid, axis)) - 1
+    if axis == "betas":
+        x, w = np.polynomial.legendre.leggauss(n)
+        return {"betas": np.arccos(x), "beta_weights": w}
+    period = 2.0 * math.pi if axis == "alphas" else 4.0 * math.pi
+    return {axis: period * np.arange(n) / n}
+
+
 @pytest.mark.parametrize("band", range(2, 9))
 @pytest.mark.parametrize("axis", ["alphas", "betas", "gammas"])
 def test_quadrature_one_node_fewer_on_any_axis_misintegrates(axis, band):
     # alpha aliases D^{B/2}_{B/2,n} against D^{B/2}_{-B/2,n}, gamma the same in
-    # n; beta loses one degree on d^{s1} d^{s2} with s1 + s2 = B or B - 1
+    # n; beta loses one degree on d^{s1} d^{s2} with s1 + s2 = B or B - 1.  The
+    # short grid claims band - 1, or at odd band with one beta fewer band - 2:
+    # B and B - 1 need the same (B + 1)/2 Gauss nodes when B is odd
     grid = haar_quadrature_su2(band)
-    n = len(getattr(grid, axis)) - 1
-    if axis == "betas":
-        x, w = np.polynomial.legendre.leggauss(n)
-        fewer = dataclasses.replace(grid, betas=np.arccos(x), beta_weights=w)
-    else:
-        period = 2.0 * math.pi if axis == "alphas" else 4.0 * math.pi
-        fewer = dataclasses.replace(grid, **{axis: period * np.arange(n) / n})
+    claim = band - 2 if axis == "betas" and band % 2 else band - 1
+    fewer = dataclasses.replace(grid, twice_band_limit=claim, **_one_node_fewer(grid, axis))
     assert _gram_error(fewer, (band - 1, band)) > 1e-2
+
+
+@pytest.mark.parametrize("band", range(2, 9))
+@pytest.mark.parametrize("axis", ["alphas", "betas", "gammas"])
+def test_quadrature_grid_refuses_a_band_its_nodes_cannot_carry(axis, band):
+    grid = haar_quadrature_su2(band)
+    with pytest.raises(ValueError, match=f"cannot carry band {band}"):
+        dataclasses.replace(grid, **_one_node_fewer(grid, axis))
 
 
 def test_weight_array_matches_sampled_nodes():

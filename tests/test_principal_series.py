@@ -6,6 +6,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from lorentz_harmonics import LogComplexValue, principal_series
+from lorentz_harmonics.expansion import ExpansionConfig, partial_sum_diagonal
 from lorentz_harmonics.principal_series import (
     EXACT_J_LIMIT,
     EpsilonDomainError,
@@ -313,6 +315,36 @@ def test_ratio_test_informational_flag():
     assert rep.params["informational"] is True
     rep = ratio_test(0, 0.5, 2.0, 60)
     assert rep.params["informational"] is False
+
+
+@pytest.mark.parametrize("m", [0, 2, -3])
+@pytest.mark.parametrize("tau", [0.3, -0.2 + 0.05j])
+@pytest.mark.parametrize("eps", [0.35, 0.85, 1.3, 3.0])
+def test_ratio_test_terms_match_the_batch_sum_bit_for_bit(eps, tau, m):
+    # ratio_test reads its pairs one at a time, partial_sum_diagonal in one
+    # batch: the same (j, log_mag, phase) on both routes, every bit
+    single = ratio_test(m, tau, eps, 120)
+    batch = partial_sum_diagonal(ExpansionConfig(tau=tau, m=m, epsilon=eps, j_max=120))
+    assert [(t.j, t.log_mag, t.phase) for t in single.terms] == [
+        (t.j, t.log_mag, t.phase) for t in batch.terms
+    ]
+    assert len(single.terms) == 121 - max(abs(m), 1)
+
+
+def test_ratio_test_reads_each_term_through_diagonal_coefficient(monkeypatch):
+    # the seam the benchmark's diag-scan check moves a term through; batching
+    # ratio_test must move this test and perfbench/test_bench.py together
+    original = principal_series.diagonal_coefficient
+
+    def moved(j, m, tau, epsilon, method="auto"):
+        v = original(j, m, tau, epsilon, method)
+        return LogComplexValue(v.log_mag + 1e-5, v.phase) if j == 64 else v
+
+    want = {t.j: t.log_mag for t in ratio_test(1, 0.2, 0.85, 120).terms}
+    monkeypatch.setattr(principal_series, "diagonal_coefficient", moved)
+    got = {t.j: t.log_mag for t in principal_series.ratio_test(1, 0.2, 0.85, 120).terms}
+    assert got[64] == want[64] + 1e-5
+    assert all(got[j] == want[j] for j in want if j != 64)
 
 
 def test_ratio_test_preconditions():
