@@ -5,7 +5,8 @@ single JSON envelope {command, params, report} (validating against
 schemas/report.schema.json) or a CSV flattening of that envelope with a
 fixed column order (_csv_text; a series report gives one row per term).
 Exit codes: 0 success, 1 numerical failure, 2 domain/usage error (including
-non-finite --tau/--eps and unreadable or malformed files).
+non-finite --tau/--eps and unreadable or malformed files).  A ymap past its
+table's band writes one line to stderr, `warning: <message>`.
 The parser is built once per process, so an in-process caller of main pays
 only for its request.
 """
@@ -19,6 +20,7 @@ import io
 import json
 import math
 import sys
+import warnings
 from typing import Optional, Sequence
 
 from . import expansion, principal_series, ymap
@@ -133,9 +135,14 @@ def cmd_ymap(args, cfg: RunConfig) -> dict:
         epsilon=_resolve_epsilon(args, cfg),
         cauchy_tolerance=cfg.cauchy_tolerance, cauchy_window=cfg.cauchy_window,
     )
-    payload = _series_payload("ymap", ymap.ymap_apply(req))
-    if args.bounds:
-        payload["report"]["bounds"] = to_json(ymap.ymap_convergence_report(req))
+    # one stderr line per warning, without the file and source line of showwarning
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        payload = _series_payload("ymap", ymap.ymap_apply(req))
+        if args.bounds:
+            payload["report"]["bounds"] = to_json(ymap.ymap_convergence_report(req))
+    for w in caught:
+        print(f"warning: {w.message}", file=sys.stderr)
     return payload
 
 

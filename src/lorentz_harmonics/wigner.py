@@ -64,8 +64,8 @@ def _jy_eigenbasis(twice_j: int) -> tuple[tuple[float, ...], ...]:
 _POWERS_OF_MINUS_I = (1.0, -1j, -1.0, 1j)
 
 
-def _small_d(twice_j: int, twice_m: int, twice_n: int, beta):
-    """d^{j}_{m n}(beta) for a float or an array of beta.
+def _small_d(twice_j: int, twice_m: int, twice_n: int, beta: float) -> float:
+    """d^{j}_{m n}(beta).
 
     With V the eigenbasis of J_y, d^j(beta) = V diag(e^{-i m_k beta}) V^H, so
     an entry is the trigonometric polynomial sum_k V[m, k] conj(V[n, k])
@@ -75,13 +75,23 @@ def _small_d(twice_j: int, twice_m: int, twice_n: int, beta):
     """
     rows = _jy_eigenbasis(twice_j)
     a, b = (twice_j + twice_m) // 2, (twice_j + twice_n) // 2
-    exp = np.exp if isinstance(beta, np.ndarray) else cmath.exp
-    z = exp(-1j * beta)
+    z = cmath.exp(-1j * beta)
     total = 0j
     for x, y in zip(reversed(rows[a]), reversed(rows[b])):
         total = total * z + x * y
     # V[a, k] conj(V[b, k]) = (-i)^(a - b) W[a, k] W[b, k]
-    return (_POWERS_OF_MINUS_I[(a - b) % 4] * total * exp(0.5j * twice_j * beta)).real
+    return (_POWERS_OF_MINUS_I[(a - b) % 4] * total * cmath.exp(0.5j * twice_j * beta)).real
+
+
+@functools.lru_cache(maxsize=128)
+def _d_row_weights(twice_j: int, twice_m: int) -> np.ndarray:
+    """The weights V[m, k] conj(V[n, k]) of _small_d for row m, n on axis 0 and k
+    on axis 1, read-only: (weights @ phases).real is d^{j}_{m n}(beta) for every
+    n, from phases[k] = e^{-i m_k beta} (m_k = -j..j) with betas on further axes."""
+    w, a = np.array(_jy_eigenbasis(twice_j)), (twice_j + twice_m) // 2
+    weights = np.array(_POWERS_OF_MINUS_I)[(a - np.arange(twice_j + 1)) % 4, None] * w * w[a]
+    weights.setflags(write=False)
+    return weights
 
 
 def wigner_small_d(spin: SpinLabel, twice_m: int, twice_n: int, beta: float) -> float:
@@ -182,59 +192,60 @@ def su2_fourier(
     """Fourier coefficients sqrt(twice_j + 1) * integral of phi * conj(D-entry)
     over SU(2), along the row index |p|/2, up to the requested band.
 
-    The default grid, haar_quadrature_su2(band_limit), is exact for phi band-limited
-    to band_limit: band_limit + 1 alphas, band_limit // 2 + 1 Gauss-Legendre betas
-    and 2 band_limit + 1 gammas. Pass a grid of a higher band for wider content.
+    The default grid, haar_quadrature_su2(band_limit, row=|p|), is exact for phi
+    band-limited to band_limit: (band_limit + |p|) // 2 + 1 alphas, band_limit // 2 + 1
+    Gauss-Legendre betas and 2 band_limit + 1 gammas. Pass a grid of a higher band
+    for wider content, full (row None) or of row |p|; another row raises ValueError.
     """
     p = int(p)
+    row = abs(p)
     band_limit = int(band_limit)
     if band_limit < 0:
         raise ValueError("band_limit must be non-negative")
     if grid is None:
-        grid = haar_quadrature_su2(band_limit)
+        grid = haar_quadrature_su2(band_limit, row)
+    if grid.row is not None and grid.row != row:
+        raise ValueError(f"the grid carries row {grid.row}, not the transform row |p| = {row}")
     if grid.twice_band_limit < band_limit:
         warnings.warn(
             f"quadrature band {grid.twice_band_limit} is below the transform band "
             f"{band_limit}; coefficients beyond the grid band are unreliable",
             stacklevel=2,
         )
-    values = grid.sample(phi)
-    weighted = values * grid.weight_array()
+    weighted = grid.sample(phi) * grid.weight_array()
     mass = float(np.sum(np.abs(weighted)))
     # bound on the contraction roundoff: measured errors are 0.03 to 0.22 of
     # eps sqrt(N) mass (bands 8 to 24), so the factor 64 leaves >= 290x
     # headroom and still sits far below genuinely resolved rows
     floor = 64.0 * _EPS * math.sqrt(grid.n_nodes) * mass
 
-    # alpha contraction against conj of the fixed-row character e^{-i(|p|/2) a}
-    ea = np.exp(0.5j * abs(p) * grid.alphas)
-    A = np.tensordot(ea, weighted, axes=(0, 0))  # (n_beta, n_gamma)
-
-    tms = np.array([tm for tm in range(-band_limit, band_limit + 1)
-                    if (tm - abs(p)) % 2 == 0])
-    if len(tms) == 0:
-        return FourierTableSU2(p, band_limit, {}, noise_floor=floor)
-    EG = np.exp(0.5j * np.outer(grid.gammas, tms))
-    G = A @ EG  # (n_beta, n_tm)
+    # contract alpha against conj(e^{-i(|p|/2) a}), gamma against conj(e^{-i (tm/2) g})
+    # for tm = -band..band (column band + tm), then beta against each spin's d-row
+    A = np.tensordot(np.exp(0.5j * row * grid.alphas), weighted, axes=(0, 0))
+    tms = np.arange(-band_limit, band_limit + 1)
+    G = A @ np.exp(0.5j * np.outer(grid.gammas, tms))  # (n_beta, n_tm)
+    phases = np.exp(-0.5j * np.outer(tms, grid.betas))  # (n_tm, n_beta)
 
     entries: dict[tuple[int, int], complex] = {}
-    tm_index = {int(tm): i for i, tm in enumerate(tms)}
-    for tj in range(abs(p), band_limit + 1, 2):
-        scale = math.sqrt(tj + 1.0)
-        for tm in range(-tj, tj + 1, 2):
-            dvals = _small_d(tj, abs(p), tm, grid.betas)
-            entries[(tj, tm)] = scale * complex(np.dot(dvals, G[:, tm_index[tm]]))
+    for tj in range(row, band_limit + 1, 2):
+        span = slice(band_limit - tj, band_limit + tj + 1, 2)
+        d = (_d_row_weights(tj, row) @ phases[span]).real  # (tj + 1, n_beta)
+        column = math.sqrt(tj + 1.0) * np.einsum("nk,kn->n", d, G[:, span])
+        entries.update(zip([(tj, tm) for tm in range(-tj, tj + 1, 2)], column.tolist()))
     return FourierTableSU2(p, band_limit, entries, noise_floor=floor)
 
 
 def synthesize_su2(table: FourierTableSU2, u: SU2Element) -> complex:
     """Evaluate the function represented by a Fourier table at a group point:
-    sum over entries of sqrt(twice_j + 1) * entry * D-entry(u)."""
-    total = 0j
-    row = abs(table.p)
-    for (tj, tm), v in table.entries.items():
-        total += math.sqrt(tj + 1.0) * v * wigner_D(SpinLabel(tj), row, tm, u)
-    return total
+    sum over entries of sqrt(twice_j + 1) * entry * D-entry(u), one d-row per spin."""
+    alpha, beta, gamma = u.euler_angles()
+    row, B = abs(table.p), table.band_limit
+    phases = np.exp(-0.5j * beta * np.arange(-B, B + 1))
+    d = {tj: (_d_row_weights(tj, row) @ phases[B - tj:B + tj + 1:2]).real
+         for tj in {tj for tj, _ in table.entries}}
+    total = sum(math.sqrt(tj + 1.0) * v * d[tj][(tj + tm) // 2] * cmath.exp(-0.5j * tm * gamma)
+                for (tj, tm), v in table.entries.items())
+    return cmath.exp(-0.5j * row * alpha) * total
 
 
 def parseval_sum(table: FourierTableSU2) -> float:
@@ -271,20 +282,13 @@ def paley_wiener_report(table: FourierTableSU2, powers: Sequence[int]) -> PaleyW
 
     scaled: dict[int, tuple[float, ...]] = {}
     flags: dict[int, bool] = {}
-    half_start = table.band_limit / 2.0
-    top_idx = [i for i, tj in enumerate(tjs) if tj >= half_start]
+    top_idx = [i for i, tj in enumerate(tjs) if tj >= table.band_limit / 2.0]
     for n in powers:
         n = int(n)
         if n < 0:
             raise ValueError("powers must be natural numbers")
-        seq = tuple(s * (tj / 2.0) ** n if n > 0 else s for s, tj in zip(sup_f, tjs))
-        scaled[n] = seq
-        ok = True
-        for i0, i1 in zip(top_idx, top_idx[1:]):
-            if seq[i1] > seq[i0] * (1.0 + 1e-12):
-                ok = False
-                break
-        flags[n] = ok
+        seq = scaled[n] = tuple(s * (tj / 2.0) ** n if n > 0 else s for s, tj in zip(sup_f, tjs))
+        flags[n] = all(seq[i1] <= seq[i0] * (1.0 + 1e-12) for i0, i1 in zip(top_idx, top_idx[1:]))
     return PaleyWienerReport(
         p=table.p,
         band_limit=table.band_limit,

@@ -469,9 +469,29 @@ def test_ymap_bounds_warns_once(tmp_path, capsys):
         code = main(["ymap", "--table", str(path), "--tau", "0.3", "--eps", "2",
                      "--jmax", "6", "--bounds"])
     assert code == 0
-    assert [str(w.message) for w in caught if "table band" in str(w.message)] == [
-        "table band 2 is below j_max = 6; tail terms use the zero-extension"
+    assert capsys.readouterr().err.splitlines() == [
+        "warning: table band 2 is below j_max = 6; tail terms use the zero-extension"
     ]
+    assert not caught
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_ymap_band_warning_is_one_stderr_line(fmt, tmp_path, capsys):
+    # no file path or source line of the warning's caller, whatever the filters
+    path = tmp_path / "t.json"
+    path.write_text(json.dumps(FourierTableSU2(0, 4, {(0, 0): 1.0 + 0j}).to_json_dict()))
+    argv = ["ymap", "--table", str(path), "--tau", "0.3", "--eps", "2", "--jmax", "6",
+            "--format", fmt]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 0 and captured.out
+    assert captured.err == (
+        "warning: table band 4 is below j_max = 6; tail terms use the zero-extension\n"
+    )
+    assert main(argv[:-4] + ["--jmax", "4"]) == 0
+    assert capsys.readouterr().err == ""
 
 
 def test_to_json_encodes_dataclasses_field_by_field():

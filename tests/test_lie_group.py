@@ -286,6 +286,38 @@ def test_quadrature_grid_refuses_a_band_its_nodes_cannot_carry(axis, band):
         dataclasses.replace(grid, **_one_node_fewer(grid, axis))
 
 
+@pytest.mark.parametrize("band", range(0, 9))
+@pytest.mark.parametrize("row", [0, 1, 2, 3, 10])
+def test_row_grid_node_counts(row, band):
+    grid = haar_quadrature_su2(band, row=row)
+    assert (grid.row, len(grid.alphas)) == (row, (band + row) // 2 + 1)
+    full = haar_quadrature_su2(band)
+    assert full.row is None and len(full.alphas) == band + 1
+    for axis in ("betas", "beta_weights", "gammas"):
+        assert np.array_equal(getattr(grid, axis), getattr(full, axis))
+
+
+@pytest.mark.parametrize(
+    "row, band", [(row, band) for row in range(4) for band in range(9) if band + row >= 2]
+)
+def test_row_grid_refuses_alphas_that_cannot_carry_its_row(row, band):
+    grid = haar_quadrature_su2(band, row=row)
+    with pytest.raises(ValueError, match=f"alphas cannot carry band {band} on row {row}"):
+        dataclasses.replace(grid, **_one_node_fewer(grid, "alphas"))
+    # relabelling a grid with a row further out asks for more alphas
+    with pytest.raises(ValueError, match="cannot carry"):
+        dataclasses.replace(grid, row=row + 2)
+    # a full grid's alphas carry every row up to the band
+    assert dataclasses.replace(haar_quadrature_su2(band), row=min(row, band)).row == min(row, band)
+
+
+def test_grid_rejects_a_negative_row():
+    with pytest.raises(ValueError, match="row"):
+        haar_quadrature_su2(4, row=-1)
+    with pytest.raises(ValueError, match="row"):
+        dataclasses.replace(haar_quadrature_su2(4), row=-2)
+
+
 def test_weight_array_matches_sampled_nodes():
     grid = haar_quadrature_su2(2)
     weights = grid.weight_array()

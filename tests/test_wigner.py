@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import mpmath
@@ -151,6 +152,21 @@ def test_small_d_orthogonal_and_additive(tj, beta1, beta2):
     assert np.max(np.abs(d1 @ d2 - small_d_matrix(tj, beta1 + beta2))) < 1e-12
 
 
+SEEDED_BETAS = np.concatenate([[0.0, math.pi], np.random.default_rng(24).uniform(0, math.pi, 50)])
+
+
+@pytest.mark.parametrize("tj", [0, 1, 2, 3, 4, 5, 8, 11, 16, 23, 24, 31, 40, 47, 48])
+def test_small_d_row_matches_entries(tj):
+    # rows |p|/2 <= 3/2, as su2_fourier reads them, and the extreme rows; over
+    # an array of betas as in the beta stage
+    phases = np.exp(-0.5j * np.outer(np.arange(-tj, tj + 1, 2), SEEDED_BETAS))
+    for tm in sorted({-tj, tj} | {r for r in range(4) if r <= tj and (tj - r) % 2 == 0}):
+        got = (wigner._d_row_weights(tj, tm) @ phases).real
+        want = [[wigner._small_d(tj, tm, tn, b) for b in SEEDED_BETAS.tolist()]
+                for tn in range(-tj, tj + 1, 2)]
+        assert np.max(np.abs(got - np.array(want))) < 1e-14
+
+
 def test_index_validation():
     with pytest.raises(WignerIndexError):
         wigner_small_d(SpinLabel(2), 1, 0, 0.5)  # parity mismatch
@@ -267,15 +283,15 @@ def test_fourier_underresolution_warning():
 def test_fourier_default_grid_is_the_transform_band(monkeypatch):
     built = []
 
-    def recording_grid(twice_band_limit):
-        built.append(haar_quadrature_su2(twice_band_limit))
+    def recording_grid(twice_band_limit, row=None):
+        built.append(haar_quadrature_su2(twice_band_limit, row))
         return built[-1]
 
     monkeypatch.setattr(wigner, "haar_quadrature_su2", recording_grid)
     calls = []
     su2_fourier(lambda u: calls.append(u) or 1.0 + 0j, p=1, band_limit=7)
-    assert [g.twice_band_limit for g in built] == [7]
-    assert len(calls) == built[0].n_nodes == 8 * 4 * 15
+    assert [(g.twice_band_limit, g.row) for g in built] == [(7, 1)]
+    assert len(calls) == built[0].n_nodes == 5 * 4 * 15
 
 
 @pytest.mark.parametrize("band", [5, 6, 9])
@@ -300,13 +316,121 @@ def test_fourier_mixed_parity_matches_closed_form(p, band):
         return sum(c * wigner_D(SpinLabel(tj), row, tm, u) for tj, row, tm, c in terms)
 
     tab = su2_fourier(phi, p=p, band_limit=band)
-    assert len(calls) == (band + 1) * (band // 2 + 1) * (2 * band + 1)
+    assert len(calls) == ((band + p) // 2 + 1) * (band // 2 + 1) * (2 * band + 1)
     want = {}
     for tj, row, tm, c in terms:
         if row == p:
             want[(tj, tm)] = want.get((tj, tm), 0j) + c / math.sqrt(tj + 1.0)
     assert set(want) <= set(tab.entries)
     assert max(abs(v - want.get(k, 0j)) for k, v in tab.entries.items()) < 1e-12
+
+
+def _terms_on_every_row(p, band):
+    """D-entries up to the band on rows -tj/2 and tj/2 of every spin, so on
+    every row from -band/2 to band/2, and on row p/2 where it exists."""
+    rng = np.random.default_rng(100 * p + band)
+    terms = []
+    for tj in range(band + 1):
+        rows = {-tj, tj} | ({p} if tj >= p and (tj - p) % 2 == 0 else set())
+        for row in sorted(rows):
+            tm = int(rng.integers(0, tj + 1)) * 2 - tj
+            terms.append((tj, row, tm, complex(rng.normal(), rng.normal())))
+    return terms
+
+
+def _row_table_error(p, band, grid=None):
+    terms = _terms_on_every_row(p, band)
+
+    def phi(u):
+        return sum(c * wigner_D(SpinLabel(tj), row, tm, u) for tj, row, tm, c in terms)
+
+    tab = su2_fourier(phi, p=p, band_limit=band, grid=grid)
+    want = {}
+    for tj, row, tm, c in terms:
+        if row == p:
+            want[(tj, tm)] = want.get((tj, tm), 0j) + c / math.sqrt(tj + 1.0)
+    return max((abs(v - want.get(k, 0j)) for k, v in tab.entries.items()), default=0.0)
+
+
+P_AND_BAND = [(p, band) for p in range(4) for band in range(p, 13)]
+
+
+@pytest.mark.parametrize("p, band", P_AND_BAND)
+def test_row_grid_matches_closed_form_on_every_row(p, band):
+    assert _row_table_error(p, band) < 1e-12
+
+
+@pytest.mark.parametrize("p, band", [(p, b) for p, b in P_AND_BAND if p + b >= 2])
+@pytest.mark.filterwarnings("ignore:quadrature band")
+def test_row_grid_with_one_alpha_fewer_misintegrates(p, band):
+    # row tj = top spin of p's parity, column -tj/2 puts alpha frequency
+    # (band + p)//2 on the row integrals, which one alpha fewer aliases to 0;
+    # the short grid claims band - 1, or band - 2 where band + p is odd
+    grid = haar_quadrature_su2(band, row=p)
+    n = len(grid.alphas) - 1
+    claim = band - 1 if (band + p) % 2 == 0 else band - 2
+    fewer = dataclasses.replace(grid, twice_band_limit=claim,
+                                alphas=2.0 * math.pi * np.arange(n) / n)
+    assert _row_table_error(p, band, fewer) > 1e-2
+
+
+def test_fourier_accepts_a_full_grid_or_its_own_row_only():
+    def phi(u):
+        return wigner_D(SpinLabel(3), 1, -1, u) + wigner_D(SpinLabel(4), -2, 2, u)
+
+    by_row = su2_fourier(phi, p=-1, band_limit=4)
+    by_full = su2_fourier(phi, p=-1, band_limit=4, grid=haar_quadrature_su2(4))
+    by_wider_row = su2_fourier(phi, p=-1, band_limit=4, grid=haar_quadrature_su2(6, row=1))
+    for tab in (by_row, by_full, by_wider_row):
+        assert tab.get(3, -1) == pytest.approx(0.5, abs=1e-12)
+        assert max(abs(v) for k, v in tab.entries.items() if k != (3, -1)) < 1e-12
+    for row in (0, 3):
+        with pytest.raises(ValueError, match="carries row"):
+            su2_fourier(phi, p=-1, band_limit=4, grid=haar_quadrature_su2(4, row=row))
+
+
+@pytest.mark.parametrize("p", [0, 1, 2, 3])
+def test_fourier_beta_stage_matches_per_entry_small_d(p):
+    # the whole transform as one sum over the nodes per entry, with _small_d
+    # per entry and node, the contraction order of a per-entry transform, on a
+    # phi that is not band-limited
+    band = 12
+    grid = haar_quadrature_su2(band, row=p)
+
+    def phi(u):
+        return complex(math.exp((u.matrix[0, 0] + u.matrix[1, 1]).real)) + u.matrix[0, 1]
+
+    tab = su2_fourier(phi, p=p, band_limit=band, grid=grid)
+    weighted = grid.sample(phi) * grid.weight_array()
+    ea = np.exp(0.5j * p * grid.alphas)[:, None, None]
+    for (tj, tm), v in tab.entries.items():
+        d = np.array([wigner._small_d(tj, p, tm, b) for b in grid.betas.tolist()])
+        eg = np.exp(0.5j * tm * grid.gammas)
+        want = math.sqrt(tj + 1.0) * np.sum(weighted * ea * d[None, :, None] * eg[None, None, :])
+        assert abs(v - want) < 1e-14
+
+
+@pytest.mark.parametrize("p", [0, 1])
+def test_synthesis_matches_per_entry_wigner_D(p):
+    # spins up to 24 at 50 seeded points and at beta = 0 and pi, the
+    # degenerate branches of euler_angles; coefficients scaled so that the
+    # sum of |sqrt(tj + 1) entry| is 1
+    rng = np.random.default_rng(7 + p)
+    band = 48 - p
+    keys = [(tj, tm) for tj in range(p, band + 1, 2) for tm in range(-tj, tj + 1, 2)]
+    raw = rng.normal(size=len(keys)) + 1j * rng.normal(size=len(keys))
+    scale = sum(math.sqrt(tj + 1.0) * abs(c) for (tj, _), c in zip(keys, raw))
+    table = FourierTableSU2(p, band, dict(zip(keys, (raw / scale).tolist())))
+    points = [su2_from_euler(1.1, 0.0, 2.3), su2_from_euler(4.0, math.pi, 0.7)] + [
+        su2_from_euler(a, b, g)
+        for a, b, g in zip(rng.uniform(0, 2 * math.pi, 50), rng.uniform(0, math.pi, 50),
+                           rng.uniform(0, 4 * math.pi, 50))
+    ]
+    assert [u.euler_angles()[1] for u in points[:2]] == [0.0, math.pi]
+    for u in points:
+        want = sum(math.sqrt(tj + 1.0) * v * wigner_D(SpinLabel(tj), p, tm, u)
+                   for (tj, tm), v in table.entries.items())
+        assert abs(synthesize_su2(table, u) - want) < 1e-14
 
 
 @pytest.mark.parametrize("band", [8, 12, 24])
