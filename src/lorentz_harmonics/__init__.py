@@ -23,7 +23,6 @@ from .lie_group import (
     SU2Element,
     cartan_decompose,
     epsilon_of,
-    haar_quadrature_su2,
     su2_from_euler,
 )
 from .logcomplex import LogComplexValue, log_sum

@@ -11,6 +11,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from .special import gauss_legendre
+
 
 class MatrixInvariantError(ValueError):
     """A matrix fails its group-membership invariant."""
@@ -156,12 +158,6 @@ class CartanFactors:
         if self.epsilon < 1.0 - 1e-12:
             raise ValueError(f"epsilon = {self.epsilon} violates the eps >= 1 convention")
 
-    def boost_matrix(self) -> np.ndarray:
-        return np.diag([1.0 / self.epsilon, self.epsilon]).astype(complex)
-
-    def recompose(self) -> SL2CElement:
-        return SL2CElement(self.u1.matrix @ self.boost_matrix() @ self.u2.matrix, tol=1e-9)
-
 
 # Largest eps - 1 that cartan_decompose treats as no boost at all
 _DEGENERACY_TOL = 1e-12
@@ -209,46 +205,46 @@ def epsilon_of(g: SL2CElement) -> float:
     return max(float(sv[0]), 1.0)
 
 
-def _alpha_count(twice_band_limit: int, row: int | None) -> int:
-    """Uniform alphas that carry band B on every row (None) or on row |p| alone."""
-    return twice_band_limit + 1 if row is None else (twice_band_limit + row) // 2 + 1
-
-
 @dataclass(frozen=True, eq=False)
 class QuadratureGrid:
-    """Tensor quadrature on SU(2), exact for products of matrix-coefficient
-    entries up to the stated band.
+    """The smallest tensor grid on SU(2) integrating conj(D^{s1}) D^{s2}
+    exactly for 2 s1, 2 s2 <= B = twice_band_limit, with normalized Haar
+    weights (they sum to 1): B + 1 uniform alphas on [0, 2pi)
+    (|m1 - m2| <= B), 2B + 1 uniform gammas on [0, 4pi) (|2(n1 - n2)| <= 2B,
+    and a mixed-parity product sums to exactly zero) and B//2 + 1
+    Gauss-Legendre betas (d^{s1}_{mn} d^{s2}_{mn} is a polynomial of degree
+    s1 + s2 <= B in cos beta): (B + 1)(B//2 + 1)(2B + 1) nodes.
 
-    Uniform nodes in alpha over [0, 2pi) and gamma over [0, 4pi), and
-    Gauss-Legendre nodes in cos(beta).  Weights are normalized Haar measure
-    (they sum to 1).  row = |p| marks a grid exact only against the D-entries
-    of row |p|/2; None means every row.  Immutable and safe to share across
-    threads.  Raises ValueError where the nodes cannot carry the band on row.
+    row = |p| builds the grid of su2_fourier's integrals alone, phi
+    band-limited to B against conj(D^{s}_{|p|/2, n}): their alpha frequencies
+    |p|/2 - m' with |m'| <= B/2 need min(B, (B + |p|)//2) + 1 alphas (a row
+    beyond B has no entries).  It is not exact for every Gram product.  None
+    means every row.  The read-only node arrays are built from (B, row); a
+    negative B or row raises ValueError.  Immutable and safe to share across
+    threads.
     """
 
     twice_band_limit: int
-    alphas: np.ndarray
-    betas: np.ndarray
-    beta_weights: np.ndarray
-    gammas: np.ndarray
     row: int | None = None
+    alphas: np.ndarray = field(init=False, repr=False)
+    betas: np.ndarray = field(init=False, repr=False)
+    beta_weights: np.ndarray = field(init=False, repr=False)
+    gammas: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        if self.row is not None and self.row < 0:
-            raise ValueError(f"row must be |p| >= 0, got {self.row}")
-        for name in ("alphas", "betas", "beta_weights", "gammas"):
-            arr = np.asarray(getattr(self, name), dtype=float).copy()
-            if arr.ndim != 1 or arr.size == 0:
-                raise ValueError(f"{name} must be a non-empty 1-D array, got shape {arr.shape}")
+        B, row = self.twice_band_limit, self.row
+        if B < 0:
+            raise ValueError("band limit must be non-negative")
+        if row is not None and row < 0:
+            raise ValueError(f"row must be |p| >= 0, got {row}")
+        n_alpha = B + 1 if row is None else min(B, (B + row) // 2) + 1
+        x, weights = gauss_legendre(B // 2 + 1)
+        nodes = {"alphas": 2.0 * math.pi * np.arange(n_alpha) / n_alpha,
+                 "betas": np.arccos(x), "beta_weights": weights,
+                 "gammas": 4.0 * math.pi * np.arange(2 * B + 1) / (2 * B + 1)}
+        for name, arr in nodes.items():
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
-        if self.beta_weights.shape != self.betas.shape:
-            raise ValueError(f"{self.beta_weights.size} beta_weights for {self.betas.size} betas")
-        B, on_row = self.twice_band_limit, "" if self.row is None else f" on row {self.row}"
-        needs = (("alphas", _alpha_count(B, self.row)), ("betas", B // 2 + 1), ("gammas", 2 * B + 1))
-        for name, need in needs:
-            if getattr(self, name).size < need:
-                raise ValueError(f"{getattr(self, name).size} {name} cannot carry band {B}{on_row}")
 
     @property
     def n_nodes(self) -> int:
@@ -271,29 +267,6 @@ class QuadratureGrid:
             row[:] = [phi(SU2Element._checked(m, _EULER_TOL)) for m in stack]
         return out
 
-    def integrate(self, phi: Callable[[SU2Element], complex]) -> complex:
-        return complex(np.sum(self.sample(phi) * self.weight_array()))
-
-
-def haar_quadrature_su2(twice_band_limit: int, row: int | None = None) -> QuadratureGrid:
-    """The smallest tensor grid integrating conj(D^{s1}) D^{s2} exactly for
-    2 s1, 2 s2 <= B = twice_band_limit: B + 1 uniform alphas on [0, 2pi)
-    (|m1 - m2| <= B), 2B + 1 uniform gammas on [0, 4pi) (|2(n1 - n2)| <= 2B,
-    and a mixed-parity product sums to exactly zero) and B//2 + 1
-    Gauss-Legendre betas (d^{s1}_{mn} d^{s2}_{mn} is a polynomial of degree
-    s1 + s2 <= B in cos beta): (B + 1)(B//2 + 1)(2B + 1) nodes.  With row = |p|
-    it carries the integrals of su2_fourier only, phi band-limited to B against
-    conj(D^{s}_{|p|/2, n}): their alpha frequencies |p|/2 - m' with |m'| <= B/2
-    need (B + |p|)//2 + 1 alphas.  It is not exact for every Gram product."""
-    B = int(twice_band_limit)
-    if B < 0:
-        raise ValueError("band limit must be non-negative")
-    n_alpha = _alpha_count(B, row)
-    alphas = 2.0 * math.pi * np.arange(n_alpha) / n_alpha
-    gammas = 4.0 * math.pi * np.arange(2 * B + 1) / (2 * B + 1)
-    x, wq = np.polynomial.legendre.leggauss(B // 2 + 1)
-    return QuadratureGrid(B, alphas, np.arccos(x), wq, gammas, row)
-
 
 __all__ = [
     "CartanFactors",
@@ -303,6 +276,5 @@ __all__ = [
     "SU2Element",
     "cartan_decompose",
     "epsilon_of",
-    "haar_quadrature_su2",
     "su2_from_euler",
 ]

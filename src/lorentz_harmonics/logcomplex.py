@@ -7,7 +7,6 @@ converted to an ordinary complex number on explicit request.
 """
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from typing import Iterable
@@ -16,7 +15,7 @@ import numpy as np
 
 TWO_PI = 2.0 * math.pi
 
-# exp() overflows just above this; used by to_complex() overflow checks
+# exp() overflows just above this; used by to_complex_values' overflow check
 _LOG_MAX_DOUBLE = math.log(1.7976931348623157e308)
 
 
@@ -47,14 +46,6 @@ def wrap_phases(phi):
     if isinstance(y, float):
         return math.pi if y == -math.pi else y
     return np.where(y == -math.pi, math.pi, y)
-
-
-def _rect(log_mag: float, phase: float) -> complex:
-    if log_mag == -math.inf:
-        return 0j
-    if log_mag > _LOG_MAX_DOUBLE:
-        raise OverflowError(f"log-magnitude {log_mag:.6g} exceeds double-precision range")
-    return cmath.rect(math.exp(log_mag), phase)
 
 
 def to_complex_values(log_mag: np.ndarray, phase: np.ndarray) -> np.ndarray:
@@ -113,7 +104,7 @@ class LogComplexValue:
         Raises OverflowError when the magnitude is not representable in double
         precision; callers opt into that risk explicitly.
         """
-        return _rect(self.log_mag, self.phase)
+        return complex(to_complex_values(np.array(self.log_mag), np.array(self.phase)))
 
     def __mul__(self, other: "LogComplexValue") -> "LogComplexValue":
         if not isinstance(other, LogComplexValue):

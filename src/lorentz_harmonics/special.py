@@ -322,10 +322,10 @@ def check_cancellation(cancellation, weight=1.0) -> None:
 
 
 @functools.cache
-def _gauss_rule() -> tuple[np.ndarray, np.ndarray]:
-    """The _GAUSS_NODES-point Gauss-Legendre rule on [0, 1], built on first
-    use by Newton's method (importing numpy.polynomial costs ms and ~1 MB)."""
-    n = _GAUSS_NODES
+def gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The n-point Gauss-Legendre rule on [-1, 1] as read-only (nodes in
+    descending order, weights), built on first use by Newton's method
+    (importing numpy.polynomial costs ms and ~1 MB)."""
     x = np.cos(math.pi * (np.arange(n) + 0.75) / (n + 0.5))
     for _ in range(8):
         p0, p1 = np.ones(n), x
@@ -333,7 +333,10 @@ def _gauss_rule() -> tuple[np.ndarray, np.ndarray]:
             p0, p1 = p1, ((2 * k - 1) * x * p1 - (k - 1) * p0) / k
         slope = n * (x * p1 - p0) / (x * x - 1.0)
         x = x - p1 / slope
-    return 0.5 * (x + 1.0), 1.0 / ((1.0 - x * x) * slope * slope)
+    weights = 2.0 / ((1.0 - x * x) * slope * slope)
+    x.setflags(write=False)
+    weights.setflags(write=False)
+    return x, weights
 
 
 def _half_panels(c: float, start: float, turn: float) -> tuple[np.ndarray, np.ndarray]:
@@ -354,9 +357,10 @@ def _half_panels(c: float, start: float, turn: float) -> tuple[np.ndarray, np.nd
     lo[step == 0] = ends[panel[step == 0]]
     last = step == splits[panel] - 1
     hi[last] = ends[panel[last] + 1]
-    nodes, weights = _gauss_rule()
+    # the rule on [0, 1]: scaling by 0.5 is exact
+    x, weights = gauss_legendre(_GAUSS_NODES)
     width = (hi - lo)[:, None]
-    return (lo[:, None] + width * nodes).ravel(), (width * weights).ravel()
+    return (lo[:, None] + width * (0.5 * (x + 1.0))).ravel(), (width * (0.5 * weights)).ravel()
 
 
 def triple_block_log(js, tau: complex, epsilon: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -654,6 +658,7 @@ __all__ = [
     "check_cancellation",
     "check_epsilon",
     "check_saddle_pair",
+    "gauss_legendre",
     "hyp2f1",
     "hyp2f1_rows",
     "log_gamma",

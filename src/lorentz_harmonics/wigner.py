@@ -16,7 +16,7 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .lie_group import QuadratureGrid, SU2Element, haar_quadrature_su2
+from .lie_group import QuadratureGrid, SU2Element
 
 _EPS = float(np.finfo(float).eps)
 
@@ -34,10 +34,6 @@ class SpinLabel:
     def __post_init__(self) -> None:
         if self.twice_j < 0:
             raise WignerIndexError("twice_j must be non-negative")
-
-    @property
-    def spin(self) -> float:
-        return self.twice_j / 2.0
 
     def check_index(self, twice_m: int) -> None:
         if abs(twice_m) > self.twice_j or (twice_m - self.twice_j) % 2 != 0:
@@ -192,10 +188,11 @@ def su2_fourier(
     """Fourier coefficients sqrt(twice_j + 1) * integral of phi * conj(D-entry)
     over SU(2), along the row index |p|/2, up to the requested band.
 
-    The default grid, haar_quadrature_su2(band_limit, row=|p|), is exact for phi
+    The default grid, QuadratureGrid(band_limit, row=|p|), is exact for phi
     band-limited to band_limit: (band_limit + |p|) // 2 + 1 alphas, band_limit // 2 + 1
     Gauss-Legendre betas and 2 band_limit + 1 gammas. Pass a grid of a higher band
     for wider content, full (row None) or of row |p|; another row raises ValueError.
+    With |p| above band_limit the table is empty and phi is not sampled.
     """
     p = int(p)
     row = abs(p)
@@ -203,7 +200,7 @@ def su2_fourier(
     if band_limit < 0:
         raise ValueError("band_limit must be non-negative")
     if grid is None:
-        grid = haar_quadrature_su2(band_limit, row)
+        grid = QuadratureGrid(band_limit, row)
     if grid.row is not None and grid.row != row:
         raise ValueError(f"the grid carries row {grid.row}, not the transform row |p| = {row}")
     if grid.twice_band_limit < band_limit:
@@ -212,6 +209,8 @@ def su2_fourier(
             f"{band_limit}; coefficients beyond the grid band are unreliable",
             stacklevel=2,
         )
+    if row > band_limit:
+        return FourierTableSU2(p, band_limit, {})
     weighted = grid.sample(phi) * grid.weight_array()
     mass = float(np.sum(np.abs(weighted)))
     # bound on the contraction roundoff: measured errors are 0.03 to 0.22 of

@@ -1,3 +1,5 @@
+import copy
+
 import hypothesis
 import numpy as np
 import pytest
@@ -20,3 +22,13 @@ def random_su2_matrix(rng) -> np.ndarray:
     a = v[0] + 1j * v[1]
     b = v[2] + 1j * v[3]
     return np.array([[a, b], [-np.conj(b), np.conj(a)]])
+
+
+def grid_with(grid, **fields):
+    """A copy of a built QuadratureGrid with some fields overridden, node
+    arrays included: a grid that no constructor builds, whose nodes may
+    disagree with its band."""
+    out = copy.copy(grid)
+    for name, value in fields.items():
+        object.__setattr__(out, name, value)
+    return out

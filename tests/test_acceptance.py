@@ -25,7 +25,7 @@ from lorentz_harmonics.expansion import (
     norm_identity,
     synthesize,
 )
-from lorentz_harmonics.lie_group import haar_quadrature_su2, su2_from_euler
+from lorentz_harmonics.lie_group import QuadratureGrid, su2_from_euler
 from lorentz_harmonics.principal_series import (
     boundary_ratio_test,
     diagonal_coefficient,
@@ -170,7 +170,7 @@ def test_criterion_07_su2_fourier_round_trip(rng):
         )
         worst = max(worst, abs(synthesize_su2(table, u) - phi(u)))
     assert worst < 1e-10
-    grid = haar_quadrature_su2(16)
+    grid = QuadratureGrid(16)
     values = grid.sample(phi)
     l2 = float(np.sum(np.abs(values) ** 2 * grid.weight_array()))
     parseval_gap = abs(l2 - parseval_sum(table))
@@ -187,7 +187,7 @@ def test_criterion_08_coefficient_decay():
     def phi(u):
         return complex(math.exp((u.matrix[0, 0] + u.matrix[1, 1]).real))
 
-    table = su2_fourier(phi, p=0, band_limit=24, grid=haar_quadrature_su2(32))
+    table = su2_fourier(phi, p=0, band_limit=24, grid=QuadratureGrid(32))
     report = paley_wiener_report(table, [0, 1, 2, 3, 4])
     for n in range(5):
         assert report.non_increasing_top_half[n], (n, report.scaled[n])

@@ -6,7 +6,13 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from lorentz_harmonics.logcomplex import LogComplexValue, log_sum, wrap_phase, wrap_phases
+from lorentz_harmonics.logcomplex import (
+    LogComplexValue,
+    log_sum,
+    to_complex_values,
+    wrap_phase,
+    wrap_phases,
+)
 
 finite = st.floats(
     min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False
@@ -82,6 +88,18 @@ def test_overflow_guard():
     big = LogComplexValue(800.0, 0.3)
     with pytest.raises(OverflowError):
         big.to_complex()
+
+
+def test_to_complex_is_one_entry_of_to_complex_values():
+    # the same bits as the array conversion, up to the overflow edge and
+    # through underflow to zero
+    rng = np.random.default_rng(11)
+    values = [LogComplexValue(float(m), float(p)) for m, p in
+              zip(rng.uniform(-760.0, 709.78, 4000), rng.uniform(-math.pi, math.pi, 4000))]
+    values.append(LogComplexValue.zero())
+    want = to_complex_values(np.array([v.log_mag for v in values]),
+                             np.array([v.phase for v in values])).tolist()
+    assert [repr(v.to_complex()) for v in values] == [repr(w) for w in want]
 
 
 def test_log_sum_matches_direct():

@@ -15,6 +15,7 @@ from lorentz_harmonics.expansion import triple_blocks
 from lorentz_harmonics.special import (
     EpsilonDomainError,
     check_cancellation,
+    gauss_legendre,
     triple_block_log,
 )
 from oracle import mp_block_quad, mp_block_sum
@@ -204,12 +205,26 @@ def test_passes_stay_small(monkeypatch):
 
 
 def test_gauss_rule_is_built_on_first_use():
-    # the Gauss rule is built by the first block, not on import, and without
-    # numpy.polynomial (milliseconds and about 1 MB to import)
+    # each Gauss rule is built by its first user, not on import, and without
+    # numpy.polynomial (milliseconds and about 1 MB to import): the grid of
+    # band 8 reads the 5-point rule, su2_fourier at band 4 the 3-point rule
+    # and the triple blocks the 20-point rule
     code = ("import sys, numpy as np; import lorentz_harmonics.cli; "
-            "from lorentz_harmonics import special; "
-            "assert special._gauss_rule.cache_info().currsize == 0; "
-            "special.triple_block_log(np.arange(3), 0.0, 2.0); "
-            "assert special._gauss_rule.cache_info().currsize == 1; "
+            "from lorentz_harmonics import special, su2_fourier, QuadratureGrid; "
+            "from lorentz_harmonics.expansion import triple_blocks; "
+            "assert special.gauss_legendre.cache_info().currsize == 0; "
+            "QuadratureGrid(8); su2_fourier(lambda u: 1.0, p=0, band_limit=4); "
+            "triple_blocks(0.0, 2.0, 3); "
+            "assert special.gauss_legendre.cache_info().currsize == 3; "
             "assert 'numpy.polynomial' not in sys.modules")
     subprocess.run([sys.executable, "-c", code], check=True, env={"PYTHONPATH": SRC})
+
+
+def test_gauss_legendre_matches_numpy():
+    for n in range(1, 201):
+        x, w = gauss_legendre(n)
+        want_x, want_w = np.polynomial.legendre.leggauss(n)
+        # descending nodes, where leggauss sorts them ascending
+        assert np.max(np.abs(x[::-1] - want_x)) < 1e-13, n
+        assert np.max(np.abs(w[::-1] - want_w)) < 1e-13, n
+        assert not x.flags.writeable and not w.flags.writeable

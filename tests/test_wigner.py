@@ -1,4 +1,3 @@
-import dataclasses
 import math
 
 import mpmath
@@ -7,8 +6,9 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from conftest import grid_with
 from lorentz_harmonics import wigner
-from lorentz_harmonics.lie_group import haar_quadrature_su2, su2_from_euler
+from lorentz_harmonics.lie_group import QuadratureGrid, su2_from_euler
 from lorentz_harmonics.wigner import (
     FourierTableSU2,
     SpinLabel,
@@ -275,7 +275,7 @@ def test_fourier_linearity(rng):
 
 
 def test_fourier_underresolution_warning():
-    grid = haar_quadrature_su2(2)
+    grid = QuadratureGrid(2)
     with pytest.warns(UserWarning, match="below the transform band"):
         su2_fourier(lambda u: 1.0 + 0j, p=0, band_limit=6, grid=grid)
 
@@ -284,14 +284,20 @@ def test_fourier_default_grid_is_the_transform_band(monkeypatch):
     built = []
 
     def recording_grid(twice_band_limit, row=None):
-        built.append(haar_quadrature_su2(twice_band_limit, row))
+        built.append(QuadratureGrid(twice_band_limit, row))
         return built[-1]
 
-    monkeypatch.setattr(wigner, "haar_quadrature_su2", recording_grid)
+    monkeypatch.setattr(wigner, "QuadratureGrid", recording_grid)
     calls = []
     su2_fourier(lambda u: calls.append(u) or 1.0 + 0j, p=1, band_limit=7)
     assert [(g.twice_band_limit, g.row) for g in built] == [(7, 1)]
     assert len(calls) == built[0].n_nodes == 5 * 4 * 15
+
+
+def test_fourier_row_beyond_the_band_is_empty_without_sampling():
+    calls = []
+    tab = su2_fourier(lambda u: calls.append(u) or 1.0 + 0j, p=5, band_limit=2)
+    assert (tab.p, tab.band_limit, tab.entries, calls) == (5, 2, {}, [])
 
 
 @pytest.mark.parametrize("band", [5, 6, 9])
@@ -366,11 +372,10 @@ def test_row_grid_with_one_alpha_fewer_misintegrates(p, band):
     # row tj = top spin of p's parity, column -tj/2 puts alpha frequency
     # (band + p)//2 on the row integrals, which one alpha fewer aliases to 0;
     # the short grid claims band - 1, or band - 2 where band + p is odd
-    grid = haar_quadrature_su2(band, row=p)
+    grid = QuadratureGrid(band, row=p)
     n = len(grid.alphas) - 1
     claim = band - 1 if (band + p) % 2 == 0 else band - 2
-    fewer = dataclasses.replace(grid, twice_band_limit=claim,
-                                alphas=2.0 * math.pi * np.arange(n) / n)
+    fewer = grid_with(grid, twice_band_limit=claim, alphas=2.0 * math.pi * np.arange(n) / n)
     assert _row_table_error(p, band, fewer) > 1e-2
 
 
@@ -379,14 +384,14 @@ def test_fourier_accepts_a_full_grid_or_its_own_row_only():
         return wigner_D(SpinLabel(3), 1, -1, u) + wigner_D(SpinLabel(4), -2, 2, u)
 
     by_row = su2_fourier(phi, p=-1, band_limit=4)
-    by_full = su2_fourier(phi, p=-1, band_limit=4, grid=haar_quadrature_su2(4))
-    by_wider_row = su2_fourier(phi, p=-1, band_limit=4, grid=haar_quadrature_su2(6, row=1))
+    by_full = su2_fourier(phi, p=-1, band_limit=4, grid=QuadratureGrid(4))
+    by_wider_row = su2_fourier(phi, p=-1, band_limit=4, grid=QuadratureGrid(6, row=1))
     for tab in (by_row, by_full, by_wider_row):
         assert tab.get(3, -1) == pytest.approx(0.5, abs=1e-12)
         assert max(abs(v) for k, v in tab.entries.items() if k != (3, -1)) < 1e-12
     for row in (0, 3):
         with pytest.raises(ValueError, match="carries row"):
-            su2_fourier(phi, p=-1, band_limit=4, grid=haar_quadrature_su2(4, row=row))
+            su2_fourier(phi, p=-1, band_limit=4, grid=QuadratureGrid(4, row=row))
 
 
 @pytest.mark.parametrize("p", [0, 1, 2, 3])
@@ -395,7 +400,7 @@ def test_fourier_beta_stage_matches_per_entry_small_d(p):
     # per entry and node, the contraction order of a per-entry transform, on a
     # phi that is not band-limited
     band = 12
-    grid = haar_quadrature_su2(band, row=p)
+    grid = QuadratureGrid(band, row=p)
 
     def phi(u):
         return complex(math.exp((u.matrix[0, 0] + u.matrix[1, 1]).real)) + u.matrix[0, 1]
@@ -466,7 +471,7 @@ def test_roundtrip_and_parseval_band_4(rng):
             rng.uniform(0, 2 * math.pi), rng.uniform(0, math.pi), rng.uniform(0, 4 * math.pi)
         )
         assert abs(synthesize_su2(tab, u) - phi(u)) < 1e-10
-    grid = haar_quadrature_su2(8)
+    grid = QuadratureGrid(8)
     values = grid.sample(phi)
     l2 = float(np.sum(np.abs(values) ** 2 * grid.weight_array()))
     assert abs(l2 - parseval_sum(tab)) < 1e-10
