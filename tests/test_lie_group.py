@@ -303,15 +303,30 @@ def test_replacing_the_row_rebuilds_the_alphas(row, band):
     assert len(dataclasses.replace(grid, row=None).alphas) == band + 1
 
 
-def test_grid_nodes_are_derived_and_read_only():
-    grid = QuadratureGrid(4)
-    for axis in ("alphas", "betas", "beta_weights", "gammas"):
-        with pytest.raises(ValueError):
-            getattr(grid, axis)[0] = 0.0
-    with pytest.raises(TypeError):
-        QuadratureGrid(4, None, np.zeros(5))
+def _nodes_of_band(band):
+    """Each axis's nodes as the band alone fixes them, from numpy's own rule."""
+    x, w = np.polynomial.legendre.leggauss(band // 2 + 1)
+    return {"alphas": 2.0 * np.pi * np.arange(band + 1) / (band + 1),
+            "betas": np.sort(np.arccos(x)), "beta_weights": w,
+            "gammas": 4.0 * np.pi * np.arange(2 * band + 1) / (2 * band + 1)}
+
+
+@pytest.mark.parametrize("band", range(2, 9))
+@pytest.mark.parametrize("axis", ["alphas", "betas", "beta_weights", "gammas"])
+def test_grid_nodes_are_derived_and_read_only(axis, band):
+    # the band fixes every axis, so no grid can hold nodes its band cannot carry
+    grid = QuadratureGrid(band)
+    nodes = getattr(grid, axis)
+    want = _nodes_of_band(band)[axis]
+    got = np.sort(nodes) if axis == "betas" else nodes
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want)) < 1e-13
     with pytest.raises(ValueError):
-        dataclasses.replace(grid, alphas=np.zeros(5))
+        nodes[0] = 0.0
+    with pytest.raises(TypeError):
+        QuadratureGrid(band, None, **{axis: want})
+    with pytest.raises(ValueError):
+        dataclasses.replace(grid, **{axis: want})
 
 
 def test_grid_rejects_a_negative_band_or_row():
