@@ -104,7 +104,10 @@ class LogComplexValue:
         Raises OverflowError when the magnitude is not representable in double
         precision; callers opt into that risk explicitly.
         """
-        return complex(to_complex_values(np.array(self.log_mag), np.array(self.phase)))
+        # numpy scalars, not 0-d arrays: the bits of to_complex_values
+        if self.log_mag > _LOG_MAX_DOUBLE:
+            raise OverflowError(f"log-magnitude {self.log_mag:.6g} exceeds double-precision range")
+        return complex(np.exp(np.float64(self.log_mag) + 1j * np.float64(self.phase)))
 
     def __mul__(self, other: "LogComplexValue") -> "LogComplexValue":
         if not isinstance(other, LogComplexValue):

@@ -31,7 +31,8 @@ every series diagnostic also rejects eps = 1 (check_boost).  ratio_test
 reads its coefficients one at a time through diagonal_coefficient;
 boundary_ratio_test reads its track in one batch; both hand their terms to
 reports.series_report as arrays.  A slow series (eps below about 0.47 or
-above 2.1) is summed in 384-term blocks rather than 192 (see
+above 2.1) is summed in 384-term blocks rather than 192, the slowest (eps
+below about 0.36 or above 2.78) in 1536-term blocks (see
 special._sum_series).  Nothing is cached between calls.
 """
 from __future__ import annotations
@@ -296,7 +297,7 @@ def ratio_test(
     The empirical limit is the median of the last 10 ratios.  j runs from
     max(|m|, 1) so every term is well defined.  Terms are read one pair at a
     time through diagonal_coefficient, where the benchmark's check moves one.
-    Batching them waits for ROADMAP item 5's benchmark change, which must move
+    Batching them waits for ROADMAP item 1's benchmark change, which must move
     perfbench/test_bench.py and tests/test_principal_series.py's
     test_ratio_test_reads_each_term_through_diagonal_coefficient together.
     """

@@ -21,9 +21,11 @@ SERIES_TAIL_REL = 1e-17
 _LOG_TAIL = math.log(SERIES_TAIL_REL)
 # Terms per block of the series kernel, a multiple of the SIMD width, so that
 # every row meets the same vector lanes whatever rows share its call; a slow
-# series (see _sum_series) takes blocks of twice this length.
+# series (see _sum_series) takes blocks of twice this length, the slowest of
+# eight times, whose log|t| restarts its cumulative sum every _PIECE terms.
 _BLOCK = 192
-_STEPS = np.arange(2 * _BLOCK, dtype=float)
+_PIECE = 2 * _BLOCK
+_STEPS = np.arange(_PIECE, dtype=float)
 # the kernel's sums (Re, Im, |t|, their Kahan compensations) and unit at n = 0
 _SEED = np.array([[1.0], [0.0], [1.0], [0.0], [0.0], [0.0]])
 _UNIT = np.ones(1, dtype=complex)
@@ -160,12 +162,17 @@ def _sum_series(a, b, c, w: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     Rows share only the numpy calls of a block, so a row's value does not
     depend on the other rows summed with it.
 
-    Blocks are 2 * _BLOCK terms long where the tail at rate w needs 4 * _BLOCK
-    terms or more (w >= 0.9503), else _BLOCK, in passes of half as many rows,
-    so a slow series pays the numpy calls of a block half as often with arrays
-    of the same size.  The length reads only w, shared by every row of a
-    call, so a row has the same bits alone and in any batch.  One row (one
-    pair) pays the numpy calls of its blocks and little more.
+    Blocks are _BLOCK terms long; 2 * _BLOCK where the tail at rate w needs
+    4 * _BLOCK terms or more (w >= 0.9503); and 8 * _BLOCK where it needs
+    12 * _BLOCK or more (w >= 0.9832).  A pass sums at most
+    _ROW_CHUNK * _BLOCK / length rows, so a slow series pays the numpy calls
+    of a block less often with arrays of the same size.  In a block of
+    8 * _BLOCK terms the cumulative sum of log|ratio| restarts every _PIECE
+    terms and each piece adds the sum carried from the pieces before it: one
+    sum over the whole block lost up to ten times the accuracy of the shorter
+    blocks.  The length reads only w, shared by every row of a call, so a row
+    has the same bits alone and in any batch.  One row (one pair) pays the
+    numpy calls of its blocks and little more.
 
     Each row also sums |t|.  Every term carries a relative rounding error of
     a few ulps, so a sum is wrong by about C * 2^-52 relative times a small
@@ -173,8 +180,14 @@ def _sum_series(a, b, c, w: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     check_cancellation).
     """
     out = np.empty((3, a.size))
-    # no division by log(w): a w rounded to 1.0 sums as a slow series
-    length = 2 * _BLOCK if 4 * _BLOCK * math.log(w) >= _LOG_TAIL else _BLOCK
+    # no division by log(w): a w rounded to 1.0 sums as the slowest series
+    log_w = math.log(w)
+    if 12 * _BLOCK * log_w >= _LOG_TAIL:
+        length = 8 * _BLOCK
+    elif 4 * _BLOCK * log_w >= _LOG_TAIL:
+        length = 2 * _BLOCK
+    else:
+        length = _BLOCK
     # equal passes of at most _ROW_CHUNK * _BLOCK / length rows
     chunk = _ROW_CHUNK * _BLOCK // length
     size = -(-a.size // -(-a.size // chunk)) if a.size else 1
@@ -198,7 +211,10 @@ def _sum_rows(a, b, c, w, length, out) -> None:
     log_t = 0.0               # log|t| of the current term
     unit_t = _UNIT            # t / |t| of the current term
     log_w = math.log(w)
-    log_w_powers = log_w * (_STEPS[:length] + 1.0)
+    # built per call for the long blocks, so that no module-level array
+    # grows with them
+    steps = _STEPS if length <= _PIECE else np.arange(length, dtype=float)
+    log_w_powers = log_w * (steps[:length] + 1.0)
     n = 1
     while True:
         if n > MAX_SERIES_TERMS:
@@ -206,7 +222,7 @@ def _sum_rows(a, b, c, w, length, out) -> None:
                 f"hypergeometric series did not reach tolerance within {MAX_SERIES_TERMS} terms"
             )
         size = min(length, MAX_SERIES_TERMS + 1 - n)
-        k = _STEPS[:size] + (n - 1.0)
+        k = steps[:size] + (n - 1.0)
         n += size
         ratios = (a + k) * ((b + k) / ((c + k) * (k + 1.0)))
         # log|r| summed and r/|r| (two real divisions; a zero ratio gives a
@@ -218,7 +234,16 @@ def _sum_rows(a, b, c, w, length, out) -> None:
         np.divide(ratios.imag, scale, out=unit.imag)
         np.log(cl, out=cl)
         decaying = cl[:, -1] < -log_w
-        np.add.accumulate(cl, axis=1, out=cl)
+        if size == 8 * _BLOCK:
+            # log|t| in _PIECE-term pieces, each raised by the sum carried
+            # from the pieces before it (a last block cut short by
+            # MAX_SERIES_TERMS takes one sum)
+            pieces = cl.reshape(cl.shape[0], -1, _PIECE)
+            np.add.accumulate(pieces, axis=2, out=pieces)
+            carried = np.add.accumulate(pieces[:, :-1, -1], axis=1)
+            pieces[:, 1:] += carried[:, :, None]
+        else:
+            np.add.accumulate(cl, axis=1, out=cl)
         np.multiply.accumulate(unit, axis=1, out=unit)
         # broadcast, not folded into the strided first column, so that a row
         # meets the same numpy loops whatever rows share its call

@@ -16,10 +16,16 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lorentz_harmonics import LogComplexValue, principal_series, special
-from lorentz_harmonics.expansion import partial_sum_triple, triple_blocks
+from lorentz_harmonics.expansion import (
+    ExpansionConfig,
+    partial_sum_diagonal,
+    partial_sum_triple,
+    triple_blocks,
+)
 from lorentz_harmonics.principal_series import (
     diagonal_coefficient,
     diagonal_coefficients,
+    ratio_test,
 )
 from lorentz_harmonics.special import (
     SaddlePointDomainError,
@@ -68,7 +74,9 @@ SLOW_M_FRACS = [-1.0, -0.6, -0.25, -0.1, 0.0, 0.15, 0.3, 0.7, 1.0]
 )
 @example(js=[64], m_fracs=[0.0, 0.05, -0.05], tau=complex(0.5, 0.0), eps=3.6, pick=0)
 @example(js=[48, 64], m_fracs=[1.0, -1.0, 0.1], tau=complex(-0.45, 0.1), eps=0.3, pick=4)
-# 72 pairs of slow series (384-term blocks), in five passes of the kernel's rows
+# 72 pairs of the slowest series (1536-term blocks), in 18 passes of 4 rows,
+# the first at the eps where that block length starts
+@example(js=SLOW_JS, m_fracs=SLOW_M_FRACS, tau=complex(0.3, 0.0), eps=0.36, pick=62)
 @example(js=SLOW_JS, m_fracs=SLOW_M_FRACS, tau=complex(0.3, 0.0), eps=0.32, pick=5)
 @example(js=SLOW_JS, m_fracs=SLOW_M_FRACS, tau=complex(-0.2, 0.05), eps=0.32, pick=40)
 @example(js=SLOW_JS, m_fracs=SLOW_M_FRACS, tau=complex(0.3, 0.0), eps=3.6, pick=21)
@@ -152,6 +160,18 @@ def test_batch_mixes_routes_and_keeps_order():
     for j, m, lm, ph in zip(js, ms, log_mag, phase):
         v = diagonal_coefficient(j, m, 0.2, 1.7)
         assert (v.log_mag, v.phase) == (lm, ph)
+
+
+@pytest.mark.parametrize("m,tau", [(0, 0.2), (-1, -0.2 + 0.05j), (3, 0.1)])
+@pytest.mark.parametrize("eps", [0.32, 3.6])
+def test_scan_read_pair_by_pair_has_the_bits_of_one_batch(m, tau, eps):
+    # ratio_test reads its j_max = 400 scan one pair at a time, the sum one
+    # batch: on the slowest series (1536-term blocks) and past j = 64 alike,
+    # every term has the same log_mag and phase bits
+    by_pair = ratio_test(m, tau, eps, 400).terms
+    batch = partial_sum_diagonal(ExpansionConfig(tau=tau, m=m, epsilon=eps, j_max=400)).terms
+    assert len(by_pair) == 400 - max(abs(m), 1) + 1
+    assert [(t.j, t.log_mag, t.phase) for t in by_pair] == [(t.j, t.log_mag, t.phase) for t in batch]
 
 
 def test_batch_validation():
@@ -513,19 +533,42 @@ def kernel_passes(monkeypatch):
 @pytest.mark.parametrize("eps,length", [
     # w = 1 - eps^4 below 1, 1 - eps^-4 above (after Pfaff); the tail needs
     # at least 768 terms from w = 0.9503, between eps 0.47 and 0.48 and
-    # between eps 2.1 and 2.15
-    (0.32, 384), (0.47, 384), (0.48, 192), (0.7, 192),
-    (1.6, 192), (2.1, 192), (2.15, 384), (3.6, 384),
+    # between eps 2.1 and 2.15, and at least 2,304 from w = 0.9832, between
+    # eps 0.360 and 0.361 and between eps 2.77 and 2.78
+    (0.32, 1536), (0.36, 1536), (0.361, 384), (0.47, 384), (0.48, 192), (0.7, 192),
+    (1.6, 192), (2.1, 192), (2.15, 384), (2.77, 384), (2.78, 1536), (3.6, 1536),
 ])
 def test_block_length_and_rows_per_pass_follow_the_rate(kernel_passes, eps, length):
     js = np.repeat(np.arange(8, 65, 8), 9)
     ms = np.tile(np.arange(-4, 5), 8)
     diagonal_coefficients(js, ms, 0.2 + 0.03j, eps)
+    # a block's arrays are at most 32 x 192 entries
+    rows_per_pass = 32 * 192 // length
     assert {n for _, n in kernel_passes} == {length}
-    assert max(rows for rows, _ in kernel_passes) <= (16 if length == 384 else 32)
+    assert max(rows for rows, _ in kernel_passes) <= rows_per_pass
     # 72 rows: passes of equal size, every row summed once
     assert sum(rows for rows, _ in kernel_passes) == 72
-    assert len(kernel_passes) == -(-72 // (16 if length == 384 else 32))
+    assert len(kernel_passes) == -(-72 // rows_per_pass)
     kernel_passes.clear()
     diagonal_coefficient(40, 1, 0.2 + 0.03j, eps)
     assert kernel_passes == [(1, length)]
+
+
+# Worst relative errors of 384-term blocks on these points were 1.03e-11 at
+# (j, m, tau, eps) = (64, 0, 0.3, 5) and 5.73e-12 over the eps = 0.32 column;
+# one cumulative log|t| sum per 1536-term block read 1.0e-10 and 3.6e-11.
+COLUMN_PAIRS = sorted({(j, m) for j in (1, 8, 32, 64) for m in (-j, -1, 0, j // 3, j)})
+
+
+@pytest.mark.parametrize("eps,taus,pairs,bound", [
+    (5.0, [0.3], [(64, 0)], 2.06e-11),
+    (0.32, [0.0, 0.3, -0.2 + 0.05j, -0.45], COLUMN_PAIRS, 1.146e-11),
+], ids=["j64-m0-tau0.3-eps5", "eps0.32-column"])
+def test_long_blocks_keep_the_accuracy_of_shorter_ones(kernel_passes, eps, taus, pairs, bound):
+    # within twice the worst error of the 384-term blocks, against 40-digit mpmath
+    for tau in taus:
+        log_mag, phase = diagonal_coefficients(*zip(*pairs), tau, eps)
+        worst = max(rel_error(lm, ph, mp_coefficient(j, m, tau, eps))
+                    for (j, m), lm, ph in zip(pairs, log_mag, phase))
+        assert worst <= bound, tau
+    assert {n for _, n in kernel_passes} == {1536}

@@ -92,10 +92,15 @@ def test_overflow_guard():
 
 def test_to_complex_is_one_entry_of_to_complex_values():
     # the same bits as the array conversion, up to the overflow edge and
-    # through underflow to zero
+    # through subnormal results and underflow to zero, with subnormal, signed
+    # zero and extreme phases
     rng = np.random.default_rng(11)
     values = [LogComplexValue(float(m), float(p)) for m, p in
-              zip(rng.uniform(-760.0, 709.78, 4000), rng.uniform(-math.pi, math.pi, 4000))]
+              zip(rng.uniform(-760.0, 709.78, 20_000), rng.uniform(-math.pi, math.pi, 20_000))]
+    edges = [709.78, math.log(1.7976931348623157e308), 0.0, -0.0, 5e-324, -5e-324,
+             -708.4, -744.4, -745.2]
+    phases = [0.0, -0.0, 5e-324, -5e-324, 1e-310, math.pi, -math.nextafter(math.pi, 0.0)]
+    values += [LogComplexValue(m, p) for m in edges for p in phases]
     values.append(LogComplexValue.zero())
     want = to_complex_values(np.array([v.log_mag for v in values]),
                              np.array([v.phase for v in values])).tolist()
