@@ -22,10 +22,9 @@ _LOG_TAIL = math.log(SERIES_TAIL_REL)
 # Terms per block of the series kernel, a multiple of the SIMD width, so that
 # every row meets the same vector lanes whatever rows share its call; a slow
 # series (see _sum_series) takes blocks of twice this length, the slowest of
-# eight times, whose log|t| restarts its cumulative sum every _PIECE terms.
+# eight times.
 _BLOCK = 192
-_PIECE = 2 * _BLOCK
-_STEPS = np.arange(_PIECE, dtype=float)
+_STEPS = np.arange(8 * _BLOCK, dtype=float)
 # the kernel's sums (Re, Im, |t|, their Kahan compensations) and unit at n = 0
 _SEED = np.array([[1.0], [0.0], [1.0], [0.0], [0.0], [0.0]])
 _UNIT = np.ones(1, dtype=complex)
@@ -35,6 +34,7 @@ _UNIT = np.ones(1, dtype=complex)
 # passes of 32 rows, and saved at most 5% of their time.
 _ROW_CHUNK = 32
 _TINY = np.finfo(float).tiny
+_HUGE = 2.0**1000   # bound on a block's terms relative to the last term summed
 _ULP = 2.0**-52
 # Largest accepted 2^-52 * sum|t| / |sum t| (times the caller's weight) of a
 # series; see check_cancellation.
@@ -151,28 +151,30 @@ def _sum_series(a, b, c, w: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     complex for the public hyp2f1), taken as they are.
 
     Returns the arrays (log_mag, phase, cancellation).  Each row is summed on
-    its own: terms are generated blockwise from their ratios, log|t| as a
-    cumulative sum of log|ratio| (so that growth far beyond double range
-    cannot overflow) and t/|t| as a cumulative product of the units
-    ratio/|ratio|, with no per-term angle; block sums are accumulated with
-    Kahan compensation, so the summation error stays bounded independent of
-    the term count; and a row stops once its running term drops below
-    SERIES_TAIL_REL relative to its partial sum on the decaying side of the
-    peak, or raises SeriesConvergenceError past MAX_SERIES_TERMS terms.
-    Rows share only the numpy calls of a block, so a row's value does not
-    depend on the other rows summed with it.
+    its own, blockwise: one cumulative product of the block's complex term
+    ratios (w folded in) gives every term relative to the last term summed,
+    which is carried as log|t| and t/|t| (so that growth far beyond double
+    range cannot overflow) and renormalised once per block; the block's sums,
+    scaled by its largest |t|, are accumulated with Kahan compensation, so
+    the summation error stays bounded independent of the term count; and a
+    row stops once its running term drops below SERIES_TAIL_REL relative to
+    its partial sum on the decaying side of the peak, or raises
+    SeriesConvergenceError past MAX_SERIES_TERMS terms.  A row whose product
+    leaves double range in a block (a term relative to the last one summed
+    not below 2^1000 or not finite, or gone to zero while the ratios are not
+    below 1) is summed again from its start, alone, in blocks of half the
+    length, down to one term, where it raises SeriesConvergenceError.  Rows
+    share only the numpy calls of a block, so a row's value does not depend
+    on the other rows summed with it.
 
     Blocks are _BLOCK terms long; 2 * _BLOCK where the tail at rate w needs
     4 * _BLOCK terms or more (w >= 0.9503); and 8 * _BLOCK where it needs
     12 * _BLOCK or more (w >= 0.9832).  A pass sums at most
     _ROW_CHUNK * _BLOCK / length rows, so a slow series pays the numpy calls
-    of a block less often with arrays of the same size.  In a block of
-    8 * _BLOCK terms the cumulative sum of log|ratio| restarts every _PIECE
-    terms and each piece adds the sum carried from the pieces before it: one
-    sum over the whole block lost up to ten times the accuracy of the shorter
-    blocks.  The length reads only w, shared by every row of a call, so a row
-    has the same bits alone and in any batch.  One row (one pair) pays the
-    numpy calls of its blocks and little more.
+    of a block less often with arrays of the same size.  The length reads
+    only w, shared by every row of a call, so a row has the same bits alone
+    and in any batch.  One row (one pair) pays the numpy calls of its blocks
+    and little more.
 
     Each row also sums |t|.  Every term carries a relative rounding error of
     a few ulps, so a sum is wrong by about C * 2^-52 relative times a small
@@ -191,7 +193,7 @@ def _sum_series(a, b, c, w: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     # equal passes of at most _ROW_CHUNK * _BLOCK / length rows
     chunk = _ROW_CHUNK * _BLOCK // length
     size = -(-a.size // -(-a.size // chunk)) if a.size else 1
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(all="ignore"):
         for k in range(0, a.size, size):
             rows = slice(k, k + size)
             _sum_rows(a[rows, None], b[rows, None], c[rows, None], w, length, out[:, rows])
@@ -201,20 +203,16 @@ def _sum_series(a, b, c, w: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 def _sum_rows(a, b, c, w, length, out) -> None:
     """The loop of _sum_series over the parameter columns a, b, c, in blocks
     of length terms: writes log_mag, phase and cancellation into the columns
-    of out."""
+    of out, and sums a row whose terms leave double range again."""
     live = slice(None)   # columns of out of the rows still summing, all at first
     # Re and Im of the partial sum and sum |t|, relative to exp(offset) and
     # seeded with the n = 0 term, then their Kahan compensations
     acc = _SEED.repeat(a.shape[0], axis=1)
     sums, comp = acc[:3], acc[3:]
     offset = 0.0
-    log_t = 0.0               # log|t| of the current term
-    unit_t = _UNIT            # t / |t| of the current term
-    log_w = math.log(w)
-    # built per call for the long blocks, so that no module-level array
-    # grows with them
-    steps = _STEPS if length <= _PIECE else np.arange(length, dtype=float)
-    log_w_powers = log_w * (steps[:length] + 1.0)
+    log_t = 0.0               # log|t| of the last term summed
+    unit_t = _UNIT            # its t / |t|
+    again = []                # (column, a, b, c) of the rows to sum again
     n = 1
     while True:
         if n > MAX_SERIES_TERMS:
@@ -222,45 +220,32 @@ def _sum_rows(a, b, c, w, length, out) -> None:
                 f"hypergeometric series did not reach tolerance within {MAX_SERIES_TERMS} terms"
             )
         size = min(length, MAX_SERIES_TERMS + 1 - n)
-        k = steps[:size] + (n - 1.0)
+        k = _STEPS[:size] + (n - 1.0)
         n += size
-        ratios = (a + k) * ((b + k) / ((c + k) * (k + 1.0)))
-        # log|r| summed and r/|r| (two real divisions; a zero ratio gives a
-        # zero unit, not 0/0) multiplied along each row; w enters after
-        cl = np.abs(ratios)
-        scale = np.maximum(cl, _TINY)
-        unit = np.empty_like(ratios)
-        np.divide(ratios.real, scale, out=unit.real)
-        np.divide(ratios.imag, scale, out=unit.imag)
-        np.log(cl, out=cl)
-        decaying = cl[:, -1] < -log_w
-        if size == 8 * _BLOCK:
-            # log|t| in _PIECE-term pieces, each raised by the sum carried
-            # from the pieces before it (a last block cut short by
-            # MAX_SERIES_TERMS takes one sum)
-            pieces = cl.reshape(cl.shape[0], -1, _PIECE)
-            np.add.accumulate(pieces, axis=2, out=pieces)
-            carried = np.add.accumulate(pieces[:, :-1, -1], axis=1)
-            pieces[:, 1:] += carried[:, :, None]
+        # t_n / t_{n-1} = (a + k) * ((b + k) * w / ((c + k) * (k + 1))), a real
+        # quotient taken into Re and Im of a + k apart (no cast of it to complex);
+        # their cumulative product: each term relative to the last term summed
+        q = (b + k) * w / ((c + k) * (k + 1.0))
+        if q.dtype == complex:
+            terms = (a + k) * q
         else:
-            np.add.accumulate(cl, axis=1, out=cl)
-        np.multiply.accumulate(unit, axis=1, out=unit)
-        # broadcast, not folded into the strided first column, so that a row
-        # meets the same numpy loops whatever rows share its call
-        unit *= unit_t[:, None]
-        cl += log_w_powers[:size]
-        # finite even for a block of zero terms (a terminated series)
-        peak = np.maximum.reduce(cl, axis=1, initial=-1e300)
-        cl -= peak[:, None]
-        # the block's Re t, Im t and |t| relative to its largest, summed in
-        # one reduction
-        parts = np.empty((3,) + ratios.shape)
-        np.exp(cl, out=parts[2])
-        np.multiply(unit.real, parts[2], out=parts[0])
-        np.multiply(unit.imag, parts[2], out=parts[1])
-        block = parts.sum(axis=2)
+            terms = np.empty(q.shape, complex)
+            np.multiply(a.real + k, q, out=terms.real)
+            np.multiply(a.imag, q, out=terms.imag)
+        decaying = np.abs(terms[:, -1]) < 1.0
+        np.multiply.accumulate(terms, axis=1, out=terms)
+        mag = np.abs(terms)
+        # positive even for a block of zero terms (a terminated series)
+        peak = np.maximum.reduce(mag, axis=1, initial=_TINY)
+        last = mag[:, -1]
+        # the block's Re t, Im t and |t| relative to its largest, the carried
+        # unit multiplied into the sum of the block's terms (not in place: a
+        # one-entry product in place takes another numpy loop than a longer one)
+        z = np.add.reduce(terms, axis=1) * unit_t
+        block = np.array((z.real, z.imag, np.add.reduce(mag, axis=1)))
+        block /= peak
         # fold the block into the sums at the larger of the two scales
-        top = log_t + peak
+        top = log_t + np.log(peak)
         new = np.maximum(offset, top)
         block *= np.exp(top - new)
         acc *= np.exp(offset - new)
@@ -269,17 +254,29 @@ def _sum_rows(a, b, c, w, length, out) -> None:
         total = sums + y
         comp[:] = (total - sums) - y
         sums[:] = total
-        log_t = top + cl[:, -1]   # log|t| of the block's last term
+        log_t = log_t + np.log(last)   # log|t| of the block's last term
         magnitude = np.hypot(sums[0], sums[1])
         # stop on an exact zero term, or on the decaying side of the peak once
         # the term is below SERIES_TAIL_REL of the sum
         done = (log_t - offset <= np.log(magnitude) + _LOG_TAIL) & (decaying | (log_t == -math.inf))
+        # out of double range: a term relative to the last one summed not
+        # below _HUGE or not finite, or gone to zero while the terms grow
+        if not (np.maximum.reduce(peak) < _HUGE and last.all()):
+            lost = ~(peak < _HUGE) | (last == 0.0) & ~decaying
+            if lost.any():
+                if length == 1:
+                    raise SeriesConvergenceError("a hypergeometric term ratio leaves double range")
+                live = np.arange(done.size) if isinstance(live, slice) else live
+                again += [(live[i], a[i:i + 1], b[i:i + 1], c[i:i + 1]) for i in np.flatnonzero(lost)]
+                done |= lost
         stopped = np.count_nonzero(done)
         if stopped == done.size:
             _write_rows(out, live, offset, sums, magnitude)
+            for col, *row in again:
+                _sum_rows(*row, w, length // 2, out[:, col:col + 1])
             return
-        # renormalised once per block, from a contiguous copy of the column
-        unit_t = unit[:, -1].copy()
+        # renormalised once per block
+        unit_t = unit_t * terms[:, -1]
         unit_t /= np.abs(unit_t)
         if not stopped:
             continue

@@ -2,8 +2,9 @@
 one saddle-point call per batch, bit-for-bit agreement with one-pair calls,
 the Euler reflection of the m > 0 rows, the (j, m) grid read in one call with
 each column judged on its own, how much work each caller asks of the kernel,
-of the large-j term and of the triple-block engine, and the kernel's block
-length, set by the series' rate alone."""
+of the large-j term and of the triple-block engine, the kernel's block
+length, set by the series' rate alone, its accuracy on both sides of eps = 1,
+and the rows it sums again because their terms leave double range."""
 import cmath
 import math
 import sys
@@ -554,21 +555,126 @@ def test_block_length_and_rows_per_pass_follow_the_rate(kernel_passes, eps, leng
     assert kernel_passes == [(1, length)]
 
 
-# Worst relative errors of 384-term blocks on these points were 1.03e-11 at
-# (j, m, tau, eps) = (64, 0, 0.3, 5) and 5.73e-12 over the eps = 0.32 column;
-# one cumulative log|t| sum per 1536-term block read 1.0e-10 and 3.6e-11.
+# The accuracy grid: 11 eps on both tiers and both sides of 1, four tau, four
+# j and five m each.  Each bound is twice the worst relative error that the
+# kernel's one cumulative product of ratios per block reads against 40-digit
+# mpmath.  Sums of log|ratio| (restarted every 384 terms in 1536-term blocks)
+# read 3.7e-11, 6.3e-13, 5.8e-12, 2.1e-12, 9.6e-14, 1.3e-14, 8.4e-15,
+# 9.4e-14, 1.8e-12, 1.4e-12 and 1.3e-11 here, failing nine of the bounds.
+ACCURACY_TAUS = [0.0, 0.3, -0.2 + 0.05j, -0.45]
 COLUMN_PAIRS = sorted({(j, m) for j in (1, 8, 32, 64) for m in (-j, -1, 0, j // 3, j)})
+# the pairs that cancel beyond CANCELLATION_LIMIT, as with the log sums
+CANCELLING = [(-0.45, 64, -1), (-0.45, 64, 0)]
 
 
-@pytest.mark.parametrize("eps,taus,pairs,bound", [
-    (5.0, [0.3], [(64, 0)], 2.06e-11),
-    (0.32, [0.0, 0.3, -0.2 + 0.05j, -0.45], COLUMN_PAIRS, 1.146e-11),
-], ids=["j64-m0-tau0.3-eps5", "eps0.32-column"])
-def test_long_blocks_keep_the_accuracy_of_shorter_ones(kernel_passes, eps, taus, pairs, bound):
-    # within twice the worst error of the 384-term blocks, against 40-digit mpmath
-    for tau in taus:
-        log_mag, phase = diagonal_coefficients(*zip(*pairs), tau, eps)
-        worst = max(rel_error(lm, ph, mp_coefficient(j, m, tau, eps))
-                    for (j, m), lm, ph in zip(pairs, log_mag, phase))
-        assert worst <= bound, tau
-    assert {n for _, n in kernel_passes} == {1536}
+ACCURACY_CASES = [
+    (0.25, 1536, 2.41e-12, CANCELLING),
+    (0.3, 1536, 6.80e-14, CANCELLING),
+    (0.32, 1536, 2.73e-12, []),
+    (0.35, 1536, 1.95e-13, []),
+    (0.5, 192, 1.99e-14, []),
+    (0.85, 192, 1.19e-14, []),
+    (1.2, 192, 1.01e-14, []),
+    (2.0, 192, 2.69e-14, []),
+    (2.8, 1536, 1.78e-13, []),
+    (3.6, 1536, 1.69e-13, CANCELLING),
+    (5.0, 1536, 1.68e-11, [(-0.45, 32, 0)] + CANCELLING),
+]
+
+
+@pytest.mark.parametrize("eps,length,bound,raises", ACCURACY_CASES,
+                         ids=[f"eps{case[0]}" for case in ACCURACY_CASES])
+def test_long_blocks_keep_the_accuracy_of_shorter_ones(kernel_passes, eps, length, bound, raises):
+    worst, raised = 0.0, []
+    for tau in ACCURACY_TAUS:
+        for j, m in COLUMN_PAIRS:
+            try:
+                v = diagonal_coefficient(j, m, tau, eps)
+            except SeriesConvergenceError:
+                raised.append((tau, j, m))
+                continue
+            worst = max(worst, rel_error(v.log_mag, v.phase, mp_coefficient(j, m, tau, eps)))
+    assert worst <= bound
+    assert raised == raises
+    assert {n for _, n in kernel_passes} == {length}
+
+
+# ---------------------------------------------- terms beyond double range
+
+@pytest.fixture
+def summed_again(monkeypatch):
+    """(rows, block length) of every kernel pass made from inside another:
+    the rows whose terms left double range, summed again."""
+    again, depth = [], [0]
+    original = special._sum_rows
+
+    def spied(a, b, c, w, length, out):
+        if depth[0]:
+            again.append((a.shape[0], length))
+        depth[0] += 1
+        try:
+            return original(a, b, c, w, length, out)
+        finally:
+            depth[0] -= 1
+
+    monkeypatch.setattr(special, "_sum_rows", spied)
+    return again
+
+
+# (a, b, c) at z = 0.9: rows 0 and 3 grow by more than 2^1000 within their
+# first 192-term block (2F1(500, 500; 1; 0.9) is about e^2962), the others
+# stay in range
+GUARD_ROWS = [(500, 500, 1), (0.5 + 0.1j, 1, 2), (40 + 3j, 7, 90),
+              (400 - 30j, 450, 1.5), (2 + 1j, 3, 5), (65 + 9.6j, 129, 130)]
+
+
+def kernel_bits(rows, z=0.9):
+    a, b, c = zip(*rows)
+    return np.stack(special.hyp2f1_rows(np.array(a), np.array(b, float), np.array(c, float), z))
+
+
+def test_rows_summed_again_have_their_bits_alone_and_in_a_batch(summed_again):
+    batch = kernel_bits(GUARD_ROWS)
+    # each out-of-range row is summed again alone, in 96-term blocks
+    assert summed_again == [(1, 96), (1, 96)]
+    for row, bits in zip(GUARD_ROWS, batch.T):
+        assert kernel_bits([row]).tobytes() == bits.tobytes()
+    # the in-range rows keep the bits of a batch without the others
+    in_range = [1, 2, 4, 5]
+    assert kernel_bits([GUARD_ROWS[i] for i in in_range]).tobytes() == batch[:, in_range].tobytes()
+    with mp.workdps(40):
+        for (a, b, c), log_mag in zip(GUARD_ROWS, batch[0]):
+            ref = float(mp.log(abs(mp.hyp2f1(a, b, c, mp.mpf(0.9)))))
+            assert abs(log_mag - ref) <= 1e-11 * max(1.0, abs(ref))
+
+
+def test_terms_lost_to_underflow_are_summed_again(summed_again):
+    # a = -3 + 1e-200 i and b = -10 + 1e-200 i: two ratios near 1e-200 take
+    # the product of a 192-term block's ratios to zero while its last ratio
+    # is above 1 (c + k is small near k = 150), so the row is summed again in
+    # shorter blocks; its value is the terminating polynomial at a = -3,
+    # b = -10 to every digit read
+    a, b, c, z = -3.0, -10.0, -150.5, 0.9
+    t, s = 1.0, 1.0
+    for n in range(3):
+        t *= (a + n) * (b + n) / ((c + n) * (n + 1)) * z
+        s += t
+    got = special.hyp2f1(a + 1e-200j, b + 1e-200j, c, z).to_complex()
+    assert summed_again
+    assert got.real == pytest.approx(s, rel=1e-14)
+    assert abs(got.imag) <= 1e-190
+
+
+@pytest.mark.parametrize("eps", [0.32, 0.85, 2.15, 3.6])
+def test_no_exact_route_pair_leaves_double_range(summed_again, eps):
+    # every exact-route pair (j <= 64, all m) at the edges of the benchmark's
+    # strata: the largest term relative to the one before its block is below
+    # 2^440 there, far inside the 2^1000 bound
+    js = np.repeat(np.arange(65), 2 * np.arange(65) + 1)
+    ms = np.concatenate([np.arange(-j, j + 1) for j in range(65)])
+    for tau in (0.5, -0.5 + 0.06j, 0.5j):
+        try:
+            diagonal_coefficients(js, ms, tau, eps, against_largest=js)
+        except SeriesConvergenceError:
+            pass
+    assert summed_again == []

@@ -189,6 +189,28 @@ def test_hyp2f1_terminating_polynomial():
     assert got == pytest.approx(s, rel=1e-13)
 
 
+@pytest.mark.parametrize("a,z,log_ref", [
+    (500, 0.9, 2962.423541527981),
+    (1000, 0.5, 2450.1206871730865),
+], ids=["500-0.9", "1000-0.5"])
+def test_hyp2f1_terms_beyond_double_range_within_one_block(a, z, log_ref):
+    # within its first block a term of 2F1(a, a; 1; z) is more than 2^1000
+    # times the one before the block, so the series is summed again in
+    # shorter blocks; a product of the ratios that overflowed would be lost
+    with mp.workdps(40):
+        ref = float(mp.log(mp.hyp2f1(a, a, 1, mp.mpf(z))))
+    assert ref == pytest.approx(log_ref, abs=1e-12)
+    v = hyp2f1(a, a, 1, z)
+    assert abs(v.log_mag - ref) <= 1e-11
+    assert v.phase == 0.0
+
+
+def test_hyp2f1_ratio_beyond_double_range_raises():
+    # the first ratio a b z / c overflows: no block is short enough
+    with pytest.raises(SeriesConvergenceError, match="double range"):
+        hyp2f1(1e200, 1e200, 1.0, 0.5)
+
+
 # ------------------------------------------------------ saddle-point route
 
 def mp_log_coefficient_2f1(j, m, tau, eps):
