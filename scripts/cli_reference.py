@@ -4,13 +4,14 @@
 Each of the 15 invocations runs twice through cli.main, with --format json and
 --format csv, with warnings ignored; the ymap runs read a p = 0, band 4 table
 (entries 0.5^tj + 0.1 tm i) written to a temporary directory.  One line per
-run: the exit code, the sha256 of stdout, the format and the arguments.  Save
-the output of one checkout and compare another against it:
+run: the exit code, the sha256 of stdout, the sha256 of stderr, the format and
+the arguments.  Save the output of one checkout and compare another against it:
 
     python3 scripts/cli_reference.py > reference.txt
     python3 scripts/cli_reference.py --against reference.txt
 
-With --against the script prints the runs that differ and exits 1 if any do.
+With --against the script prints the runs that differ, each with the streams
+in which it differs, and exits 1 if any do.
 """
 import argparse
 import contextlib
@@ -47,12 +48,17 @@ INVOCATIONS = [
 ]
 
 
-def run(args: list[str]) -> tuple[int, str]:
-    """Exit code of cli.main(args) and the sha256 of what it wrote to stdout."""
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+# the fields of a fingerprint line before the format and the arguments
+STREAMS = ("exit code", "stdout", "stderr")
+
+
+def run(args: list[str]) -> tuple[int, str, str]:
+    """Exit code of cli.main(args) and the sha256 of what it wrote to stdout
+    and to stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = cli.main(args)
-    return code, hashlib.sha256(out.getvalue().encode()).hexdigest()
+    return code, *(hashlib.sha256(s.getvalue().encode()).hexdigest() for s in (out, err))
 
 
 def fingerprints() -> list[str]:
@@ -68,8 +74,8 @@ def fingerprints() -> list[str]:
             Path("table.json").write_text(json.dumps(FourierTableSU2(0, 4, entries).to_json_dict()))
             for invocation in INVOCATIONS:
                 for fmt in ("json", "csv"):
-                    code, digest = run(invocation.split() + ["--format", fmt])
-                    lines.append(f"{code} {digest} {fmt} {invocation}")
+                    code, out, err = run(invocation.split() + ["--format", fmt])
+                    lines.append(f"{code} {out} {err} {fmt} {invocation}")
         finally:
             os.chdir(home)
     return lines
@@ -87,7 +93,8 @@ def main() -> int:
     saved = args.against.read_text().splitlines()
     differ = [(old, new) for old, new in zip(saved, lines) if old != new]
     for old, new in differ:
-        print(f"- {old}\n+ {new}")
+        streams = [name for name, a, b in zip(STREAMS, old.split(), new.split()) if a != b]
+        print(f"- {old}\n+ {new}\n  differs in {', '.join(streams) or 'format or arguments'}")
     if len(saved) != len(lines):
         print(f"{len(saved)} saved runs, {len(lines)} now")
     print(f"{len(lines) - len(differ)} of {len(lines)} runs identical")

@@ -1,9 +1,11 @@
 """Command-line front end.
 
-Subcommands: coeff, ratio, sum, norm, diverge, ymap, asymcheck.  Each emits a
-single JSON envelope {command, params, report} (validating against
-schemas/report.schema.json) or a CSV flattening of that envelope with a
-fixed column order (_csv_text; a series report gives one row per term).
+Subcommands: coeff, ratio, sum, norm, diverge, ymap, asymcheck.  Each returns
+its params and report; main builds the one envelope {command, params, report},
+encodes it once with reports.to_json, and writes it as JSON (validating
+against schemas/report.schema.json) or as a CSV flattening of it with a fixed
+column order (_csv_text; a series report gives one row per term).  The
+settings flags' dests are RunConfig's field names, read from its fields.
 Exit codes: 0 success, 1 numerical failure, 2 domain/usage error (including
 non-finite --tau/--eps and unreadable or malformed files).  A ymap past its
 table's band writes one line to stderr, `warning: <message>`.
@@ -18,15 +20,15 @@ import csv
 import functools
 import io
 import json
-import math
 import sys
 import warnings
-from typing import Optional, Sequence
+from dataclasses import fields
+from typing import Any, Optional, Sequence
 
 from . import expansion, principal_series, ymap
 from .config import FORMAT_CHOICES, RunConfig, load_run_config
 from .lie_group import SL2CElement, epsilon_of
-from .reports import SeriesReport, to_json
+from .reports import to_json
 from .wigner import FourierTableSU2
 
 EXIT_OK = 0
@@ -47,87 +49,68 @@ def parse_complex(text: str) -> complex:
 
 def _resolve_epsilon(args, cfg: RunConfig) -> float:
     if getattr(args, "g", None) is not None:
-        g = SL2CElement.from_flat(args.g, tol=cfg.det_tolerance)
-        return epsilon_of(g)
+        return epsilon_of(SL2CElement.from_flat(args.g, tol=cfg.det_tolerance))
     if getattr(args, "eps", None) is None:
         raise ValueError("provide either --eps or --g")
     return principal_series.check_epsilon(args.eps)
 
 
-def _series_payload(command: str, report: SeriesReport) -> dict:
-    data = to_json(report)
-    return {"command": command, "params": data["params"], "report": data}
-
-
-# Each command returns its JSON envelope; the CSV is flattened from it.
-
-def cmd_coeff(args, cfg: RunConfig) -> dict:
+def cmd_coeff(args, cfg: RunConfig) -> tuple[dict, Any]:
     eps = _resolve_epsilon(args, cfg)
     tau = parse_complex(args.tau)
     path = principal_series.evaluation_path(args.j, eps)
     value = principal_series.diagonal_coefficient(args.j, args.m, tau, eps)
     try:
-        linear = value.to_complex()
-        rep: Optional[list[float]] = [linear.real, linear.imag]
+        linear: Optional[complex] = value.to_complex()
     except OverflowError:
-        rep = None
-    report = {
-        "j": args.j, "m": args.m, "tau": [tau.real, tau.imag], "epsilon": eps,
-        "path": path, "log_mag": value.log_mag, "phase": value.phase,
-        "value": rep, "representable": rep is not None,
-    }
-    return {"command": "coeff", "params": {"j": args.j, "m": args.m,
-                                           "tau": [tau.real, tau.imag], "epsilon": eps},
-            "report": report}
+        linear = None
+    params = {"j": args.j, "m": args.m, "tau": tau, "epsilon": eps}
+    return params, {**params, "path": path, "log_mag": value.log_mag, "phase": value.phase,
+                    "value": linear, "representable": linear is not None}
 
 
-def cmd_ratio(args, cfg: RunConfig) -> dict:
+def cmd_ratio(args, cfg: RunConfig) -> tuple[dict, Any]:
     eps = _resolve_epsilon(args, cfg)
     report = principal_series.ratio_test(
         args.m, parse_complex(args.tau), eps, cfg.j_max,
         cauchy_tolerance=cfg.cauchy_tolerance, cauchy_window=cfg.cauchy_window,
     )
-    return _series_payload("ratio", report)
+    return report.params, report
 
 
-def cmd_sum(args, cfg: RunConfig) -> dict:
+def cmd_sum(args, cfg: RunConfig) -> tuple[dict, Any]:
     eps = _resolve_epsilon(args, cfg)
     tau = parse_complex(args.tau)
-    jmax = cfg.j_max
     if args.mode == "diagonal":
         if args.m is None:
             raise ValueError("--m is required for --mode diagonal")
         cfgx = expansion.ExpansionConfig(
-            tau=tau, m=args.m, epsilon=eps, j_max=jmax,
+            tau=tau, m=args.m, epsilon=eps, j_max=cfg.j_max,
             cauchy_tolerance=cfg.cauchy_tolerance, cauchy_window=cfg.cauchy_window,
         )
         report = expansion.partial_sum_diagonal(cfgx)
     else:
         report = expansion.partial_sum_triple(
-            tau, eps, jmax,
+            tau, eps, cfg.j_max,
             cauchy_tolerance=cfg.cauchy_tolerance, cauchy_window=cfg.cauchy_window,
         )
-    return _series_payload("sum", report)
+    return report.params, report
 
 
-def cmd_norm(args, cfg: RunConfig) -> dict:
+def cmd_norm(args, cfg: RunConfig) -> tuple[dict, Any]:
     tau = parse_complex(args.tau)
     report = expansion.norm_identity(tau, cfg.j_max)
-    return {"command": "norm",
-            "params": {"tau": [tau.real, tau.imag], "j_max": report.j_max},
-            "report": to_json(report)}
+    return {"tau": tau, "j_max": report.j_max}, report
 
 
-def cmd_diverge(args, cfg: RunConfig) -> dict:
+def cmd_diverge(args, cfg: RunConfig) -> tuple[dict, Any]:
     tau = parse_complex(args.tau)
     cps = [int(x) for x in args.checkpoints.split(",")]
     report = expansion.divergence_probe(tau, cps, cauchy_tolerance=cfg.cauchy_tolerance)
-    return {"command": "diverge",
-            "params": {"tau": [tau.real, tau.imag], "checkpoints": cps},
-            "report": to_json(report)}
+    return {"tau": tau, "checkpoints": cps}, report
 
 
-def cmd_ymap(args, cfg: RunConfig) -> dict:
+def cmd_ymap(args, cfg: RunConfig) -> tuple[dict, Any]:
     with open(args.table) as fh:
         table = FourierTableSU2.from_json_dict(json.load(fh))
     req = ymap.YMapRequest(
@@ -138,34 +121,27 @@ def cmd_ymap(args, cfg: RunConfig) -> dict:
     # one stderr line per warning, without the file and source line of showwarning
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        payload = _series_payload("ymap", ymap.ymap_apply(req))
-        if args.bounds:
-            payload["report"]["bounds"] = to_json(ymap.ymap_convergence_report(req))
+        series = ymap.ymap_apply(req)
+        bounds = ymap.ymap_convergence_report(req) if args.bounds else None
     for w in caught:
         print(f"warning: {w.message}", file=sys.stderr)
-    return payload
+    return series.params, series if bounds is None else {**vars(series), "bounds": bounds}
 
 
-def cmd_asymcheck(args, cfg: RunConfig) -> dict:
+def cmd_asymcheck(args, cfg: RunConfig) -> tuple[dict, Any]:
     tau = parse_complex(args.tau)
     eps = principal_series.check_epsilon(args.eps)
     exact = principal_series.diagonal_coefficient(args.j, args.m, tau, eps, method="exact")
     asym = principal_series.diagonal_coefficient(args.j, args.m, tau, eps, method="asymptotic")
-    rel = abs(
-        complex(math.exp(min(asym.log_mag - exact.log_mag, 700.0)))
-        * complex(math.cos(asym.phase - exact.phase), math.sin(asym.phase - exact.phase))
-        - 1.0
-    )
-    report = {
-        "j": args.j, "m": args.m, "tau": [tau.real, tau.imag], "epsilon": eps,
+    rel = abs(cmath.exp(complex(min(asym.log_mag - exact.log_mag, 700.0),
+                                asym.phase - exact.phase)) - 1.0)
+    params = {"j": args.j, "m": args.m, "tau": tau, "epsilon": eps}
+    return params, {
+        **params,
         "exact": {"log_mag": exact.log_mag, "phase": exact.phase},
         "asymptotic": {"log_mag": asym.log_mag, "phase": asym.phase},
         "relative_error": rel,
     }
-    return {"command": "asymcheck",
-            "params": {"j": args.j, "m": args.m, "tau": [tau.real, tau.imag],
-                       "epsilon": eps},
-            "report": report}
 
 
 def _csv_text(payload: dict) -> str:
@@ -268,7 +244,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("ratio", parents=[common], help="consecutive-ratio diagnostics for fixed m")
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--tau", required=True)
-    p.add_argument("--jmax", type=int, default=None)
+    p.add_argument("--jmax", type=int, default=None, dest="j_max", metavar="JMAX")
     add_eps_or_g(p)
     p.set_defaults(func=cmd_ratio)
 
@@ -276,13 +252,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=("diagonal", "triple"), required=True)
     p.add_argument("--m", type=int, default=None)
     p.add_argument("--tau", required=True)
-    p.add_argument("--jmax", type=int, default=None)
+    p.add_argument("--jmax", type=int, default=None, dest="j_max", metavar="JMAX")
     add_eps_or_g(p)
     p.set_defaults(func=cmd_sum)
 
     p = sub.add_parser("norm", parents=[common], help="norm-identity series vs closed form")
     p.add_argument("--tau", required=True)
-    p.add_argument("--jmax", type=int, default=None)
+    p.add_argument("--jmax", type=int, default=None, dest="j_max", metavar="JMAX")
     p.set_defaults(func=cmd_norm)
 
     p = sub.add_parser("diverge", parents=[common], help="growth probe of the weighted norm series")
@@ -294,7 +270,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("ymap", parents=[common], help="map an SU(2) Fourier table to a boost series")
     p.add_argument("--table", required=True, help="path to a Fourier table JSON file")
     p.add_argument("--tau", required=True)
-    p.add_argument("--jmax", type=int, default=None)
+    p.add_argument("--jmax", type=int, default=None, dest="j_max", metavar="JMAX")
     p.add_argument("--bounds", action="store_true",
                    help="include the majorization bound report")
     add_eps_or_g(p)
@@ -320,19 +296,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         cfg = load_run_config(
             config_path=args.config,
-            flag_overrides={
-                "format": args.format,
-                "out": args.out,
-                "cauchy_tolerance": args.cauchy_tolerance,
-                "cauchy_window": args.cauchy_window,
-                "j_max": getattr(args, "jmax", None),
-            },
+            flag_overrides={f.name: getattr(args, f.name, None) for f in fields(RunConfig)},
         )
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
     try:
-        _emit(args.func(args, cfg), cfg)
+        params, report = args.func(args, cfg)
+        _emit(to_json({"command": args.command, "params": params, "report": report}), cfg)
     except (ValueError, OSError) as exc:
         # every domain error of the library is a ValueError
         print(f"error: {exc}", file=sys.stderr)

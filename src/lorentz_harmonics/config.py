@@ -1,8 +1,12 @@
 """Run configuration with 12-factor style layering.
 
-Precedence, lowest to highest: built-in defaults, then a flat key = value
-config file, then command-line flags, then environment variables prefixed
-LH_ (e.g. LH_J_MAX=400).
+RunConfig's fields are the one list of settings.  Each is a config-file key
+and an environment variable LH_<NAME> (e.g. LH_J_MAX=400), and the CLI flag
+for it, if any, has the field's name as its dest.  Text from the file or the
+environment is read by the parser of the field's annotation.  Precedence,
+lowest to highest: built-in defaults, then a flat key = value config file,
+then command-line flags, then environment variables; each layer is checked
+by its own dataclasses.replace.
 """
 from __future__ import annotations
 
@@ -38,22 +42,13 @@ class RunConfig:
             raise ValueError(f"format must be one of {FORMAT_CHOICES}")
 
 
-_FIELD_TYPES = {f.name: f.type for f in fields(RunConfig)}
-
-
-def _coerce(name: str, raw: str) -> Any:
-    raw = raw.strip()
-    if name in ("j_max", "cauchy_window"):
-        return int(raw)
-    if name in ("cauchy_tolerance", "det_tolerance"):
-        return float(raw)
-    if name == "out":
-        return raw or None
-    return raw
+# each setting's parser, keyed by its RunConfig annotation
+_PARSERS = {"int": int, "float": float, "str": str, "Optional[str]": lambda raw: raw or None}
 
 
 def parse_config_file(path: str | Path) -> dict[str, Any]:
     """Flat `key = value` lines; blank lines and # comments ignored."""
+    parsers = {f.name: _PARSERS[f.type] for f in fields(RunConfig)}
     out: dict[str, Any] = {}
     for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
         stripped = line.strip()
@@ -63,19 +58,19 @@ def parse_config_file(path: str | Path) -> dict[str, Any]:
             raise ValueError(f"{path}:{lineno}: expected 'key = value', got {line!r}")
         key, _, value = stripped.partition("=")
         key = key.strip()
-        if key not in _FIELD_TYPES:
+        if key not in parsers:
             raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
-        out[key] = _coerce(key, value)
+        out[key] = parsers[key](value.strip())
     return out
 
 
 def env_overrides(environ: Optional[dict] = None) -> dict[str, Any]:
     environ = os.environ if environ is None else environ
     out: dict[str, Any] = {}
-    for name in _FIELD_TYPES:
-        env_name = ENV_PREFIX + name.upper()
+    for f in fields(RunConfig):
+        env_name = ENV_PREFIX + f.name.upper()
         if env_name in environ:
-            out[name] = _coerce(name, environ[env_name])
+            out[f.name] = _PARSERS[f.type](environ[env_name].strip())
     return out
 
 

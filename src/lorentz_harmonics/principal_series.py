@@ -31,10 +31,8 @@ every series diagnostic also rejects eps = 1 (check_boost).  ratio_test
 reads its coefficients one at a time through diagonal_coefficient;
 boundary_ratio_test reads its track in one batch; both hand their terms to
 reports.series_report as arrays.  Each block of a series is one cumulative
-product of its term ratios; a slow series (eps below about 0.47 or above
-2.1) takes 384-term blocks rather than 192, the slowest (eps below about
-0.36 or above 2.78) 1536-term blocks (see special._sum_series).  Nothing is
-cached between calls.
+product of its term ratios, of a length chosen by special._sum_series.
+Nothing is cached between calls.
 """
 from __future__ import annotations
 

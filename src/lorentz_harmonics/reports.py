@@ -52,6 +52,8 @@ def to_json(obj: Any) -> Any:
     # leaf types first: a report is mostly floats, and is_dataclass is slow
     if isinstance(obj, float):
         return ("-inf" if obj < 0 else "inf") if math.isinf(obj) else obj
+    if obj is None or isinstance(obj, (str, int)):
+        return obj
     if isinstance(obj, complex):
         return [to_json(obj.real), to_json(obj.imag)]
     if isinstance(obj, (list, tuple)):

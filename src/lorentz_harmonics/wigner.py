@@ -12,7 +12,7 @@ import functools
 import math
 import warnings
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, Sequence
+from typing import Any, Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -168,15 +168,23 @@ class FourierTableSU2:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "FourierTableSU2":
-        """Inverse of to_json_dict; a missing or ill-typed field raises ValueError."""
+        """Inverse of to_json_dict; a missing or ill-typed field, or a label that
+        is not an integral number (a bool, 0.9, "2"), raises ValueError."""
         try:
             entries = {
-                (int(e["twice_j"]), int(e["twice_m"])): complex(e["re"], e["im"])
+                (_label(e["twice_j"]), _label(e["twice_m"])): complex(e["re"], e["im"])
                 for e in data["entries"]
             }
-            return cls(int(data["p"]), int(data["band_limit"]), entries)
+            return cls(_label(data["p"]), _label(data["band_limit"]), entries)
         except (KeyError, TypeError) as exc:
             raise ValueError(f"malformed Fourier table: {exc!r}") from exc
+
+
+def _label(value: Any) -> int:
+    """A table label read from JSON: an int, or a float such as 2.0 that is one."""
+    if type(value) is int or (isinstance(value, float) and value.is_integer()):
+        return int(value)
+    raise TypeError(f"label {value!r} is not an integer")
 
 
 def su2_fourier(

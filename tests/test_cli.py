@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import warnings
+from dataclasses import fields
 from pathlib import Path
 
 import jsonschema
@@ -14,8 +15,9 @@ import numpy as np
 import pytest
 
 from conftest import random_su2_matrix
+from lorentz_harmonics import cli
 from lorentz_harmonics.cli import build_parser, main, parse_complex
-from lorentz_harmonics.config import RunConfig, load_run_config, parse_config_file
+from lorentz_harmonics.config import ENV_PREFIX, RunConfig, load_run_config, parse_config_file
 from lorentz_harmonics.wigner import FourierTableSU2
 
 SCHEMA = json.loads(
@@ -68,6 +70,31 @@ def test_config_file_and_env_layering(tmp_path, monkeypatch):
         bad.write_text(text)
         with pytest.raises(ValueError, match="unknown config key"):
             parse_config_file(bad)
+
+
+# the text of one value of each annotation, and what it must arrive as
+SETTING_TEXT = {"int": ("7", 7), "float": ("0.25", 0.25), "str": ("csv", "csv"),
+                "Optional[str]": ("out.json", "out.json")}
+
+
+@pytest.mark.parametrize("setting", fields(RunConfig), ids=lambda f: f.name)
+def test_each_setting_arrives_typed_from_file_and_environment(setting, tmp_path):
+    # a field whose annotation has no parser fails here
+    text, value = SETTING_TEXT[setting.type]
+    path = tmp_path / "run.cfg"
+    path.write_text(f"{setting.name} = {text}\n")
+    env = {ENV_PREFIX + setting.name.upper(): f" {text} "}
+    for cfg in (load_run_config(str(path), environ={}), load_run_config(environ=env)):
+        got = getattr(cfg, setting.name)
+        assert got == value and type(got) is type(value)
+
+
+def test_empty_out_is_none(tmp_path):
+    path = tmp_path / "run.cfg"
+    path.write_text("out =\n")
+    assert parse_config_file(path) == {"out": None}
+    assert load_run_config(environ={"LH_OUT": ""}).out is None
+    assert load_run_config(str(path), {"out": "flag.json"}, environ={"LH_OUT": " "}).out is None
 
 
 def test_removed_workers_flag_is_usage_error(capsys):
@@ -514,6 +541,29 @@ def test_to_json_encodes_dataclasses_field_by_field():
     # NaN is left for json.dumps(allow_nan=False) to reject
     with pytest.raises(ValueError):
         json.dumps(to_json(TermRecord(1, math.nan, 0.0)), allow_nan=False)
+
+
+@pytest.mark.parametrize("argv", [
+    ("coeff", "--j", "3", "--m", "1", "--tau", "0.2", "--eps", "2"),
+    ("ratio", "--m", "0", "--tau", "0", "--eps", "2", "--jmax", "20"),
+    ("sum", "--mode", "triple", "--tau", "0", "--eps", "0.5", "--jmax", "10"),
+    ("norm", "--tau", "0", "--jmax", "50"),
+    ("diverge", "--tau", "0", "--checkpoints", "10,100"),
+    ("ymap", "--tau", "0.3", "--eps", "2", "--jmax", "4"),
+    ("ymap", "--tau", "0.3", "--eps", "2", "--jmax", "4", "--bounds"),
+    ("asymcheck", "--j", "16", "--m", "1", "--tau", "0", "--eps", "2"),
+], ids=" ".join)
+def test_each_request_is_encoded_once(argv, tmp_path, capsys, monkeypatch):
+    calls = []
+    encode = cli.to_json
+    monkeypatch.setattr(cli, "to_json", lambda obj: calls.append(obj) or encode(obj))
+    if argv[0] == "ymap":
+        path = tmp_path / "table.json"
+        path.write_text(json.dumps(FourierTableSU2(0, 4, {(0, 0): 1.0 + 0j}).to_json_dict()))
+        argv += ("--table", str(path))
+    payload = run_json(capsys, *argv)
+    assert len(calls) == 1 and set(calls[0]) == {"command", "params", "report"}
+    assert payload["command"] == argv[0]
 
 
 # ------------------------------------------- one parser shared by every call

@@ -241,6 +241,30 @@ def test_table_json_roundtrip():
     assert t2.entries == t.entries
 
 
+@pytest.mark.parametrize("where, label", [
+    ("p", 0.9), ("band_limit", 4.7), ("twice_j", 2.5), ("twice_m", 0.2),
+    ("p", True), ("twice_j", True), ("twice_m", "0"),
+])
+def test_table_json_rejects_labels_that_are_not_integers(where, label):
+    # int() read 0.9 as 0 and true as 1, and the table loaded without a word
+    data = {"p": 0, "band_limit": 4,
+            "entries": [{"twice_j": 2, "twice_m": 0, "re": 1.0, "im": 0.0}]}
+    if where in data:
+        data[where] = label
+    else:
+        data["entries"][0][where] = label
+    with pytest.raises(ValueError, match="malformed Fourier table"):
+        FourierTableSU2.from_json_dict(data)
+
+
+def test_table_json_accepts_integral_floats():
+    data = {"p": 0.0, "band_limit": 4.0,
+            "entries": [{"twice_j": 2.0, "twice_m": -2.0, "re": 1.0, "im": 0.5}]}
+    table = FourierTableSU2.from_json_dict(data)
+    assert (table.p, table.band_limit) == (0, 4) and table.entries == {(2, -2): 1 + 0.5j}
+    assert all(type(k) is int for key in table.entries for k in key)
+
+
 def test_fourier_constant_function():
     tab = su2_fourier(lambda u: 1.0 + 0j, p=0, band_limit=4)
     assert tab.get(0, 0) == pytest.approx(1.0, abs=1e-12)
