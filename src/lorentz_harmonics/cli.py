@@ -20,6 +20,7 @@ import csv
 import functools
 import io
 import json
+import re
 import sys
 import warnings
 from dataclasses import fields
@@ -49,6 +50,8 @@ def parse_complex(text: str) -> complex:
 
 def _resolve_epsilon(args, cfg: RunConfig) -> float:
     if getattr(args, "g", None) is not None:
+        if args.eps is not None:
+            raise ValueError("give either --eps or --g, not both")
         return epsilon_of(SL2CElement.from_flat(args.g, tol=cfg.det_tolerance))
     if getattr(args, "eps", None) is None:
         raise ValueError("provide either --eps or --g")
@@ -290,9 +293,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _join_negative_tau(argv: Sequence[str]) -> list[str]:
+    """argv with each `--tau` that is followed by a negative value, such as
+    -0.5,0.1 (which argparse takes for an option), joined into --tau=-0.5,0.1."""
+    out: list[str] = []
+    for arg in argv:
+        if out and out[-1] == "--tau" and re.match(r"-[0-9.]", arg):
+            out[-1] = f"--tau={arg}"
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_join_negative_tau(sys.argv[1:] if argv is None else argv))
     try:
         cfg = load_run_config(
             config_path=args.config,

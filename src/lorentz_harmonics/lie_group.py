@@ -53,7 +53,8 @@ class SL2CElement:
     def __post_init__(self) -> None:
         m = _as_matrix(self.matrix)
         object.__setattr__(self, "matrix", m)
-        d = _det(m)
+        with np.errstate(all="ignore"):  # a non-finite det fails the check below
+            d = _det(m)
         if not abs(d - 1.0) <= self.tol:
             raise MatrixInvariantError(f"det = {d} deviates from 1 beyond tol {self.tol}")
 

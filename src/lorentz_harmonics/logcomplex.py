@@ -19,30 +19,16 @@ TWO_PI = 2.0 * math.pi
 _LOG_MAX_DOUBLE = math.log(1.7976931348623157e308)
 
 
-def wrap_phase(phi):
-    """Wrap an angle, or each entry of an array of angles, into (-pi, pi]; an
-    angle already there is returned as it is, so that rebuilding a
-    LogComplexValue from its fields is exact.  An entry of an array gets the
-    bits that it gets alone."""
-    if isinstance(phi, np.ndarray):
-        y = np.fmod(phi + math.pi, TWO_PI)
-        y = np.where(y <= 0.0, y + TWO_PI, y) - math.pi
-        return np.where((-math.pi < phi) & (phi <= math.pi), phi, y)
-    if -math.pi < phi <= math.pi:
-        return phi
-    y = math.fmod(phi + math.pi, TWO_PI)
-    if y <= 0.0:
-        y += TWO_PI
-    return y - math.pi
-
-
 def wrap_phases(phi):
     """Wrap angles into (-pi, pi], elementwise, or one float angle with the
-    bits it gets in an array (float % is np.remainder's floored remainder)."""
+    bits it gets in an array (float % is np.remainder's floored remainder).
+    The package's one angle rule.  It keeps the bits of its own outputs, so
+    that rebuilding a LogComplexValue from its fields is exact: for an output
+    y >= pi/2, pi - y is exact (Sterbenz), and a smaller y is pi - r for the
+    float remainder r, so pi - y is r; either way the remainder keeps it."""
     y = math.pi - (math.pi - phi) % TWO_PI
     # the remainder rounds up to 2 pi itself just above an odd multiple of pi
-    # (at nextafter(pi, inf), say), and pi - 2 pi is -pi: that is +pi, which
-    # LogComplexValue's wrap_phase also makes of it
+    # (at nextafter(pi, inf), say), and pi - 2 pi is -pi: that is +pi
     if isinstance(y, float):
         return math.pi if y == -math.pi else y
     return np.where(y == -math.pi, math.pi, y)
@@ -61,7 +47,7 @@ class LogComplexValue:
     """A complex number w represented as (log|w|, arg w).
 
     log_mag = -inf encodes an exact zero, in which case phase is 0 by
-    convention.  phase is always wrapped into (-pi, pi].
+    convention.  phase is always wrapped into (-pi, pi] by wrap_phases.
     """
 
     log_mag: float
@@ -70,10 +56,10 @@ class LogComplexValue:
     def __post_init__(self) -> None:
         if math.isnan(self.log_mag) or math.isnan(self.phase):
             raise ValueError("LogComplexValue fields must not be NaN")
-        if self.log_mag == -math.inf:
-            object.__setattr__(self, "phase", 0.0)
-        else:
-            object.__setattr__(self, "phase", wrap_phase(self.phase))
+        if math.isinf(self.phase) and self.log_mag != -math.inf:
+            raise ValueError("LogComplexValue phase must be finite")
+        object.__setattr__(self, "phase", 0.0 if self.log_mag == -math.inf
+                           else wrap_phases(self.phase))
 
     @classmethod
     def zero(cls) -> "LogComplexValue":
@@ -87,12 +73,6 @@ class LogComplexValue:
         # math.atan2 rather than cmath.phase, which raises OverflowError when
         # the angle underflows to a subnormal (e.g. 2 + 5e-324j)
         return cls(math.log(abs(w)), math.atan2(w.imag, w.real))
-
-    @classmethod
-    def from_log(cls, log_value: complex) -> "LogComplexValue":
-        """Build from log(w): real part is log|w|, imaginary part the phase."""
-        log_value = complex(log_value)
-        return cls(log_value.real, log_value.imag)
 
     @property
     def is_zero(self) -> bool:
@@ -108,13 +88,6 @@ class LogComplexValue:
         if self.log_mag > _LOG_MAX_DOUBLE:
             raise OverflowError(f"log-magnitude {self.log_mag:.6g} exceeds double-precision range")
         return complex(np.exp(np.float64(self.log_mag) + 1j * np.float64(self.phase)))
-
-    def __mul__(self, other: "LogComplexValue") -> "LogComplexValue":
-        if not isinstance(other, LogComplexValue):
-            return NotImplemented
-        if self.is_zero or other.is_zero:
-            return LogComplexValue.zero()
-        return LogComplexValue(self.log_mag + other.log_mag, self.phase + other.phase)
 
 
 def log_sum(values: Iterable[LogComplexValue]) -> LogComplexValue:

@@ -37,11 +37,12 @@ Nothing is cached between calls.
 from __future__ import annotations
 
 import math
+import operator
 from typing import Optional
 
 import numpy as np
 
-from .logcomplex import LogComplexValue, wrap_phase, wrap_phases
+from .logcomplex import LogComplexValue, wrap_phases
 from .reports import SeriesReport, series_report
 from .special import (
     EpsilonDomainError,
@@ -65,6 +66,28 @@ TRACK_M_EQUALS_0 = "m_equals_0"
 
 class IndexRangeError(ValueError):
     """Coefficient index outside its admissible range."""
+
+
+def _label(value, name: str) -> int:
+    """A label j or m as an int: an integer, or an integral float such as 2.0;
+    anything else raises IndexRangeError rather than being truncated."""
+    if isinstance(value, (float, np.floating)):
+        if float(value).is_integer():
+            return int(value)
+    else:
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise IndexRangeError(f"{name} = {value!r} is not an integer")
+
+
+def _labels(values, name: str) -> np.ndarray:
+    """_label for each entry, as one int64 array."""
+    a = np.asarray(values).reshape(-1)
+    if a.dtype.kind not in "iub":   # floats, say: each entry by _label's rule
+        a = np.array([_label(v, name) for v in a.tolist()], dtype=np.int64)
+    return a.astype(np.int64)
 
 
 def check_boost(epsilon) -> float:
@@ -91,11 +114,11 @@ def _boost_log(j, m, tau, epsilon: float):
 
 def _asymptotic_route(j, m, tau: complex, epsilon: float):
     """The asymptotic route at Python ints j, m, or at integer arrays of them
-    alike, as (log_mag, phase): special.saddle_point_2f1 times the boost
-    power, with the bits of that LogComplexValue product."""
+    alike, as (log_mag, phase): special.saddle_point_log plus the boost
+    power's log, its phase wrapped once, at the end, as the exact route's."""
     re, im = saddle_point_log(j, m, tau, epsilon)
     boost = _boost_log(j, m, tau, epsilon)
-    return re + boost.real, wrap_phase(wrap_phase(im) + wrap_phase(boost.imag))
+    return re + boost.real, wrap_phases(im + boost.imag)
 
 
 def _exact_coefficients(js, ms, tau: complex, epsilon: float):
@@ -163,8 +186,8 @@ def diagonal_coefficients(
     index, say): each pair is then judged against the largest |D| of the
     pairs with its label, as a call per label would judge it.
     """
-    js = np.asarray(js, dtype=np.int64).reshape(-1)
-    ms = np.asarray(ms, dtype=np.int64).reshape(-1)
+    js = _labels(js, "j")
+    ms = _labels(ms, "m")
     tau = complex(tau)
     epsilon = check_epsilon(epsilon)
     if js.shape != ms.shape:
@@ -218,8 +241,8 @@ def diagonal_coefficient(
     outside its domain and Hyp2F1DomainError at eps = 1).  The one-pair case
     of diagonal_coefficients, with the same value bit for bit.
     """
-    j = int(j)
-    m = int(m)
+    j = _label(j, "j")
+    m = _label(m, "m")
     tau = complex(tau)
     epsilon = check_epsilon(epsilon)
     if j < 0:
@@ -300,7 +323,7 @@ def ratio_test(
     perfbench/test_bench.py and tests/test_principal_series.py's
     test_ratio_test_reads_each_term_through_diagonal_coefficient together.
     """
-    m = int(m)
+    m = _label(m, "m")
     epsilon = check_boost(epsilon)
     j_max = int(j_max)
     if j_max < abs(m) + 8:

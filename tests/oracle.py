@@ -113,13 +113,15 @@ def duc_hieu_general(
             + lg(k + m + d + 1) + lg(k + m + dp + 1)
             + lg(j - k - d + 1) + lg(jp - k - dp + 1)
         )
-        power = LogComplexValue.from_log(
-            (complex(2 * (2 * dp + m + k + 1), 0.0) + 1j * rho) * log_eps
-        )
+        power = (complex(2 * (2 * dp + m + k + 1), 0.0) + 1j * rho) * log_eps
         f = hyp2f1(jp + 1 + 0.5j * rho, d + dp + m + k + 1, j + jp + 2, 1.0 - epsilon**4)
-        term = LogComplexValue(log_num - log_den, math.pi * ((d + dp) % 2)) * power * f
-        terms.append(term)
-    return LogComplexValue(log_pref, 0.0) * log_sum(terms)
+        if f.is_zero:
+            continue
+        # the signed factorial ratio times the boost power times f
+        terms.append(LogComplexValue(log_num - log_den + power.real + f.log_mag,
+                                     math.pi * ((d + dp) % 2) + power.imag + f.phase))
+    total = log_sum(terms)
+    return total if total.is_zero else LogComplexValue(log_pref + total.log_mag, total.phase)
 
 
 def mp_block_sum(j: int, tau: complex, eps: float, dps: int = 30):

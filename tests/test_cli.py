@@ -189,6 +189,35 @@ def test_non_finite_matrix_exit_code(capsys):
     assert "deviates from 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("g", [
+    ("inf", "0", "0", "0", "0", "0", "1", "0"),
+    ("1e200", "0", "0", "0", "0", "0", "1e200", "0"),   # det overflows
+])
+def test_overflowing_matrix_is_one_error_line(capsys, g):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["coeff", "--j", "3", "--tau", "0", "--g", *g])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: det = ") and err.count("\n") == 1
+
+
+def test_eps_and_g_together_exit_2(capsys):
+    code = main(["coeff", "--j", "3", "--tau", "0", "--eps", "2",
+                 "--g", "1", "0", "0", "0", "0", "0", "1", "0"])
+    assert code == 2
+    assert capsys.readouterr().err == "error: give either --eps or --g, not both\n"
+
+
+@pytest.mark.parametrize("tau, want", [("-0.5,0.1", [-0.5, 0.1]), ("-.5", [-0.5, 0.0]),
+                                       ("-1", [-1.0, 0.0])])
+def test_negative_tau_after_a_space(capsys, tau, want):
+    joined = run_json(capsys, "coeff", "--j", "3", f"--tau={tau}", "--eps", "2")
+    spaced = run_json(capsys, "coeff", "--j", "3", "--tau", tau, "--eps", "2")
+    assert spaced == joined
+    assert spaced["report"]["tau"] == want
+
+
 def test_invalid_matrix_exit_code(capsys):
     code, _ = run_cli(
         capsys, "coeff", "--j", "1", "--m", "0", "--tau", "0",

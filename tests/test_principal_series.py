@@ -2,6 +2,7 @@ import cmath
 import math
 
 import mpmath as mp
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -198,6 +199,31 @@ def test_diagonal_index_and_domain_errors():
         diagonal_coefficient(-1, 0, 0.0, 2.0)
     with pytest.raises(EpsilonDomainError):
         diagonal_coefficient(1, 0, 0.0, 0.0)
+
+
+@pytest.mark.parametrize("j, m", [(2.5, 0), (3, 0.5), (math.inf, 0), (3, math.nan), ("3", 0)])
+def test_non_integral_labels_are_rejected_not_truncated(j, m):
+    with pytest.raises(IndexRangeError, match="is not an integer"):
+        diagonal_coefficient(j, m, 0.3, 2.0)
+    with pytest.raises(IndexRangeError, match="is not an integer"):
+        diagonal_coefficients([1, j], [0, m], 0.3, 2.0)
+
+
+def test_non_integral_m_of_a_ratio_scan_is_rejected():
+    with pytest.raises(IndexRangeError, match="m = 1.5 is not an integer"):
+        ratio_test(1.5, 0.3, 2.0, 30)
+    with pytest.raises(IndexRangeError, match="is not an integer"):
+        partial_sum_diagonal(ExpansionConfig(tau=0.3, m=1.5, epsilon=2.0, j_max=30))
+
+
+def test_integral_float_labels_are_the_integers():
+    # as for a table's labels: 2.0 is the label 2, with the same bits
+    for j, m in ((2, 1), (70, -1)):
+        want = diagonal_coefficient(j, m, 0.3, 2.0)
+        assert diagonal_coefficient(float(j), float(m), 0.3, 2.0) == want
+        assert diagonal_coefficient(np.int64(j), np.float64(m), 0.3, 2.0) == want
+        got = diagonal_coefficients(np.array([float(j)]), [float(m)], 0.3, 2.0)
+        assert (got[0][0], got[1][0]) == (want.log_mag, want.phase)
 
 
 def test_diagonal_methods_agree_at_moderate_j():

@@ -134,7 +134,8 @@ def test_hyp2f1_gauss_relation_random_pairs():
         z = float(rng.uniform(-4.0, 0.95))
         b = float(rng.integers(1, 9))
         got = hyp2f1(a, b, b, z)
-        want = LogComplexValue.from_log(-a * cmath.log(1.0 - z))
+        log_want = -a * cmath.log(1.0 - z)
+        want = LogComplexValue(log_want.real, log_want.imag)
         assert rel_diff(got, want) < 1e-10
 
 
