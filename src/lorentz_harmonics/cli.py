@@ -7,8 +7,9 @@ against schemas/report.schema.json) or as a CSV flattening of it with a fixed
 column order (_csv_text; a series report gives one row per term).  The
 settings flags' dests are RunConfig's field names, read from its fields.
 Exit codes: 0 success, 1 numerical failure, 2 domain/usage error (including
-non-finite --tau/--eps and unreadable or malformed files).  A ymap past its
-table's band writes one line to stderr, `warning: <message>`.
+non-finite --tau/--eps, unreadable or malformed files, and argparse's own
+usage errors); every failure is one stderr line.  A ymap past its table's
+band writes one line to stderr, `warning: <message>`.
 The parser is built once per process, so an in-process caller of main pays
 only for its request.
 """
@@ -214,15 +215,24 @@ def _emit(payload: dict, cfg: RunConfig) -> None:
         sys.stdout.write(text + ("\n" if not text.endswith("\n") else ""))
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser whose usage errors, argparse's own included, are
+    one stderr line, `error: <message>`, and exit 2; its subparsers are of
+    its class."""
+
+    def error(self, message):
+        self.exit(EXIT_DOMAIN, f"error: {message}\n")
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """Built on the first call and shared by every later one: do not mutate it."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="lorentz-harmonics",
         description="Boost-coefficient numerics and series diagnostics for the "
                     "Lorentz group double cover",
     )
-    common = argparse.ArgumentParser(add_help=False)
+    common = _Parser(add_help=False)
     common.add_argument("--config", help="path to a flat key = value config file")
     common.add_argument("--format", choices=FORMAT_CHOICES, default=None)
     common.add_argument("--out", default=None, help="write output to this path")

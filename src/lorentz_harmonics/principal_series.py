@@ -32,7 +32,10 @@ reads its coefficients one at a time through diagonal_coefficient;
 boundary_ratio_test reads its track in one batch; both hand their terms to
 reports.series_report as arrays.  Each block of a series is one cumulative
 product of its term ratios, of a length chosen by special._sum_series.
-Nothing is cached between calls.
+Only the large-j term's (tau, eps) parts are memoised (special._saddle_parts:
+the saddles, their logs and the gate's inputs, the floats a call would
+compute), so a scan read pair by pair finds them once; no value changes a
+bit, and the gate still reads each call's j.
 """
 from __future__ import annotations
 
@@ -148,7 +151,7 @@ def _exact_coefficients(js, ms, tau: complex, epsilon: float):
     # the row of each pair: (j, -|m|) at tau, or at -tau for m > 0 when tau is complex
     row_tau = tau * (1.0 - 2.0 * ((rm > 0) & (tau.imag != 0.0)))
     rm = -abs(rm)
-    j1 = rj + 1
+    j1 = rj + 1.0   # floats, which hyp2f1_rows takes as they are
     log_mag, phase, cancellation = hyp2f1_rows(
         j1 + 0.5j * row_tau * rj, j1 + rm, 2 * j1, 1.0 - epsilon**4
     )

@@ -28,6 +28,7 @@ _STEPS = np.arange(8 * _BLOCK, dtype=float)
 # the kernel's sums (Re, Im, |t|, their Kahan compensations) and unit at n = 0
 _SEED = np.array([[1.0], [0.0], [1.0], [0.0], [0.0], [0.0]])
 _UNIT = np.ones(1, dtype=complex)
+_KERNEL_TYPES = (np.dtype(float), np.dtype(complex))   # the kernel's b and c
 # Rows per kernel pass of _BLOCK-term blocks, which bounds the size of a
 # block's arrays: summing every row in one pass raised the peak RSS of a round
 # of the benchmark's triple-grid and diag-scan ops by 0.6 and 1.0 MB over
@@ -308,8 +309,12 @@ def hyp2f1_rows(a, b, c, z: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     checked here.
     """
     a = np.asarray(a, dtype=complex).reshape(-1)
-    # integer b and c as floats once, not in every block (exact below 2^53)
-    b, c = (np.asarray(x, dtype=np.result_type(x, float)).reshape(-1) for x in (b, c))
+    b, c = np.asarray(b).reshape(-1), np.asarray(c).reshape(-1)
+    # integer b and c as floats once, not in every block (exact below 2^53);
+    # float and complex ones as they are (np.result_type of a Python number
+    # costs more than the rest of a one-row call's conversions)
+    if b.dtype not in _KERNEL_TYPES or c.dtype not in _KERNEL_TYPES:
+        b, c = (x.astype(np.result_type(x, float)) for x in (b, c))
     z = float(z)
     if not z < 1.0:
         raise Hyp2F1DomainError(f"argument z = {z} outside the supported range z < 1")
@@ -532,6 +537,72 @@ def _coefficient_saddles(
     )
 
 
+def _saddle_parts(tau: complex, epsilon: float) -> tuple:
+    """What the large-j term reads of (tau, eps) alone: one entry per
+    contributing saddle t0 of _coefficient_saddles, (weight, gate, logs, rest)
+    with
+      - gate = (phi''(t0), the distance from t0 to the nearest of t = 0, 1,
+        1/z and the other saddle);
+      - logs = (log t0 - log(1-t0), phi(t0), log(1-z t0));
+      - rest = log sqrt(2 pi / -phi''(t0)) - log(1-z t0).
+    A stage that raised holds its error instead (_stage), which the reader
+    raises where a call that did the stage itself would raise it.
+
+    Memoised per (tau, eps) and the signs of tau's parts, which an lru_cache
+    key does not tell apart (-0.0 == 0.0) and on which a branch cut such as
+    cmath.sqrt's can depend.  An entry holds the floats a call would
+    compute, so no value changes a bit.  Raises as _coefficient_saddles
+    does, on every call: an lru_cache stores no exception.
+    """
+    tau = complex(tau)
+    return _saddle_parts_at(tau, float(epsilon), math.copysign(1.0, tau.real),
+                            math.copysign(1.0, tau.imag))
+
+
+@functools.lru_cache(maxsize=128)
+def _saddle_parts_at(tau: complex, epsilon: float, *signs: float) -> tuple:
+    """_saddle_parts, whose key the signs of tau's parts complete."""
+    roots, weights, kappa, z = _coefficient_saddles(tau, epsilon)
+    parts = []
+    for t0, other, weight in ((roots[0], roots[1], weights[0]), (roots[1], roots[0], weights[1])):
+        if weight == 0:
+            continue
+        one_minus_t = 1.0 - t0
+        one_minus_zt = 1.0 - z * t0
+
+        def gate_of():
+            phi2 = -1.0 / t0**2 - 1.0 / one_minus_t**2 + kappa * z * z / one_minus_zt**2
+            return phi2, min(abs(t0), abs(one_minus_t), abs(t0 - 1.0 / z), abs(t0 - other))
+
+        def logs_of():
+            log_t, log_1mt = cmath.log(t0), cmath.log(one_minus_t)
+            log_1mzt = cmath.log(one_minus_zt)
+            return log_t - log_1mt, log_t + log_1mt - kappa * log_1mzt, log_1mzt
+
+        gate, logs, rest = _stage(gate_of), _stage(logs_of), None
+        # rest reads both; a call raises at either before it reads rest
+        if not isinstance(gate, Exception) and not isinstance(logs, Exception):
+            rest = _stage(lambda: 0.5 * cmath.log(2.0 * math.pi / -gate[0]) - logs[2])
+        parts.append((weight, gate, logs, rest))
+    return tuple(parts)
+
+
+def _stage(compute):
+    """compute(), or the ArithmeticError or ValueError it raises."""
+    try:
+        return compute()
+    except (ArithmeticError, ValueError) as exc:
+        return exc.with_traceback(None)
+
+
+def _read(stage):
+    """A _stage's value, or its error raised afresh (raising the memoised
+    instance would chain every call's traceback onto it)."""
+    if isinstance(stage, Exception):
+        raise type(stage)(*stage.args)
+    return stage
+
+
 def saddle_point_exponent(tau: complex, epsilon: float) -> complex:
     """phi(t0): the exponent per unit j at the saddle of the coefficient
     integrand (see _coefficient_saddles), so that the large-j term grows like
@@ -540,13 +611,14 @@ def saddle_point_exponent(tau: complex, epsilon: float) -> complex:
     Raises SaddlePointDomainError unless a single saddle carries the integral:
     with two saddles of equal weight the coefficients oscillate in j.
     """
-    (t0, _), weights, kappa, z = _coefficient_saddles(tau, float(epsilon))
-    if weights != (1, 0):
+    parts = _saddle_parts(tau, epsilon)
+    if len(parts) > 1:
         raise SaddlePointDomainError(
             f"no single saddle at tau = {complex(tau)}, eps = {epsilon}: two saddles "
             "of equal weight make the coefficients oscillate in j"
         )
-    return cmath.log(t0) + cmath.log(1.0 - t0) - kappa * cmath.log(1.0 - z * t0)
+    [(_, _, logs, _)] = parts
+    return _read(logs)[1]
 
 
 def _at(fn, x):
@@ -581,8 +653,9 @@ def saddle_point_log(j, m, tau: complex, epsilon: float):
     The j, m arithmetic takes either alike (real operations; math.lgamma and
     math.log entry by entry), so a pair has the same bits alone or in any
     batch.  What depends on (tau, eps) alone (the saddles, log t0, log(1-t0),
-    log(1-z t0), phi''(t0) and the gate's reach) is computed once per call;
-    per pair there remain the log-gammas of the integers 2j+2, j+m+1, j-m+1
+    log(1-z t0), phi''(t0) and the gate's reach) is computed once per
+    (tau, eps) and memoised (_saddle_parts); per call there remain the gate,
+    and per pair the log-gammas of the integers 2j+2, j+m+1, j-m+1
     and a few real products and sums.  Two contributing saddles are added as
     an array log-sum-exp.  Raises SaddlePointDomainError as saddle_point_2f1
     does; the gate's count of Gaussian widths grows with j, so checking it at
@@ -590,29 +663,19 @@ def saddle_point_log(j, m, tau: complex, epsilon: float):
     """
     batch = isinstance(j, np.ndarray)
     low = int(j.min()) if batch else j
-    roots, weights, kappa, z = _coefficient_saddles(tau, epsilon)
+    parts = _saddle_parts(tau, epsilon)
     log_beta = (_at(math.lgamma, 2 * j + 2) - _at(math.lgamma, j + m + 1)
                 - _at(math.lgamma, j - m + 1) - 0.5 * _at(math.log, j))
     terms = []
-    for t0, other, weight in ((roots[0], roots[1], weights[0]), (roots[1], roots[0], weights[1])):
-        if weight == 0:
-            continue
-        one_minus_t = 1.0 - t0
-        one_minus_zt = 1.0 - z * t0
-        phi2 = -1.0 / t0**2 - 1.0 / one_minus_t**2 + kappa * z * z / one_minus_zt**2
-        reach = min(abs(t0), abs(one_minus_t), abs(t0 - 1.0 / z), abs(t0 - other))
+    for weight, gate, logs, rest in parts:
+        phi2, reach = _read(gate)
         widths = reach * math.sqrt(low * abs(phi2))
         if widths < SADDLE_MIN_WIDTHS:
             raise SaddlePointDomainError(
                 f"large-j saddle term unreliable at j = {low}, tau = {tau}, eps = {epsilon}: "
                 f"saddle only {widths:.3g} Gaussian widths from the nearest singular point"
             )
-        log_t = cmath.log(t0)
-        log_1mt = cmath.log(one_minus_t)
-        log_1mzt = cmath.log(one_minus_zt)
-        per_m = log_t - log_1mt
-        per_j = log_t + log_1mt - kappa * log_1mzt
-        rest = 0.5 * cmath.log(2.0 * math.pi / -phi2) - log_1mzt
+        (per_m, per_j, _), rest = _read(logs), _read(rest)
         terms.append((
             weight,
             log_beta + m * per_m.real + j * per_j.real + rest.real,

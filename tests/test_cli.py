@@ -103,6 +103,23 @@ def test_removed_workers_flag_is_usage_error(capsys):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    "coeff --j 3 --eps 2",                   # no --tau
+    "coeff --j x --tau 0 --eps 2",           # not an int
+    "ymap --tau 0 --eps 2 --jmax 3",         # no --table
+    "diverge --tau 0 --checkpoints -5,10",   # a value argparse takes for an option
+    "cof",                                   # no such subcommand
+    "",                                      # no subcommand
+])
+def test_argparse_usage_error_is_one_line(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv.split())
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1, captured.err
+
+
 def test_run_config_validation():
     with pytest.raises(ValueError):
         RunConfig(j_max=0)
