@@ -24,7 +24,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .logcomplex import to_complex_values
-from .principal_series import check_boost, check_epsilon, diagonal_coefficients
+from .principal_series import _label, check_boost, check_epsilon, diagonal_coefficients
 from .reports import (
     SeriesReport,
     VERDICT_DIVERGED,
@@ -66,6 +66,8 @@ class ExpansionConfig:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "tau", complex(self.tau))
+        object.__setattr__(self, "m", _label(self.m, "m"))
+        object.__setattr__(self, "j_max", _label(self.j_max, "j_max"))
         check_boost(self.epsilon)
         if self.j_max < 1:
             raise ValueError("j_max must be positive")
@@ -80,9 +82,10 @@ class CoefficientTable:
     entries: dict[int, complex] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "m", _label(self.m, "m"))
         clean = {}
         for j, v in dict(self.entries).items():
-            j = int(j)
+            j = _label(int(j) if isinstance(j, str) else j, "j")   # JSON keys are strings
             if j < 0:
                 raise ValueError("coefficient labels must be non-negative")
             clean[j] = complex(v)
@@ -90,11 +93,11 @@ class CoefficientTable:
 
     @classmethod
     def geometric(cls, m: int, ratio: float, j_max: int) -> "CoefficientTable":
-        j0 = max(abs(int(m)), 1)
-        return cls(m=int(m), entries={j: complex(ratio**j) for j in range(j0, int(j_max) + 1)})
+        m, j_max = _label(m, "m"), _label(j_max, "j_max")
+        return cls(m=m, entries={j: complex(ratio**j) for j in range(max(abs(m), 1), j_max + 1)})
 
     def get(self, j: int) -> complex:
-        return self.entries.get(int(j), 0j)
+        return self.entries.get(j, 0j)
 
     def support(self) -> list[int]:
         return sorted(self.entries)
@@ -138,7 +141,7 @@ def triple_blocks(tau: complex, epsilon: float, j_max: int) -> list[complex]:
     of special.triple_block_log; raises SeriesConvergenceError where a
     block's cancellation passes special.CANCELLATION_LIMIT, judged against
     the largest |block| of the call, as the blocks are only added."""
-    js = np.arange(int(j_max) + 1)
+    js = np.arange(_label(j_max, "j_max") + 1)
     log_mag, phase, cancellation = triple_block_log(js, tau, check_epsilon(epsilon))
     check_cancellation(cancellation, np.exp(log_mag - log_mag.max()))
     return to_complex_values(log_mag, phase).tolist()
@@ -156,8 +159,9 @@ def partial_sum_triple(
     (the off-diagonal terms vanish identically, leaving 2j+1 terms per block).
     """
     epsilon = check_boost(epsilon)
+    j_max = _label(j_max, "j_max")
     return series_report(
-        {"kind": "triple_sum", "tau": tau, "epsilon": epsilon, "j_max": int(j_max)},
+        {"kind": "triple_sum", "tau": tau, "epsilon": epsilon, "j_max": j_max},
         0, cauchy_tolerance, cauchy_window, values=np.array(triple_blocks(tau, epsilon, j_max)),
     )
 
@@ -191,7 +195,7 @@ def norm_identity(tau: complex, j_max: int) -> NormIdentityReport:
     from norm-type sums).  Raises SingularTauError at tau = +/- i.
     """
     tau = _check_tau_regular(tau)
-    j_max = int(j_max)
+    j_max = _label(j_max, "j_max")
     if j_max < 1:
         raise ValueError("j_max must be positive")
     denom = 1.0 + tau * tau
@@ -231,7 +235,7 @@ def divergence_probe(
     tolerance and fits the logarithmic model; 'inconclusive' otherwise.
     """
     tau = _check_tau_regular(tau)
-    cps = sorted(int(c) for c in checkpoints)
+    cps = sorted(_label(c, "checkpoint") for c in checkpoints)
     if len(cps) < 2 or cps[0] < 1:
         raise ValueError("need at least two positive checkpoints")
     if len(set(cps)) < len(cps):
@@ -279,6 +283,7 @@ def synthesize(
     tau = complex(tau)
     _check_tau_regular(tau)
     epsilon = check_boost(epsilon)
+    j_max = _label(j_max, "j_max")
     tr = table.tail_ratio()
     if tr is not None and tr > 1.0 + 1e-9:
         warnings.warn(
@@ -289,7 +294,7 @@ def synthesize(
     m = table.m
     j_start = max(abs(m), 1)
     # the terms j^2 (1 + tau^2) c_j D_j(m), exact zeros where c_j is zero
-    cs = np.array([table.get(j) for j in range(j_start, int(j_max) + 1)])
+    cs = np.array([table.get(j) for j in range(j_start, j_max + 1)])
     at = np.flatnonzero(cs)
     js = at + j_start
     coeffs = diagonal_coefficients(js, np.full(js.shape, m), tau, epsilon, against_largest=True)
@@ -297,7 +302,7 @@ def synthesize(
     terms[at] = js * js * (1.0 + tau * tau) * cs[at] * to_complex_values(*coeffs)
     return series_report(
         {"kind": "synthesis", "m": m, "tau": tau, "epsilon": epsilon,
-         "j_max": int(j_max), "j_start": j_start, "coefficient_tail_ratio": tr},
+         "j_max": j_max, "j_start": j_start, "coefficient_tail_ratio": tr},
         j_start, cauchy_tolerance, cauchy_window, values=terms,
     )
 

@@ -27,15 +27,14 @@ judged against the value itself, or, for callers that only add the values,
 against the largest value of the call or of the pair's label (its j, for
 the terms of the boost-series map).  Both reject an eps that is not positive and
 finite (special.check_epsilon, re-exported here) before any series work;
-every series diagnostic also rejects eps = 1 (check_boost).  ratio_test
-reads its coefficients one at a time through diagonal_coefficient;
-boundary_ratio_test reads its track in one batch; both hand their terms to
+every series diagnostic also rejects eps = 1 (check_boost).
+boundary_ratio_test reads its track in one batch.  ratio_test reads its
+pairs past EXACT_J_LIMIT in one batch too, so a scan finds the large-j
+term's (tau, eps) parts once; it reads only its exact window one pair at a
+time, through diagonal_coefficient, because that is the seam where the
+benchmark's check moves a term.  Both hand their terms to
 reports.series_report as arrays.  Each block of a series is one cumulative
 product of its term ratios, of a length chosen by special._sum_series.
-Only the large-j term's (tau, eps) parts are memoised (special._saddle_parts:
-the saddles, their logs and the gate's inputs, the floats a call would
-compute), so a scan read pair by pair finds them once; no value changes a
-bit, and the gate still reads each call's j.
 """
 from __future__ import annotations
 
@@ -72,12 +71,13 @@ class IndexRangeError(ValueError):
 
 
 def _label(value, name: str) -> int:
-    """A label j or m as an int: an integer, or an integral float such as 2.0;
-    anything else raises IndexRangeError rather than being truncated."""
+    """A label or size (j, m, j_max) as an int: an integer, or an integral
+    float such as 2.0; anything else, a bool included, raises IndexRangeError
+    rather than being truncated."""
     if isinstance(value, (float, np.floating)):
         if float(value).is_integer():
             return int(value)
-    else:
+    elif not isinstance(value, (bool, np.bool_)):
         try:
             return operator.index(value)
         except TypeError:
@@ -88,7 +88,7 @@ def _label(value, name: str) -> int:
 def _labels(values, name: str) -> np.ndarray:
     """_label for each entry, as one int64 array."""
     a = np.asarray(values).reshape(-1)
-    if a.dtype.kind not in "iub":   # floats, say: each entry by _label's rule
+    if a.dtype.kind not in "iu":   # floats, say: each entry by _label's rule
         a = np.array([_label(v, name) for v in a.tolist()], dtype=np.int64)
     return a.astype(np.int64)
 
@@ -320,23 +320,26 @@ def ratio_test(
     apply).
 
     The empirical limit is the median of the last 10 ratios.  j runs from
-    max(|m|, 1) so every term is well defined.  Terms are read one pair at a
-    time through diagonal_coefficient, where the benchmark's check moves one.
-    Batching them waits for ROADMAP item 1's benchmark change, which must move
-    perfbench/test_bench.py and tests/test_principal_series.py's
-    test_ratio_test_reads_each_term_through_diagonal_coefficient together.
+    max(|m|, 1) so every term is well defined.  The terms past
+    EXACT_J_LIMIT are one diagonal_coefficients call, read first so that
+    their domain checks come before any series work.  Only the exact window
+    is read one pair at a time, from the top down, through
+    diagonal_coefficient, because the benchmark's check moves a term there
+    (perfbench/test_bench.py and tests/test_principal_series.py's
+    test_ratio_test_reads_each_term_through_diagonal_coefficient).
     """
     m = _label(m, "m")
     epsilon = check_boost(epsilon)
-    j_max = int(j_max)
+    j_max = _label(j_max, "j_max")
     if j_max < abs(m) + 8:
         raise ValueError("j_max must be at least |m| + 8")
     j_start = max(abs(m), 1)
-    # one pair at a time through diagonal_coefficient (see above); from the
-    # top down, so that the saddle-point pairs' domain checks come before the
-    # series work, as in diagonal_coefficients
-    values = [diagonal_coefficient(j, m, tau, epsilon) for j in range(j_max, j_start - 1, -1)]
-    log_mag, phase = np.array([[v.log_mag for v in values], [v.phase for v in values]])[:, ::-1]
+    js = np.arange(max(j_start, EXACT_J_LIMIT + 1), j_max + 1)
+    large = diagonal_coefficients(js, np.full(js.shape, m), tau, epsilon)
+    exact = [diagonal_coefficient(j, m, tau, epsilon)
+             for j in range(min(j_max, EXACT_J_LIMIT), j_start - 1, -1)][::-1]
+    log_mag = np.concatenate([[v.log_mag for v in exact], large[0]])
+    phase = np.concatenate([[v.phase for v in exact], large[1]])
     return series_report(
         {"kind": "diagonal_ratio", "m": m, "tau": tau, "epsilon": epsilon,
          "j_max": j_max, "j_start": j_start},
@@ -362,7 +365,7 @@ def boundary_ratio_test(
     if track not in (TRACK_M_EQUALS_J, TRACK_M_EQUALS_0):
         raise ValueError(f"unknown track {track!r}")
     epsilon = check_boost(epsilon)
-    j_max = int(j_max)
+    j_max = _label(j_max, "j_max")
     if j_max < 9:
         raise ValueError("j_max too small for a tail estimate")
     js = np.arange(1, j_max + 1)

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import expansion
 from .logcomplex import to_complex_values
-from .principal_series import check_boost, diagonal_coefficients
+from .principal_series import _label, check_boost, diagonal_coefficients
 from .reports import (
     SeriesReport,
     VERDICT_CONVERGED,
@@ -44,6 +44,7 @@ class YMapRequest:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "tau", complex(self.tau))
+        object.__setattr__(self, "j_max", _label(self.j_max, "j_max"))
         if self.j_max < abs(self.table.p):
             raise ValueError("j_max must be at least |p|")
         object.__setattr__(self, "epsilon", check_boost(self.epsilon))

@@ -2,8 +2,8 @@
 one saddle-point call per batch, bit-for-bit agreement with one-pair calls,
 the Euler reflection of the m > 0 rows, the (j, m) grid read in one call with
 each column judged on its own, how much work each caller asks of the kernel,
-of the large-j term and of the triple-block engine, the memo of the large-j
-term's (tau, eps) parts, which keeps every bit and error, the kernel's block
+of the large-j term and of the triple-block engine, the large-j term's gate
+and errors on every call and its bits at signed-zero tau, the kernel's block
 length, set by the series' rate alone, its accuracy on both sides of eps = 1,
 and the rows it sums again because their terms leave double range."""
 import cmath
@@ -168,13 +168,26 @@ def test_batch_mixes_routes_and_keeps_order():
 @pytest.mark.parametrize("m,tau", [(0, 0.2), (-1, -0.2 + 0.05j), (3, 0.1)])
 @pytest.mark.parametrize("eps", [0.32, 3.6])
 def test_scan_read_pair_by_pair_has_the_bits_of_one_batch(m, tau, eps):
-    # ratio_test reads its j_max = 400 scan one pair at a time, the sum one
-    # batch: on the slowest series (1536-term blocks) and past j = 64 alike,
-    # every term has the same log_mag and phase bits
+    # ratio_test reads its exact window one pair at a time and the pairs past
+    # j = 64 as one batch, the sum its whole j_max = 400 scan as one batch: on
+    # the slowest series (1536-term blocks) and past j = 64 alike, every term
+    # has the same log_mag and phase bits
     by_pair = ratio_test(m, tau, eps, 400).terms
     batch = partial_sum_diagonal(ExpansionConfig(tau=tau, m=m, epsilon=eps, j_max=400)).terms
     assert len(by_pair) == 400 - max(abs(m), 1) + 1
     assert [(t.j, t.log_mag, t.phase) for t in by_pair] == [(t.j, t.log_mag, t.phase) for t in batch]
+
+
+def test_scan_and_sum_raise_one_error():
+    # the gate fails at every j of the scan; both read the pairs past j = 64
+    # as one batch, whose gate names its smallest j
+    config = ExpansionConfig(tau=0.449, m=0, epsilon=3.0, j_max=400)
+    errors = []
+    for read in (lambda: ratio_test(0, 0.449, 3.0, 400), lambda: partial_sum_diagonal(config)):
+        with pytest.raises(SaddlePointDomainError, match="unreliable at j = 65,") as info:
+            read()
+        errors.append(str(info.value))
+    assert errors[0] == errors[1]
 
 
 def test_batch_validation():
@@ -520,8 +533,7 @@ def test_large_j_scan_is_one_saddle_call(term_calls):
 
 @pytest.fixture
 def saddle_calls(monkeypatch):
-    """The (tau, eps) of every call of special._coefficient_saddles, from an
-    empty memo of the large-j term's (tau, eps) parts, emptied again after."""
+    """The (tau, eps) of every call of special._coefficient_saddles."""
     calls = []
     original = special._coefficient_saddles
 
@@ -530,71 +542,47 @@ def saddle_calls(monkeypatch):
         return original(tau, eps)
 
     monkeypatch.setattr(special, "_coefficient_saddles", counted)
-    special._saddle_parts_at.cache_clear()
-    yield calls
-    special._saddle_parts_at.cache_clear()
+    return calls
 
 
-def test_scan_read_pair_by_pair_finds_the_saddles_once(saddle_calls):
+def test_scan_finds_the_saddles_in_one_term_call(saddle_calls, term_calls):
     report = ratio_test(1, 0.2, 0.85, 400)
     assert len(report.terms) == 400
-    # once for the 336 pairs past j = 64, and once for the predicted limit,
-    # which is taken at 1/eps
+    # the 336 pairs past j = 64 are one call of the large-j term
+    assert term_calls == {"saddle_point_log": 1}
+    # which finds the saddles once; the predicted limit, taken at 1/eps,
+    # finds them once more
     assert saddle_calls == [(0.2, 0.85), (0.2, 1.0 / 0.85)]
 
 
-# signed zeros among them: -0.0 == 0.0, so only the memo's signs tell them apart
-MEMO_KEYS = [(tau, eps) for tau in (0.0, -0.0, complex(0.0, -0.0), complex(-0.0, -0.0),
-                                    complex(0.3, -0.0), 0.3, -0.2 + 0.05j, complex(-0.0, 0.05))
-             for eps in (0.32, 0.85, 1.6, 2.4)]
-# past the saddles' meeting point: two saddles, each with its own parts
-MEMO_KEYS += [(complex(0.9, -0.0), 3.6), (-0.9, 3.6)]
-MEMO_PAIRS = [(65, 0), (200, -1), (400, 3)]
+# signed zeros among them, on which a branch cut such as cmath.sqrt's can depend
+SIGNED_KEYS = [(tau, eps) for tau in (0.0, -0.0, complex(0.0, -0.0), complex(-0.0, -0.0),
+                                      complex(0.3, -0.0), 0.3, -0.2 + 0.05j, complex(-0.0, 0.05))
+               for eps in (0.32, 0.85, 1.6, 2.4)]
+# past the saddles' meeting point: two saddles
+SIGNED_KEYS += [(complex(0.9, -0.0), 3.6), (-0.9, 3.6)]
+LARGE_PAIRS = [(65, 0), (200, -1), (400, 3)]
 
 
-def memo_reads(clear: bool) -> list:
-    """The bits of (log_mag, phase) at every pair and key, the keys
-    interleaved, from an emptied memo at each read if clear."""
-    out = []
-    for j, m in MEMO_PAIRS:
-        for tau, eps in MEMO_KEYS:
-            if clear:
-                special._saddle_parts_at.cache_clear()
+def test_one_pair_has_the_bits_of_its_batch_at_signed_zero_tau():
+    js, ms = (np.array(x) for x in zip(*LARGE_PAIRS))
+    for tau, eps in SIGNED_KEYS:
+        log_mag, phase = diagonal_coefficients(js, ms, tau, eps)
+        for (j, m), lm, ph in zip(LARGE_PAIRS, log_mag, phase):
             v = diagonal_coefficient(j, m, tau, eps)
-            out.append((v.log_mag.hex(), v.phase.hex()))
-    return out
+            assert (v.log_mag.hex(), v.phase.hex()) == (float(lm).hex(), float(ph).hex())
 
 
-def test_memoised_parts_keep_every_bit(saddle_calls):
-    cold = memo_reads(clear=True)
-    assert len(saddle_calls) == len(MEMO_PAIRS) * len(MEMO_KEYS)
-    special._saddle_parts_at.cache_clear()
-    saddle_calls.clear()
-    warm = memo_reads(clear=False)
-    # one entry per key, the signs of tau's zeros included
-    assert len(saddle_calls) == len(MEMO_KEYS)
-    assert [(math.copysign(1.0, t.real), math.copysign(1.0, t.imag))
-            for t, _ in saddle_calls[:16:4]] == [(1, 1), (-1, 1), (1, -1), (-1, -1)]
-    assert warm == cold == memo_reads(clear=False)
-    # and each pair's bits are those of one batch
-    js, ms = (np.array(x) for x in zip(*MEMO_PAIRS))
-    batches = [diagonal_coefficients(js, ms, tau, eps) for tau, eps in MEMO_KEYS]
-    by_batch = [(float(batches[k][0][i]).hex(), float(batches[k][1][i]).hex())
-                for i in range(len(MEMO_PAIRS)) for k in range(len(MEMO_KEYS))]
-    assert by_batch == cold
-
-
-def test_memo_keeps_the_gate_per_call(saddle_calls):
-    # j = 400 fills the entry at eps = 3, tau = 0.44; the gate's count of
-    # Gaussian widths grows with j, and j = 65 still fails it
+def test_gate_reads_each_call_j(saddle_calls):
+    # the gate's count of Gaussian widths grows with j: at eps = 3,
+    # tau = 0.44, j = 400 passes it and j = 65 still fails it
     diagonal_coefficient(400, 0, 0.44, 3.0)
     with pytest.raises(SaddlePointDomainError, match="Gaussian widths"):
         diagonal_coefficient(65, 0, 0.44, 3.0)
-    assert saddle_calls == [(0.44, 3.0)]
+    assert saddle_calls == [(0.44, 3.0)] * 2
 
 
-def test_memo_raises_where_the_term_did(saddle_calls):
-    # the memo keeps a stage's error and raises it where the term would have:
+def test_large_j_term_raises_at_the_extremes_of_eps():
     # at eps = 1e8, phi''(t0) rounds to 0, so the gate fails at every j before
     # log(2 pi / -phi'') would divide by zero, and phi(t0) is -2 ln(1+eps^2);
     # at eps = 1 (z = 0) the gate's 1/z divides by zero, and phi(t0) = -2 ln 2
@@ -605,16 +593,13 @@ def test_memo_raises_where_the_term_did(saddle_calls):
         assert special.saddle_point_exponent(0.0, 1.0).real == pytest.approx(-2 * math.log(2))
         with pytest.raises(ZeroDivisionError):
             saddle_point_log(400, 0, 0.0, 1.0)
-    assert saddle_calls == [(0.0, 1e8), (0.0, 1.0)]
 
 
 def test_out_of_domain_tau_raises_on_every_call(saddle_calls):
     for _ in range(3):
         with pytest.raises(SaddlePointDomainError, match=r"\|Re tau\| <= 1"):
             diagonal_coefficient(200, 0, 1.2, 2.0)
-    # nothing memoised: each call finds the saddles again, and raises
     assert saddle_calls == [(1.2, 2.0)] * 3
-    assert special._saddle_parts_at.cache_info().currsize == 0
 
 
 # ------------------------------------------------------------- the block rule

@@ -18,6 +18,7 @@ from lorentz_harmonics.expansion import (
 )
 from lorentz_harmonics.principal_series import (
     EpsilonDomainError,
+    IndexRangeError,
     boundary_ratio_test,
     diagonal_coefficient,
     ratio_test,
@@ -117,6 +118,34 @@ def test_coefficient_table_entries_and_ratio():
     assert CoefficientTable(m=0).tail_ratio() is None
     with pytest.raises(ValueError):
         CoefficientTable(m=0, entries={-2: 1.0})
+
+
+# (call of one label or size, a value that is not an integer, an integer)
+LABEL_CALLS = {
+    "config_j_max": (lambda j: ExpansionConfig(tau=0.3, m=0, epsilon=2.0, j_max=j), 30.7, 30),
+    "config_m": (lambda m: ExpansionConfig(tau=0.3, m=m, epsilon=2.0, j_max=30), 1.5, 1),
+    "table_key": (lambda j: CoefficientTable(0, {j: 1.0}), 2.5, 2),
+    "table_key_bool": (lambda j: CoefficientTable(0, {j: 1.0}), True, 1),
+    "geometric_m": (lambda m: CoefficientTable.geometric(m, 0.5, 20), 1.7, 1),
+    "geometric_j_max": (lambda j: CoefficientTable.geometric(0, 0.5, j), 20.5, 20),
+    "synthesize_m": (lambda m: synthesize(CoefficientTable(m, {3: 1.0}), 0.3, 2.0, 30), 1.5, 1),
+    "synthesize_j_max": (lambda j: synthesize(CoefficientTable(0, {3: 1.0}), 0.3, 2.0, j), 30.7, 30),
+    "probe_checkpoint": (lambda j: divergence_probe(0.0, [j, 100]), 10.5, 10),
+    "norm_j_max": (lambda j: norm_identity(0.0, j), 10.9, 10),
+    "ratio_j_max": (lambda j: ratio_test(0, 0.3, 2.0, j), 30.7, 30),
+    "boundary_j_max": (lambda j: boundary_ratio_test("m_equals_0", 0.3, 2.0, j), 30.7, 30),
+    "triple_j_max": (lambda j: partial_sum_triple(0.3, 2.0, j), 30.7, 30),
+    "ymap_j_max": (lambda j: YMapRequest(FourierTableSU2(0, 4, {}), 0.3, j, 2.0), 6.5, 6),
+}
+
+
+@pytest.mark.parametrize("name", LABEL_CALLS)
+def test_non_integral_sizes_and_labels_are_rejected_not_truncated(name):
+    call, bad, good = LABEL_CALLS[name]
+    with pytest.raises(IndexRangeError, match="is not an integer"):
+        call(bad)
+    # an integral float is the integer, to the bit
+    assert call(float(good)) == call(good)
 
 
 # ------------------------------------------------------------- diagonal sums
