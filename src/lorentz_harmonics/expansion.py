@@ -24,7 +24,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .logcomplex import to_complex_values
-from .principal_series import _label, check_boost, check_epsilon, diagonal_coefficients
+from .principal_series import check_boost, check_epsilon, diagonal_coefficients
 from .reports import (
     SeriesReport,
     VERDICT_DIVERGED,
@@ -33,7 +33,7 @@ from .reports import (
     empirical_tail_ratio,
     series_report,
 )
-from .special import check_cancellation, triple_block_log
+from .special import check_cancellation, check_label, check_tau, triple_block_log
 
 PI_SQUARED_OVER_6 = math.pi**2 / 6.0
 # Terms per numpy pass of the norm-type sums (about 3 MB of arrays), so that
@@ -47,7 +47,7 @@ class SingularTauError(ValueError):
 
 
 def _check_tau_regular(tau: complex) -> complex:
-    tau = complex(tau)
+    tau = check_tau(tau)
     if 1.0 + tau * tau == 0:
         raise SingularTauError("tau = i or -i is outside the norm-identity domain")
     return tau
@@ -65,9 +65,9 @@ class ExpansionConfig:
     cauchy_window: int = 10
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "tau", complex(self.tau))
-        object.__setattr__(self, "m", _label(self.m, "m"))
-        object.__setattr__(self, "j_max", _label(self.j_max, "j_max"))
+        object.__setattr__(self, "tau", check_tau(self.tau))
+        object.__setattr__(self, "m", check_label(self.m, "m"))
+        object.__setattr__(self, "j_max", check_label(self.j_max, "j_max"))
         check_boost(self.epsilon)
         if self.j_max < 1:
             raise ValueError("j_max must be positive")
@@ -82,10 +82,10 @@ class CoefficientTable:
     entries: dict[int, complex] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "m", _label(self.m, "m"))
+        object.__setattr__(self, "m", check_label(self.m, "m"))
         clean = {}
         for j, v in dict(self.entries).items():
-            j = _label(int(j) if isinstance(j, str) else j, "j")   # JSON keys are strings
+            j = check_label(int(j) if isinstance(j, str) else j, "j")   # JSON keys are strings
             if j < 0:
                 raise ValueError("coefficient labels must be non-negative")
             clean[j] = complex(v)
@@ -93,7 +93,7 @@ class CoefficientTable:
 
     @classmethod
     def geometric(cls, m: int, ratio: float, j_max: int) -> "CoefficientTable":
-        m, j_max = _label(m, "m"), _label(j_max, "j_max")
+        m, j_max = check_label(m, "m"), check_label(j_max, "j_max")
         return cls(m=m, entries={j: complex(ratio**j) for j in range(max(abs(m), 1), j_max + 1)})
 
     def get(self, j: int) -> complex:
@@ -141,7 +141,7 @@ def triple_blocks(tau: complex, epsilon: float, j_max: int) -> list[complex]:
     of special.triple_block_log; raises SeriesConvergenceError where a
     block's cancellation passes special.CANCELLATION_LIMIT, judged against
     the largest |block| of the call, as the blocks are only added."""
-    js = np.arange(_label(j_max, "j_max") + 1)
+    js = np.arange(check_label(j_max, "j_max") + 1)
     log_mag, phase, cancellation = triple_block_log(js, tau, check_epsilon(epsilon))
     check_cancellation(cancellation, np.exp(log_mag - log_mag.max()))
     return to_complex_values(log_mag, phase).tolist()
@@ -159,7 +159,7 @@ def partial_sum_triple(
     (the off-diagonal terms vanish identically, leaving 2j+1 terms per block).
     """
     epsilon = check_boost(epsilon)
-    j_max = _label(j_max, "j_max")
+    j_max = check_label(j_max, "j_max")
     return series_report(
         {"kind": "triple_sum", "tau": tau, "epsilon": epsilon, "j_max": j_max},
         0, cauchy_tolerance, cauchy_window, values=np.array(triple_blocks(tau, epsilon, j_max)),
@@ -195,7 +195,7 @@ def norm_identity(tau: complex, j_max: int) -> NormIdentityReport:
     from norm-type sums).  Raises SingularTauError at tau = +/- i.
     """
     tau = _check_tau_regular(tau)
-    j_max = _label(j_max, "j_max")
+    j_max = check_label(j_max, "j_max")
     if j_max < 1:
         raise ValueError("j_max must be positive")
     denom = 1.0 + tau * tau
@@ -235,7 +235,7 @@ def divergence_probe(
     tolerance and fits the logarithmic model; 'inconclusive' otherwise.
     """
     tau = _check_tau_regular(tau)
-    cps = sorted(_label(c, "checkpoint") for c in checkpoints)
+    cps = sorted(check_label(c, "checkpoint") for c in checkpoints)
     if len(cps) < 2 or cps[0] < 1:
         raise ValueError("need at least two positive checkpoints")
     if len(set(cps)) < len(cps):
@@ -280,10 +280,9 @@ def synthesize(
     below 1 (on top of the coefficient ratio limit < 1); tables violating that
     decay check trigger a warning, not an error.
     """
-    tau = complex(tau)
-    _check_tau_regular(tau)
+    tau = _check_tau_regular(tau)
     epsilon = check_boost(epsilon)
-    j_max = _label(j_max, "j_max")
+    j_max = check_label(j_max, "j_max")
     tr = table.tail_ratio()
     if tr is not None and tr > 1.0 + 1e-9:
         warnings.warn(

@@ -11,7 +11,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .special import gauss_legendre
+from .special import check_label, gauss_legendre
 
 
 class MatrixInvariantError(ValueError):
@@ -221,8 +221,8 @@ class QuadratureGrid:
     |p|/2 - m' with |m'| <= B/2 need min(B, (B + |p|)//2) + 1 alphas (a row
     beyond B has no entries).  It is not exact for every Gram product.  None
     means every row.  The read-only node arrays are built from (B, row); a
-    negative B or row raises ValueError.  Immutable and safe to share across
-    threads.
+    B or row that is not an integer raises IndexRangeError, a negative one
+    ValueError.  Immutable and safe to share across threads.
     """
 
     twice_band_limit: int
@@ -233,7 +233,10 @@ class QuadratureGrid:
     gammas: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        B, row = self.twice_band_limit, self.row
+        B = check_label(self.twice_band_limit, "twice_band_limit")
+        row = None if self.row is None else check_label(self.row, "row")
+        object.__setattr__(self, "twice_band_limit", B)
+        object.__setattr__(self, "row", row)
         if B < 0:
             raise ValueError("band limit must be non-negative")
         if row is not None and row < 0:

@@ -27,7 +27,9 @@ judged against the value itself, or, for callers that only add the values,
 against the largest value of the call or of the pair's label (its j, for
 the terms of the boost-series map).  Both reject an eps that is not positive and
 finite (special.check_epsilon, re-exported here) before any series work;
-every series diagnostic also rejects eps = 1 (check_boost).
+every series diagnostic also rejects eps = 1 (check_boost).  Labels, sizes,
+pairs and tau are read by special's rules (check_label, check_pair,
+check_tau); IndexRangeError is special's, re-exported here.
 boundary_ratio_test reads its track in one batch.  ratio_test reads its
 pairs past EXACT_J_LIMIT in one batch too, so a scan finds the large-j
 term's (tau, eps) parts once; it reads only its exact window one pair at a
@@ -39,7 +41,6 @@ product of its term ratios, of a length chosen by special._sum_series.
 from __future__ import annotations
 
 import math
-import operator
 from typing import Optional
 
 import numpy as np
@@ -48,10 +49,15 @@ from .logcomplex import LogComplexValue, wrap_phases
 from .reports import SeriesReport, series_report
 from .special import (
     EpsilonDomainError,
+    IndexRangeError,
     SaddlePointDomainError,
     check_cancellation,
     check_epsilon,
+    check_label,
+    check_labels,
+    check_pair,
     check_saddle_pair,
+    check_tau,
     hyp2f1_rows,
     saddle_point_exponent,
     saddle_point_log,
@@ -64,33 +70,6 @@ PATH_ASYMPTOTIC = "asymptotic"
 
 TRACK_M_EQUALS_J = "m_equals_j"
 TRACK_M_EQUALS_0 = "m_equals_0"
-
-
-class IndexRangeError(ValueError):
-    """Coefficient index outside its admissible range."""
-
-
-def _label(value, name: str) -> int:
-    """A label or size (j, m, j_max) as an int: an integer, or an integral
-    float such as 2.0; anything else, a bool included, raises IndexRangeError
-    rather than being truncated."""
-    if isinstance(value, (float, np.floating)):
-        if float(value).is_integer():
-            return int(value)
-    elif not isinstance(value, (bool, np.bool_)):
-        try:
-            return operator.index(value)
-        except TypeError:
-            pass
-    raise IndexRangeError(f"{name} = {value!r} is not an integer")
-
-
-def _labels(values, name: str) -> np.ndarray:
-    """_label for each entry, as one int64 array."""
-    a = np.asarray(values).reshape(-1)
-    if a.dtype.kind not in "iu":   # floats, say: each entry by _label's rule
-        a = np.array([_label(v, name) for v in a.tolist()], dtype=np.int64)
-    return a.astype(np.int64)
 
 
 def check_boost(epsilon) -> float:
@@ -189,20 +168,15 @@ def diagonal_coefficients(
     index, say): each pair is then judged against the largest |D| of the
     pairs with its label, as a call per label would judge it.
     """
-    js = _labels(js, "j")
-    ms = _labels(ms, "m")
-    tau = complex(tau)
+    js = check_labels(js, "j")
+    ms = check_labels(ms, "m")
+    tau = check_tau(tau)
     epsilon = check_epsilon(epsilon)
     if js.shape != ms.shape:
         raise ValueError("js and ms must have the same length")
     if not js.size:
         return np.zeros(0), np.zeros(0)
-    if js.min() < 0:
-        raise IndexRangeError("j must be non-negative")
-    bad = np.abs(ms) > js
-    if bad.any():
-        i = int(bad.argmax())
-        raise IndexRangeError(f"|m| = {abs(int(ms[i]))} exceeds j = {int(js[i])}")
+    check_pair(js, ms)
     exact = (js <= EXACT_J_LIMIT) | (epsilon == 1.0)
     log_mag = np.empty(js.shape)
     phase = np.empty(js.shape)
@@ -217,8 +191,7 @@ def diagonal_coefficients(
         weight = 1.0
         if against_largest is not False:
             # each exact pair's |D| over the largest |D| of its label
-            labels = np.broadcast_to(np.asarray(against_largest, dtype=np.int64), js.shape)
-            _, label = np.unique(labels, return_inverse=True)
+            _, label = np.unique(np.broadcast_to(against_largest, js.shape), return_inverse=True)
             largest = np.full(label.max() + 1, -np.inf)
             np.maximum.at(largest, label, log_mag)
             weight = np.exp(log_mag[exact] - largest[label[exact]])
@@ -244,14 +217,11 @@ def diagonal_coefficient(
     outside its domain and Hyp2F1DomainError at eps = 1).  The one-pair case
     of diagonal_coefficients, with the same value bit for bit.
     """
-    j = _label(j, "j")
-    m = _label(m, "m")
-    tau = complex(tau)
+    j = check_label(j, "j")
+    m = check_label(m, "m")
+    tau = check_tau(tau)
     epsilon = check_epsilon(epsilon)
-    if j < 0:
-        raise IndexRangeError("j must be non-negative")
-    if abs(m) > j:
-        raise IndexRangeError(f"|m| = {abs(m)} exceeds j = {j}")
+    check_pair(j, m)
     if method == "auto":   # beyond EXACT_J_LIMIT, off eps = 1: check_saddle_pair holds
         method = evaluation_path(j, epsilon)
     elif method == PATH_ASYMPTOTIC:
@@ -278,7 +248,7 @@ def predicted_diagonal_ratio(epsilon: float, tau: complex = 0.0) -> float:
     """
     epsilon = check_epsilon(epsilon)
     epsilon = max(epsilon, 1.0 / epsilon)
-    tau = complex(tau)
+    tau = check_tau(tau)
     phi = saddle_point_exponent(tau, epsilon)
     return math.exp(math.log(4.0) + (2.0 - tau.imag) * math.log(epsilon) + phi.real)
 
@@ -328,9 +298,9 @@ def ratio_test(
     (perfbench/test_bench.py and tests/test_principal_series.py's
     test_ratio_test_reads_each_term_through_diagonal_coefficient).
     """
-    m = _label(m, "m")
+    m = check_label(m, "m")
     epsilon = check_boost(epsilon)
-    j_max = _label(j_max, "j_max")
+    j_max = check_label(j_max, "j_max")
     if j_max < abs(m) + 8:
         raise ValueError("j_max must be at least |m| + 8")
     j_start = max(abs(m), 1)
@@ -365,7 +335,7 @@ def boundary_ratio_test(
     if track not in (TRACK_M_EQUALS_J, TRACK_M_EQUALS_0):
         raise ValueError(f"unknown track {track!r}")
     epsilon = check_boost(epsilon)
-    j_max = _label(j_max, "j_max")
+    j_max = check_label(j_max, "j_max")
     if j_max < 9:
         raise ValueError("j_max too small for a tail estimate")
     js = np.arange(1, j_max + 1)

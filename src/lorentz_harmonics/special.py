@@ -1,8 +1,10 @@
 """Special functions: complex log-gamma, the Gauss hypergeometric function
 for complex parameters and real argument, and the large-j saddle-point term
 used for boost coefficients beyond the exact evaluation window, for one pair
-(j, m) or a batch of them; and the one rule for a boost parameter eps
-(check_epsilon), which every coefficient and series function applies.
+(j, m) or a batch of them; and the package's input rules, applied before
+any work: one for a label, index, size or power
+(check_label, check_labels), one for a coefficient pair (check_pair), one
+for a boost parameter eps (check_epsilon) and one for tau (check_tau).
 
 All magnitude-critical results come back as LogComplexValue.
 """
@@ -11,6 +13,7 @@ from __future__ import annotations
 import cmath
 import functools
 import math
+import operator
 
 import numpy as np
 
@@ -92,6 +95,54 @@ class SaddlePointDomainError(RuntimeError):
     The labels themselves are valid, so this is a numerical failure rather
     than a domain (ValueError) error: no value is returned.
     """
+
+
+class IndexRangeError(ValueError):
+    """Coefficient index outside its admissible range."""
+
+
+def check_label(value, name: str) -> int:
+    """A label, index, size or power as an int: an integer, or an integral float
+    such as 2.0; anything else, a bool included, raises IndexRangeError."""
+    if type(value) is int:
+        return value
+    if isinstance(value, (float, np.floating)):
+        if float(value).is_integer():
+            return int(value)
+    elif not isinstance(value, (bool, np.bool_)):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise IndexRangeError(f"{name} = {value!r} is not an integer")
+
+
+def check_labels(values, name: str) -> np.ndarray:
+    """check_label for each entry, as one int64 array."""
+    a = np.asarray(values).reshape(-1)
+    if a.dtype.kind not in "iu":   # floats, say: each entry by check_label's rule
+        a = np.array([check_label(v, name) for v in a.tolist()], dtype=np.int64)
+    return a.astype(np.int64)
+
+
+def check_pair(j, m) -> None:
+    """The coefficient pair rule on int labels j, m, or elementwise on non-empty
+    int arrays of them: IndexRangeError unless j >= 0 and |m| <= j."""
+    if isinstance(j, np.ndarray):   # the first pair that fails, or one that holds
+        i = int(np.argmax(j < 0) if j.min() < 0 else np.argmax(np.abs(m) > j))
+        j, m = int(j[i]), int(m[i])
+    if j < 0:
+        raise IndexRangeError("j must be non-negative")
+    if abs(m) > j:
+        raise IndexRangeError(f"|m| = {abs(m)} exceeds j = {j}")
+
+
+def check_tau(tau) -> complex:
+    """tau as a complex; raises ValueError unless both its parts are finite."""
+    tau = complex(tau)
+    if not cmath.isfinite(tau):
+        raise ValueError(f"tau must be finite, got {tau}")
+    return tau
 
 
 def check_epsilon(epsilon) -> float:
@@ -409,8 +460,8 @@ def triple_block_log(js, tau: complex, epsilon: float) -> tuple[np.ndarray, np.n
     sum|w f| / |sum w f| (see check_cancellation; nothing is checked here).
     At eps = 1 every block is 2j+1.
     """
-    js = np.asarray(js, dtype=np.int64).reshape(-1)
-    tau = complex(tau)
+    js = check_labels(js, "j")
+    tau = check_tau(tau)
     epsilon = check_epsilon(epsilon)
     out = np.empty((3, js.size))
     out[0], out[1], out[2] = np.log(2.0 * js + 1.0), 0.0, 1.0
@@ -565,11 +616,11 @@ def _at(fn, x):
 
 def check_saddle_pair(j: int, m: int, epsilon) -> float:
     """eps as a float for the large-j term at ints j, m: raises ValueError unless
-    1 <= j and |m| <= j, check_epsilon's error, and Hyp2F1DomainError at eps = 1."""
+    1 <= j, check_pair's and check_epsilon's errors, and Hyp2F1DomainError at
+    eps = 1."""
     if j < 1:
         raise ValueError("asymptotic evaluation needs j >= 1")
-    if abs(m) > j:
-        raise ValueError(f"|m| = {abs(m)} exceeds j = {j}")
+    check_pair(j, m)
     epsilon = check_epsilon(epsilon)
     if epsilon == 1.0:
         raise Hyp2F1DomainError("asymptotic form degenerates at eps = 1 (z = 0); "
@@ -659,7 +710,9 @@ def saddle_point_2f1(j: int, m: int, tau: complex, epsilon: float) -> LogComplex
     the two terms rather than to their sum.  The one-pair case of
     saddle_point_log.
 
-    Raises EpsilonDomainError unless eps is positive and finite
+    Raises IndexRangeError for labels that are not integers or not a pair
+    (check_label, check_pair), ValueError for j < 1 or a tau that is not
+    finite, EpsilonDomainError unless eps is positive and finite
     (check_epsilon), Hyp2F1DomainError at eps = 1, and
     SaddlePointDomainError outside the domain of _coefficient_saddles and
     when the Gaussian width 1/sqrt(j |phi''(t0)|) of a contributing saddle
@@ -669,14 +722,15 @@ def saddle_point_2f1(j: int, m: int, tau: complex, epsilon: float) -> LogComplex
     j = 8, 65, 200) the relative error stayed below 1/r^2 at r such widths,
     so the gate r >= SADDLE_MIN_WIDTHS refuses errors of order one.
     """
-    j, m = int(j), int(m)
+    j, m, tau = check_label(j, "j"), check_label(m, "m"), check_tau(tau)
     epsilon = check_saddle_pair(j, m, epsilon)
-    return LogComplexValue(*saddle_point_log(j, m, complex(tau), epsilon))
+    return LogComplexValue(*saddle_point_log(j, m, tau, epsilon))
 
 
 __all__ = [
     "GammaPoleError",
     "Hyp2F1DomainError",
+    "IndexRangeError",
     "SeriesConvergenceError",
     "CANCELLATION_LIMIT",
     "EpsilonDomainError",
@@ -687,7 +741,11 @@ __all__ = [
     "SaddlePointDomainError",
     "check_cancellation",
     "check_epsilon",
+    "check_label",
+    "check_labels",
+    "check_pair",
     "check_saddle_pair",
+    "check_tau",
     "gauss_legendre",
     "hyp2f1",
     "hyp2f1_rows",

@@ -3,7 +3,8 @@ SU(2) Fourier transform over a fixed row index, and decay diagnostics of the
 resulting coefficient tables.
 
 Spins are bookkept as twice_j integers throughout (spin = twice_j / 2), so
-half-integer labels never touch floating point.
+half-integer labels never touch floating point.  Labels, sizes and powers are
+read by special.check_label; a twice_m at its twice_j by _check_twice_m alone.
 """
 from __future__ import annotations
 
@@ -12,17 +13,27 @@ import functools
 import math
 import warnings
 from dataclasses import dataclass, field
-from typing import Any, Callable, Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
 from .lie_group import QuadratureGrid, SU2Element
+from .special import IndexRangeError, check_label
 
 _EPS = float(np.finfo(float).eps)
 
 
 class WignerIndexError(ValueError):
     """Magnetic index outside the valid range or of the wrong parity."""
+
+
+def _check_twice_m(twice_j: int, twice_m) -> int:
+    """twice_m as an int (check_label), which must satisfy |twice_m| <= twice_j
+    and have twice_j's parity; otherwise WignerIndexError."""
+    twice_m = check_label(twice_m, "twice_m")
+    if abs(twice_m) > twice_j or (twice_m - twice_j) % 2 != 0:
+        raise WignerIndexError(f"twice_m = {twice_m} invalid for twice_j = {twice_j}")
+    return twice_m
 
 
 @dataclass(frozen=True)
@@ -32,14 +43,12 @@ class SpinLabel:
     twice_j: int
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "twice_j", check_label(self.twice_j, "twice_j"))
         if self.twice_j < 0:
             raise WignerIndexError("twice_j must be non-negative")
 
-    def check_index(self, twice_m: int) -> None:
-        if abs(twice_m) > self.twice_j or (twice_m - self.twice_j) % 2 != 0:
-            raise WignerIndexError(
-                f"twice_m = {twice_m} invalid for twice_j = {self.twice_j}"
-            )
+    def check_index(self, twice_m: int) -> int:
+        return _check_twice_m(self.twice_j, twice_m)
 
 
 @functools.lru_cache(maxsize=128)
@@ -92,8 +101,7 @@ def _d_row_weights(twice_j: int, twice_m: int) -> np.ndarray:
 
 def wigner_small_d(spin: SpinLabel, twice_m: int, twice_n: int, beta: float) -> float:
     """d^{j}_{m n}(beta) for spin j = twice_j / 2 and indices m, n = twice_m/2, twice_n/2."""
-    spin.check_index(twice_m)
-    spin.check_index(twice_n)
+    twice_m, twice_n = spin.check_index(twice_m), spin.check_index(twice_n)
     return _small_d(spin.twice_j, twice_m, twice_n, float(beta))
 
 
@@ -122,21 +130,19 @@ class FourierTableSU2:
     noise_floor: float = field(default=0.0, compare=False)
 
     def __post_init__(self) -> None:
-        if self.band_limit < 0:
+        p, band = check_label(self.p, "p"), check_label(self.band_limit, "band_limit")
+        if band < 0:
             raise ValueError("band_limit must be non-negative")
         clean: dict[tuple[int, int], complex] = {}
         for (tj, tm), v in dict(self.entries).items():
-            self._check_key(tj, tm)
-            clean[(int(tj), int(tm))] = complex(v)
-        object.__setattr__(self, "entries", clean)
-
-    def _check_key(self, tj: int, tm: int) -> None:
-        if tj < abs(self.p) or tj > self.band_limit:
-            raise WignerIndexError(f"twice_j = {tj} outside [|p|, band_limit]")
-        if (tj - abs(self.p)) % 2 != 0:
-            raise WignerIndexError(f"twice_j = {tj} has wrong parity for p = {self.p}")
-        if abs(tm) > tj or (tm - tj) % 2 != 0:
-            raise WignerIndexError(f"twice_m = {tm} invalid at twice_j = {tj}")
+            tj = check_label(tj, "twice_j")
+            if tj < abs(p) or tj > band:
+                raise WignerIndexError(f"twice_j = {tj} outside [|p|, band_limit]")
+            if (tj - abs(p)) % 2 != 0:
+                raise WignerIndexError(f"twice_j = {tj} has wrong parity for p = {p}")
+            clean[tj, _check_twice_m(tj, tm)] = complex(v)
+        for name, value in (("p", p), ("band_limit", band), ("entries", clean)):
+            object.__setattr__(self, name, value)
 
     def get(self, twice_j: int, twice_m: int) -> complex:
         return self.entries.get((twice_j, twice_m), 0j)
@@ -171,20 +177,11 @@ class FourierTableSU2:
         """Inverse of to_json_dict; a missing or ill-typed field, or a label that
         is not an integral number (a bool, 0.9, "2"), raises ValueError."""
         try:
-            entries = {
-                (_label(e["twice_j"]), _label(e["twice_m"])): complex(e["re"], e["im"])
-                for e in data["entries"]
-            }
-            return cls(_label(data["p"]), _label(data["band_limit"]), entries)
-        except (KeyError, TypeError) as exc:
+            entries = {(e["twice_j"], e["twice_m"]): complex(e["re"], e["im"])
+                       for e in data["entries"]}
+            return cls(data["p"], data["band_limit"], entries)
+        except (KeyError, TypeError, IndexRangeError) as exc:
             raise ValueError(f"malformed Fourier table: {exc!r}") from exc
-
-
-def _label(value: Any) -> int:
-    """A table label read from JSON: an int, or a float such as 2.0 that is one."""
-    if type(value) is int or (isinstance(value, float) and value.is_integer()):
-        return int(value)
-    raise TypeError(f"label {value!r} is not an integer")
 
 
 def su2_fourier(
@@ -202,9 +199,9 @@ def su2_fourier(
     for wider content, full (row None) or of row |p|; another row raises ValueError.
     With |p| above band_limit the table is empty and phi is not sampled.
     """
-    p = int(p)
+    p = check_label(p, "p")
     row = abs(p)
-    band_limit = int(band_limit)
+    band_limit = check_label(band_limit, "band_limit")
     if band_limit < 0:
         raise ValueError("band_limit must be non-negative")
     if grid is None:
@@ -291,7 +288,7 @@ def paley_wiener_report(table: FourierTableSU2, powers: Sequence[int]) -> PaleyW
     flags: dict[int, bool] = {}
     top_idx = [i for i, tj in enumerate(tjs) if tj >= table.band_limit / 2.0]
     for n in powers:
-        n = int(n)
+        n = check_label(n, "power")
         if n < 0:
             raise ValueError("powers must be natural numbers")
         seq = scaled[n] = tuple(s * (tj / 2.0) ** n if n > 0 else s for s, tj in zip(sup_f, tjs))

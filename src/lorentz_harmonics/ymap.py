@@ -21,13 +21,14 @@ import numpy as np
 
 from . import expansion
 from .logcomplex import to_complex_values
-from .principal_series import _label, check_boost, diagonal_coefficients
+from .principal_series import check_boost, diagonal_coefficients
 from .reports import (
     SeriesReport,
     VERDICT_CONVERGED,
     cauchy_verdict,
     series_report,
 )
+from .special import check_label, check_tau
 from .wigner import FourierTableSU2
 
 
@@ -43,8 +44,8 @@ class YMapRequest:
     cauchy_window: int = 10
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "tau", complex(self.tau))
-        object.__setattr__(self, "j_max", _label(self.j_max, "j_max"))
+        object.__setattr__(self, "tau", check_tau(self.tau))
+        object.__setattr__(self, "j_max", check_label(self.j_max, "j_max"))
         if self.j_max < abs(self.table.p):
             raise ValueError("j_max must be at least |p|")
         object.__setattr__(self, "epsilon", check_boost(self.epsilon))

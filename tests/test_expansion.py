@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 
 import mpmath as mp
 import pytest
@@ -16,14 +17,24 @@ from lorentz_harmonics.expansion import (
     synthesize,
     triple_blocks,
 )
+from lorentz_harmonics.lie_group import QuadratureGrid
 from lorentz_harmonics.principal_series import (
     EpsilonDomainError,
     IndexRangeError,
     boundary_ratio_test,
     diagonal_coefficient,
+    diagonal_coefficients,
+    predicted_diagonal_ratio,
     ratio_test,
 )
-from lorentz_harmonics.wigner import FourierTableSU2
+from lorentz_harmonics.special import saddle_point_2f1, triple_block_log
+from lorentz_harmonics.wigner import (
+    FourierTableSU2,
+    SpinLabel,
+    paley_wiener_report,
+    su2_fourier,
+    wigner_small_d,
+)
 from lorentz_harmonics.ymap import YMapRequest, ymap_apply, ymap_convergence_report
 
 
@@ -136,7 +147,25 @@ LABEL_CALLS = {
     "boundary_j_max": (lambda j: boundary_ratio_test("m_equals_0", 0.3, 2.0, j), 30.7, 30),
     "triple_j_max": (lambda j: partial_sum_triple(0.3, 2.0, j), 30.7, 30),
     "ymap_j_max": (lambda j: YMapRequest(FourierTableSU2(0, 4, {}), 0.3, j, 2.0), 6.5, 6),
+    "saddle_j": (lambda j: saddle_point_2f1(j, 1, 0.2, 0.85), 200.7, 200),
+    "saddle_m": (lambda m: saddle_point_2f1(200, m, 0.2, 0.85), 1.5, 1),
+    "su2_band": (lambda b: su2_fourier(lambda g: 1.0, 0, b), 4.7, 4),
+    "su2_p": (lambda p: su2_fourier(lambda g: 1.0, p, 4), 0.9, 0),
+    "fourier_p": (lambda p: FourierTableSU2(p, 4, {(2, 0): 1.0}), 0.5, 0),
+    "fourier_band": (lambda b: FourierTableSU2(0, b, {(2, 0): 1.0}), 4.5, 4),
+    "fourier_key_bool": (lambda tj: FourierTableSU2(1, 4, {(tj, 1): 1.0}), True, 1),
+    "spin": (lambda tj: SpinLabel(tj), 2.5, 2),
+    "small_d_twice_m": (lambda tm: wigner_small_d(SpinLabel(2), tm, 0, 0.3), 0.5, 0),
+    "paley_wiener_power": (lambda n: paley_wiener_report(
+        FourierTableSU2(0, 4, {(0, 0): 1.0, (2, 0): 0.5, (4, 0): 0.25}), [n]), 1.7, 1),
+    # the grid has eq=False: compare its node arrays
+    "grid_band": (lambda b: [a.tolist() for a in _grid_nodes(QuadratureGrid(b))], 4.7, 4),
+    "grid_row": (lambda r: [a.tolist() for a in _grid_nodes(QuadratureGrid(8, r))], 1.5, 1),
 }
+
+
+def _grid_nodes(grid):
+    return grid.alphas, grid.betas, grid.beta_weights, grid.gammas
 
 
 @pytest.mark.parametrize("name", LABEL_CALLS)
@@ -146,6 +175,33 @@ def test_non_integral_sizes_and_labels_are_rejected_not_truncated(name):
         call(bad)
     # an integral float is the integer, to the bit
     assert call(float(good)) == call(good)
+
+
+# every entry point that reads tau, with a tau that is not finite
+TAU_CALLS = {
+    "diagonal_coefficient": lambda t: diagonal_coefficient(3, 0, t, 2.0),
+    "diagonal_coefficient_large_j": lambda t: diagonal_coefficient(100, 0, t, 2.0),
+    "diagonal_coefficients": lambda t: diagonal_coefficients([3, 100], [0, 0], t, 2.0),
+    "predicted_diagonal_ratio": lambda t: predicted_diagonal_ratio(2.0, t),
+    "saddle_point_2f1": lambda t: saddle_point_2f1(100, 0, t, 2.0),
+    "triple_block_log": lambda t: triple_block_log([0, 5], t, 2.0),
+    "triple_blocks": lambda t: triple_blocks(t, 2.0, 5),
+    "config": lambda t: ExpansionConfig(tau=t, m=0, epsilon=2.0, j_max=30),
+    "norm_identity": lambda t: norm_identity(t, 10),
+    "divergence_probe": lambda t: divergence_probe(t, [10, 100]),
+    "synthesize": lambda t: synthesize(CoefficientTable(0, {3: 1.0}), t, 2.0, 30),
+    "ymap_request": lambda t: YMapRequest(FourierTableSU2(0, 4, {}), t, 6, 2.0),
+}
+
+
+@pytest.mark.parametrize("tau", [math.nan, math.inf, complex(0.0, math.inf)],
+                         ids=["nan", "inf", "inf_imag"])
+@pytest.mark.parametrize("name", TAU_CALLS)
+def test_non_finite_tau_is_a_domain_error(name, tau):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="finite"):
+            TAU_CALLS[name](tau)
 
 
 # ------------------------------------------------------------- diagonal sums

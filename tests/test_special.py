@@ -11,6 +11,7 @@ from lorentz_harmonics.special import (
     EpsilonDomainError,
     GammaPoleError,
     Hyp2F1DomainError,
+    IndexRangeError,
     SaddlePointDomainError,
     SeriesConvergenceError,
     hyp2f1,
@@ -264,6 +265,9 @@ def test_saddle_route_domain():
         saddle_point_2f1(0, 0, 0.0, 2.0)
     with pytest.raises(ValueError):
         saddle_point_2f1(4, 7, 0.0, 2.0)
+    # the coefficient pair rule, special.check_pair
+    with pytest.raises(IndexRangeError, match=r"\|m\| = 5 exceeds j = 3"):
+        saddle_point_2f1(3, 5, 0.2, 0.85)
 
 
 @pytest.mark.parametrize("eps", [0.0, -1.0, math.inf, math.nan])
