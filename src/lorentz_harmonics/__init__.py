@@ -22,7 +22,6 @@ from .lie_group import (
     SL2CElement,
     SU2Element,
     cartan_decompose,
-    epsilon_of,
     su2_from_euler,
 )
 from .logcomplex import LogComplexValue, log_sum

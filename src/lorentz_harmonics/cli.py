@@ -2,14 +2,14 @@
 
 Subcommands: coeff, ratio, sum, norm, diverge, ymap, asymcheck.  Each returns
 its params and report; main builds the one envelope {command, params, report},
-encodes it once with reports.to_json, and writes it as JSON (validating
-against schemas/report.schema.json) or as a CSV flattening of it with a fixed
-column order (_csv_text; a series report gives one row per term).  The
-settings flags' dests are RunConfig's field names, read from its fields.
-Exit codes: 0 success, 1 numerical failure, 2 domain/usage error (including
-non-finite --tau/--eps, unreadable or malformed files, and argparse's own
-usage errors); every failure is one stderr line.  A ymap past its table's
-band writes one line to stderr, `warning: <message>`.
+encodes it once with reports.to_json, and writes it as JSON (which
+tests/test_cli.py, not the CLI, checks against schemas/report.schema.json)
+or as a CSV flattening of it with a fixed column order (_csv_text; a series
+report gives one row per term).  The settings flags' dests are RunConfig's
+field names.  Exit codes: 0 success, 1 numerical failure, 2 domain/usage
+error (including non-finite --tau/--eps, unreadable or malformed files, and
+argparse's own usage errors); every failure is one stderr line.  A ymap past
+its table's band writes one line to stderr, `warning: <message>`.
 The parser is built once per process, so an in-process caller of main pays
 only for its request.
 """
@@ -29,13 +29,14 @@ from typing import Any, Optional, Sequence
 
 from . import expansion, principal_series, ymap
 from .config import FORMAT_CHOICES, RunConfig, load_run_config
-from .lie_group import SL2CElement, epsilon_of
+from .lie_group import SL2CElement, cartan_decompose
 from .reports import to_json
 from .wigner import FourierTableSU2
 
 EXIT_OK = 0
 EXIT_NUMERICAL = 1
 EXIT_DOMAIN = 2
+_G_DET_TOLERANCE = 1e-9   # --g's determinant must be 1 to within this
 
 
 def parse_complex(text: str) -> complex:
@@ -46,18 +47,18 @@ def parse_complex(text: str) -> complex:
     return complex(*map(float, parts))
 
 
-def _resolve_epsilon(args, cfg: RunConfig) -> float:
+def _resolve_epsilon(args) -> float:
     if getattr(args, "g", None) is not None:
         if args.eps is not None:
             raise ValueError("give either --eps or --g, not both")
-        return epsilon_of(SL2CElement.from_flat(args.g, tol=cfg.det_tolerance))
+        return cartan_decompose(SL2CElement.from_flat(args.g, tol=_G_DET_TOLERANCE)).epsilon
     if getattr(args, "eps", None) is None:
         raise ValueError("provide either --eps or --g")
     return principal_series.check_epsilon(args.eps)
 
 
 def cmd_coeff(args, cfg: RunConfig) -> tuple[dict, Any]:
-    eps = _resolve_epsilon(args, cfg)
+    eps = _resolve_epsilon(args)
     tau = parse_complex(args.tau)
     path = principal_series.evaluation_path(args.j, eps)
     value = principal_series.diagonal_coefficient(args.j, args.m, tau, eps)
@@ -71,7 +72,7 @@ def cmd_coeff(args, cfg: RunConfig) -> tuple[dict, Any]:
 
 
 def cmd_ratio(args, cfg: RunConfig) -> tuple[dict, Any]:
-    eps = _resolve_epsilon(args, cfg)
+    eps = _resolve_epsilon(args)
     report = principal_series.ratio_test(
         args.m, parse_complex(args.tau), eps, cfg.j_max,
         cauchy_tolerance=cfg.cauchy_tolerance, cauchy_window=cfg.cauchy_window,
@@ -80,7 +81,7 @@ def cmd_ratio(args, cfg: RunConfig) -> tuple[dict, Any]:
 
 
 def cmd_sum(args, cfg: RunConfig) -> tuple[dict, Any]:
-    eps = _resolve_epsilon(args, cfg)
+    eps = _resolve_epsilon(args)
     tau = parse_complex(args.tau)
     if args.mode == "diagonal":
         if args.m is None:
@@ -116,7 +117,7 @@ def cmd_ymap(args, cfg: RunConfig) -> tuple[dict, Any]:
         table = FourierTableSU2.from_json_dict(json.load(fh))
     req = ymap.YMapRequest(
         table=table, tau=parse_complex(args.tau), j_max=cfg.j_max,
-        epsilon=_resolve_epsilon(args, cfg),
+        epsilon=_resolve_epsilon(args),
         cauchy_tolerance=cfg.cauchy_tolerance, cauchy_window=cfg.cauchy_window,
     )
     # one stderr line per warning, without the file and source line of showwarning

@@ -10,7 +10,6 @@ by its own dataclasses.replace.
 """
 from __future__ import annotations
 
-import math
 import os
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
@@ -30,14 +29,11 @@ class RunConfig:
     cauchy_window: int = 10
     format: str = "json"
     out: Optional[str] = None
-    det_tolerance: float = 1e-9
 
     def __post_init__(self) -> None:
         if self.j_max < 1:
             raise ValueError("j_max must be >= 1")
         check_cauchy(self.cauchy_tolerance, self.cauchy_window)
-        if not 0 < self.det_tolerance < math.inf:
-            raise ValueError("det_tolerance must be positive and finite")
         if self.format not in FORMAT_CHOICES:
             raise ValueError(f"format must be one of {FORMAT_CHOICES}")
 

@@ -68,7 +68,7 @@ class ExpansionConfig:
         object.__setattr__(self, "tau", check_tau(self.tau))
         object.__setattr__(self, "m", check_label(self.m, "m"))
         object.__setattr__(self, "j_max", check_label(self.j_max, "j_max"))
-        check_boost(self.epsilon)
+        object.__setattr__(self, "epsilon", check_boost(self.epsilon))
         if self.j_max < 1:
             raise ValueError("j_max must be positive")
         check_cauchy(self.cauchy_tolerance, self.cauchy_window)
@@ -85,7 +85,7 @@ class CoefficientTable:
         object.__setattr__(self, "m", check_label(self.m, "m"))
         clean = {}
         for j, v in dict(self.entries).items():
-            j = check_label(int(j) if isinstance(j, str) else j, "j")   # JSON keys are strings
+            j = check_label(j, "j")
             if j < 0:
                 raise ValueError("coefficient labels must be non-negative")
             clean[j] = complex(v)
@@ -141,7 +141,10 @@ def triple_blocks(tau: complex, epsilon: float, j_max: int) -> list[complex]:
     of special.triple_block_log; raises SeriesConvergenceError where a
     block's cancellation passes special.CANCELLATION_LIMIT, judged against
     the largest |block| of the call, as the blocks are only added."""
-    js = np.arange(check_label(j_max, "j_max") + 1)
+    j_max = check_label(j_max, "j_max")
+    if j_max < 0:
+        raise ValueError("j_max must be non-negative")
+    js = np.arange(j_max + 1)
     log_mag, phase, cancellation = triple_block_log(js, tau, check_epsilon(epsilon))
     check_cancellation(cancellation, np.exp(log_mag - log_mag.max()))
     return to_complex_values(log_mag, phase).tolist()

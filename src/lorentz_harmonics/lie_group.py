@@ -59,10 +59,6 @@ class SL2CElement:
             raise MatrixInvariantError(f"det = {d} deviates from 1 beyond tol {self.tol}")
 
     @classmethod
-    def identity(cls) -> "SL2CElement":
-        return cls(np.eye(2, dtype=complex))
-
-    @classmethod
     def from_flat(cls, parts: Sequence[float], tol: float = 1e-12) -> "SL2CElement":
         """Build from 8 reals: row-major entries, re/im interleaved."""
         parts = [float(x) for x in parts]
@@ -172,14 +168,14 @@ def cartan_decompose(g: SL2CElement) -> CartanFactors:
     determinant 1, and the remaining diagonal phase freedom is fixed by making
     the first nonzero component of u1's first column real positive, with the
     compensating phase pushed into u2.  When eps = 1 the factors are
-    non-unique; the convention u2 = identity, u1 = g is returned, as it is
-    for eps within _DEGENERACY_TOL of 1.
+    non-unique: u2 = identity and u1 = g's nearest unitary of det 1 (g itself,
+    up to g's det error) are returned, as for eps within _DEGENERACY_TOL of 1.
     """
     U, sv, Vh = np.linalg.svd(g.matrix)
     eps = float(sv[0])
     if eps <= 1.0 + _DEGENERACY_TOL:
-        u1 = SU2Element(g.matrix, tol=1e-9)
-        return CartanFactors(u1, 1.0, SU2Element.identity())
+        u1 = U @ Vh / cmath.sqrt(_det(U @ Vh))
+        return CartanFactors(SU2Element(u1, tol=1e-9), 1.0, SU2Element.identity())
     # reorder so the boost is diag(1/eps, eps)
     P = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
     u1 = U @ P
@@ -198,12 +194,6 @@ def cartan_decompose(g: SL2CElement) -> CartanFactors:
     return CartanFactors(
         SU2Element(u1, tol=1e-9), eps, SU2Element(u2, tol=1e-9)
     )
-
-
-def epsilon_of(g: SL2CElement) -> float:
-    """The boost parameter of g: its larger singular value, >= 1."""
-    sv = np.linalg.svd(g.matrix, compute_uv=False)
-    return max(float(sv[0]), 1.0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -279,6 +269,5 @@ __all__ = [
     "SL2CElement",
     "SU2Element",
     "cartan_decompose",
-    "epsilon_of",
     "su2_from_euler",
 ]

@@ -65,15 +65,6 @@ class LogComplexValue:
     def zero(cls) -> "LogComplexValue":
         return cls(-math.inf, 0.0)
 
-    @classmethod
-    def from_complex(cls, w: complex) -> "LogComplexValue":
-        w = complex(w)
-        if w == 0:
-            return cls.zero()
-        # math.atan2 rather than cmath.phase, which raises OverflowError when
-        # the angle underflows to a subnormal (e.g. 2 + 5e-324j)
-        return cls(math.log(abs(w)), math.atan2(w.imag, w.real))
-
     @property
     def is_zero(self) -> bool:
         return self.log_mag == -math.inf
@@ -106,3 +97,6 @@ def log_sum(values: Iterable[LogComplexValue]) -> LogComplexValue:
     if s == 0:
         return LogComplexValue.zero()
     return LogComplexValue(top + math.log(abs(s)), math.atan2(s.imag, s.real))
+
+
+__all__ = ["LogComplexValue", "log_sum", "to_complex_values", "wrap_phases"]

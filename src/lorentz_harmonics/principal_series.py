@@ -21,11 +21,11 @@ row, which is summed once for both), and evaluates all its large-j pairs in
 one call of special.saddle_point_log.  diagonal_coefficient is its one-pair
 case, with the same value bit for bit: it builds its row from Python numbers
 by the batch's arithmetic and sums it in the same kernel, or takes the saddle
-term without repeating its checks.  Both raise SeriesConvergenceError
-where cancellation has emptied a series past special.CANCELLATION_LIMIT,
-judged against the value itself, or, for callers that only add the values,
-against the largest value of the call or of the pair's label (its j, for
-the terms of the boost-series map).  Both reject an eps that is not positive and
+term, which checks its own inputs.  Both raise SeriesConvergenceError where
+cancellation has emptied a series past special.CANCELLATION_LIMIT, judged
+against the value itself, or, for callers that only add the values, against
+the largest value of the call or of the pair's label (its j, for the terms
+of the boost-series map).  Both reject an eps that is not positive and
 finite (special.check_epsilon, re-exported here) before any series work;
 every series diagnostic also rejects eps = 1 (check_boost).  Labels, sizes,
 pairs and tau are read by special's rules (check_label, check_pair,
@@ -56,7 +56,6 @@ from .special import (
     check_label,
     check_labels,
     check_pair,
-    check_saddle_pair,
     check_tau,
     hyp2f1_rows,
     saddle_point_exponent,
@@ -222,10 +221,8 @@ def diagonal_coefficient(
     tau = check_tau(tau)
     epsilon = check_epsilon(epsilon)
     check_pair(j, m)
-    if method == "auto":   # beyond EXACT_J_LIMIT, off eps = 1: check_saddle_pair holds
+    if method == "auto":
         method = evaluation_path(j, epsilon)
-    elif method == PATH_ASYMPTOTIC:
-        check_saddle_pair(j, m, epsilon)
     if method == PATH_ASYMPTOTIC:
         return LogComplexValue(*_asymptotic_route(j, m, tau, epsilon))
     if method != PATH_EXACT:
@@ -248,17 +245,17 @@ def predicted_diagonal_ratio(epsilon: float, tau: complex = 0.0) -> float:
     """
     epsilon = check_epsilon(epsilon)
     epsilon = max(epsilon, 1.0 / epsilon)
-    tau = check_tau(tau)
-    phi = saddle_point_exponent(tau, epsilon)
-    return math.exp(math.log(4.0) + (2.0 - tau.imag) * math.log(epsilon) + phi.real)
+    phi = saddle_point_exponent(tau, epsilon)   # which reads tau by check_tau
+    return math.exp(math.log(4.0) + (2.0 - complex(tau).imag) * math.log(epsilon) + phi.real)
 
 
 def predicted_boundary_ratio(track: str, epsilon: float, tau: complex = 0.0) -> float:
     """Tail ratio of the bounding sums: on the m = 0 track the fixed-m limit
     predicted_diagonal_ratio(eps, tau); on the m = j track the tau = 0 closed
-    form eps^2/(eps^2+1)^2, which ignores tau."""
+    form eps^2/(eps^2+1)^2, which ignores tau but checks it (check_tau)."""
     if track == TRACK_M_EQUALS_J:
         e2 = check_epsilon(epsilon) ** 2
+        check_tau(tau)
         return e2 / (e2 + 1.0) ** 2
     if track == TRACK_M_EQUALS_0:
         return predicted_diagonal_ratio(epsilon, tau)

@@ -15,6 +15,7 @@ from typing import Any, Optional, Sequence
 import numpy as np
 
 from .logcomplex import to_complex_values
+from .special import check_label
 
 VERDICT_CONVERGED = "converged"
 VERDICT_DIVERGED = "diverged"
@@ -65,13 +66,15 @@ def to_json(obj: Any) -> Any:
     return obj
 
 
-def check_cauchy(tolerance: float, window: int) -> None:
-    """Raise ValueError unless 0 < tolerance < inf and window >= 1: any other
-    setting makes every verdict the same, whatever the series does."""
+def check_cauchy(tolerance: float, window: int) -> int:
+    """The window, read by check_label; ValueError unless 0 < tolerance < inf
+    and window >= 1: any other setting makes every verdict the same."""
     if not 0.0 < tolerance < math.inf:
         raise ValueError(f"Cauchy tolerance {tolerance} must be positive and finite")
+    window = check_label(window, "cauchy_window")
     if window < 1:
         raise ValueError(f"Cauchy window {window} must be at least 1")
+    return window
 
 
 def cauchy_verdict(
@@ -82,7 +85,7 @@ def cauchy_verdict(
     Every series verdict passes through here, and raises on the settings
     that check_cauchy rejects, so no setting can make one vacuous.
     """
-    check_cauchy(tolerance, window)
+    window = check_cauchy(tolerance, window)
     if len(partial_sums) <= window:
         return VERDICT_INCONCLUSIVE, None
     delta = abs(partial_sums[-1] - partial_sums[-1 - window])

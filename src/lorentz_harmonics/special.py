@@ -31,7 +31,6 @@ _STEPS = np.arange(8 * _BLOCK, dtype=float)
 # the kernel's sums (Re, Im, |t|, their Kahan compensations) and unit at n = 0
 _SEED = np.array([[1.0], [0.0], [1.0], [0.0], [0.0], [0.0]])
 _UNIT = np.ones(1, dtype=complex)
-_KERNEL_TYPES = (np.dtype(float), np.dtype(complex))   # the kernel's b and c
 # Rows per kernel pass of _BLOCK-term blocks, which bounds the size of a
 # block's arrays: summing every row in one pass raised the peak RSS of a round
 # of the benchmark's triple-grid and diag-scan ops by 0.6 and 1.0 MB over
@@ -361,11 +360,6 @@ def hyp2f1_rows(a, b, c, z: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """
     a = np.asarray(a, dtype=complex).reshape(-1)
     b, c = np.asarray(b).reshape(-1), np.asarray(c).reshape(-1)
-    # integer b and c as floats once, not in every block (exact below 2^53);
-    # float and complex ones as they are (np.result_type of a Python number
-    # costs more than the rest of a one-row call's conversions)
-    if b.dtype not in _KERNEL_TYPES or c.dtype not in _KERNEL_TYPES:
-        b, c = (x.astype(np.result_type(x, float)) for x in (b, c))
     z = float(z)
     if not z < 1.0:
         raise Hyp2F1DomainError(f"argument z = {z} outside the supported range z < 1")
@@ -461,6 +455,8 @@ def triple_block_log(js, tau: complex, epsilon: float) -> tuple[np.ndarray, np.n
     At eps = 1 every block is 2j+1.
     """
     js = check_labels(js, "j")
+    if js.size and js.min() < 0:
+        raise IndexRangeError("j must be non-negative")
     tau = check_tau(tau)
     epsilon = check_epsilon(epsilon)
     out = np.empty((3, js.size))
@@ -562,10 +558,11 @@ def _coefficient_saddles(
         saddles have met and separated again as a pair of equal weight; the
         path crosses both, weights +1 on the root with the larger |Im t| and
         -1 on the other (checked against mpmath for eps from 0.1 to 30).
-    Raises SaddlePointDomainError for |Re tau| > 1, and for complex tau with
-    Re(disc) <= 0, where which saddles the path crosses is not determined here.
+    Raises check_tau's and check_epsilon's errors, SaddlePointDomainError for
+    |Re tau| > 1 and for complex tau with Re(disc) <= 0, where which saddles
+    the path crosses is not determined here.
     """
-    tau = complex(tau)
+    tau, epsilon = check_tau(tau), check_epsilon(epsilon)
     if abs(tau.real) > SADDLE_MAX_ABS_RE_TAU:
         raise SaddlePointDomainError(
             f"large-j saddle term needs |Re tau| <= {SADDLE_MAX_ABS_RE_TAU:g}, got tau = {tau}"
@@ -596,7 +593,7 @@ def saddle_point_exponent(tau: complex, epsilon: float) -> complex:
     Raises SaddlePointDomainError unless a single saddle carries the integral:
     with two saddles of equal weight the coefficients oscillate in j.
     """
-    (t0, _), weights, kappa, z = _coefficient_saddles(tau, float(epsilon))
+    (t0, _), weights, kappa, z = _coefficient_saddles(tau, epsilon)
     if weights != (1, 0):
         raise SaddlePointDomainError(
             f"no single saddle at tau = {complex(tau)}, eps = {epsilon}: two saddles "
@@ -614,25 +611,11 @@ def _at(fn, x):
     return fn(x)
 
 
-def check_saddle_pair(j: int, m: int, epsilon) -> float:
-    """eps as a float for the large-j term at ints j, m: raises ValueError unless
-    1 <= j, check_pair's and check_epsilon's errors, and Hyp2F1DomainError at
-    eps = 1."""
-    if j < 1:
-        raise ValueError("asymptotic evaluation needs j >= 1")
-    check_pair(j, m)
-    epsilon = check_epsilon(epsilon)
-    if epsilon == 1.0:
-        raise Hyp2F1DomainError("asymptotic form degenerates at eps = 1 (z = 0); "
-                                "use hyp2f1 instead")
-    return epsilon
-
-
 def saddle_point_log(j, m, tau: complex, epsilon: float):
     """log of saddle_point_2f1's term, as (real part, unwrapped imaginary
-    part), at Python ints j, m or at each pair of equal-shape integer arrays,
-    whose labels and eps the caller has checked as check_saddle_pair does
-    (principal_series checks its pairs before they reach this route).
+    part), at labels j, m or at each pair of equal-shape integer arrays of
+    them.  It checks its inputs and raises as saddle_point_2f1 does (by
+    check_label or check_labels, check_tau, check_pair and check_epsilon).
 
     The j, m arithmetic takes either alike (real operations; math.lgamma and
     math.log entry by entry), so a pair has the same bits alone or in any
@@ -648,7 +631,16 @@ def saddle_point_log(j, m, tau: complex, epsilon: float):
     the smallest j raises exactly when one pair of the batch would.
     """
     batch = isinstance(j, np.ndarray)
+    read = check_labels if batch else check_label
+    j, m, tau = read(j, "j"), read(m, "m"), check_tau(tau)
     low = int(j.min()) if batch else j
+    if low < 1:
+        raise ValueError("asymptotic evaluation needs j >= 1")
+    check_pair(j, m)
+    epsilon = check_epsilon(epsilon)
+    if epsilon == 1.0:
+        raise Hyp2F1DomainError("asymptotic form degenerates at eps = 1 (z = 0); "
+                                "use hyp2f1 instead")
     roots, weights, kappa, z = _coefficient_saddles(tau, epsilon)
     log_beta = (_at(math.lgamma, 2 * j + 2) - _at(math.lgamma, j + m + 1)
                 - _at(math.lgamma, j - m + 1) - 0.5 * _at(math.log, j))
@@ -722,8 +714,6 @@ def saddle_point_2f1(j: int, m: int, tau: complex, epsilon: float) -> LogComplex
     j = 8, 65, 200) the relative error stayed below 1/r^2 at r such widths,
     so the gate r >= SADDLE_MIN_WIDTHS refuses errors of order one.
     """
-    j, m, tau = check_label(j, "j"), check_label(m, "m"), check_tau(tau)
-    epsilon = check_saddle_pair(j, m, epsilon)
     return LogComplexValue(*saddle_point_log(j, m, tau, epsilon))
 
 
@@ -744,7 +734,6 @@ __all__ = [
     "check_label",
     "check_labels",
     "check_pair",
-    "check_saddle_pair",
     "check_tau",
     "gauss_legendre",
     "hyp2f1",

@@ -174,11 +174,15 @@ class FourierTableSU2:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "FourierTableSU2":
-        """Inverse of to_json_dict; a missing or ill-typed field, or a label that
-        is not an integral number (a bool, 0.9, "2"), raises ValueError."""
+        """Inverse of to_json_dict; a missing or ill-typed field, a label that is
+        not an integral number (a bool, 0.9, "2") or a repeated key raises ValueError."""
         try:
-            entries = {(e["twice_j"], e["twice_m"]): complex(e["re"], e["im"])
-                       for e in data["entries"]}
+            entries = {}
+            for e in data["entries"]:
+                key = e["twice_j"], e["twice_m"]
+                if key in entries:
+                    raise ValueError(f"malformed Fourier table: duplicate key {key}")
+                entries[key] = complex(e["re"], e["im"])
             return cls(data["p"], data["band_limit"], entries)
         except (KeyError, TypeError, IndexRangeError) as exc:
             raise ValueError(f"malformed Fourier table: {exc!r}") from exc

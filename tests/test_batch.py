@@ -9,6 +9,7 @@ and the rows it sums again because their terms leave double range."""
 import cmath
 import math
 import sys
+import warnings
 from collections import Counter
 
 import mpmath as mp
@@ -201,6 +202,15 @@ def test_batch_validation():
         diagonal_coefficients([1, 2], [0], 0.0, 2.0)
     log_mag, phase = diagonal_coefficients([], [], 0.0, 2.0)
     assert log_mag.size == phase.size == 0
+    # the triple blocks: a negative j gave a NaN log and a RuntimeWarning, a
+    # negative size numpy's "zero-size array" error
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(principal_series.IndexRangeError, match="j must be non-negative"):
+            special.triple_block_log([-3, 2], 0.2, 2.0)
+        for read in (triple_blocks, partial_sum_triple):
+            with pytest.raises(ValueError, match="j_max must be non-negative"):
+                read(0.3, 2.0, -1)
 
 
 # ----------------------------------------------------------- the (j, m) grid
@@ -585,13 +595,14 @@ def test_gate_reads_each_call_j(saddle_calls):
 def test_large_j_term_raises_at_the_extremes_of_eps():
     # at eps = 1e8, phi''(t0) rounds to 0, so the gate fails at every j before
     # log(2 pi / -phi'') would divide by zero, and phi(t0) is -2 ln(1+eps^2);
-    # at eps = 1 (z = 0) the gate's 1/z divides by zero, and phi(t0) = -2 ln 2
+    # at eps = 1 (z = 0) the term refuses before its gate's 1/z would divide
+    # by zero, as saddle_point_2f1 does, and phi(t0) = -2 ln 2
     for _ in range(2):
         assert special.saddle_point_exponent(0.0, 1e8).real == pytest.approx(-2 * math.log1p(1e16))
         with pytest.raises(SaddlePointDomainError, match="Gaussian widths"):
             saddle_point_log(400, 0, 0.0, 1e8)
         assert special.saddle_point_exponent(0.0, 1.0).real == pytest.approx(-2 * math.log(2))
-        with pytest.raises(ZeroDivisionError):
+        with pytest.raises(special.Hyp2F1DomainError, match="eps = 1"):
             saddle_point_log(400, 0, 0.0, 1.0)
 
 

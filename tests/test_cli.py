@@ -128,17 +128,13 @@ def test_run_config_validation():
     for bad in (math.inf, math.nan, 0.0):
         with pytest.raises(ValueError, match="finite"):
             RunConfig(cauchy_tolerance=bad)
-        with pytest.raises(ValueError, match="finite"):
-            RunConfig(det_tolerance=bad)
 
 
 @pytest.mark.parametrize("source, key, text", [
     ("flag", "cauchy_tolerance", "inf"),
     ("flag", "cauchy_tolerance", "nan"),
     ("env", "cauchy_tolerance", "inf"),
-    ("env", "det_tolerance", "nan"),
     ("file", "cauchy_tolerance", "nan"),
-    ("file", "det_tolerance", "inf"),
 ])
 def test_non_finite_tolerance_exits_2(capsys, monkeypatch, tmp_path, source, key, text):
     # --tol inf used to exit 0 with verdict "converged"
@@ -243,14 +239,29 @@ def test_invalid_matrix_exit_code(capsys):
     assert code == 2
 
 
-@pytest.mark.parametrize("target", [
+UNIT_BOOSTS = [
     ("--eps", "1"),
     ("--g", "0.6", "0", "0", "0.8", "0", "0.8", "0.6", "0"),   # an SU(2) element
-])
+    # eps = 1 + 1e-13: cartan_decompose reads an eps within 1e-12 of 1 as 1
+    ("--g", "1.0000000000001", "0", "0", "0", "0", "0", "0.9999999999999", "0"),
+    # det = 1 - 8e-10, inside the 1e-9 tolerance: not unitary to 1e-9, yet no boost
+    ("--g", "1", "0", "0", "0", "0", "0", "0.9999999992", "0"),
+]
+
+
+@pytest.mark.parametrize("target", UNIT_BOOSTS)
 def test_coeff_unit_boost_past_exact_window(capsys, target):
     payload = run_json(capsys, "coeff", "--j", "65", "--m", "3", "--tau", "0.3", *target)
     report = payload["report"]
     assert (report["path"], report["log_mag"], report["phase"]) == ("exact", 0.0, 0.0)
+
+
+@pytest.mark.parametrize("target", UNIT_BOOSTS)
+def test_series_at_unit_boost_exit_2(capsys, target):
+    code = main(["ratio", "--m", "0", "--tau", "0.3", "--jmax", "30", *target])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err == "error: series diagnostics require a boost, eps != 1\n"
 
 
 def test_matrix_target_matches_eps(capsys):

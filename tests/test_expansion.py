@@ -24,10 +24,16 @@ from lorentz_harmonics.principal_series import (
     boundary_ratio_test,
     diagonal_coefficient,
     diagonal_coefficients,
+    predicted_boundary_ratio,
     predicted_diagonal_ratio,
     ratio_test,
 )
-from lorentz_harmonics.special import saddle_point_2f1, triple_block_log
+from lorentz_harmonics.special import (
+    saddle_point_2f1,
+    saddle_point_exponent,
+    saddle_point_log,
+    triple_block_log,
+)
 from lorentz_harmonics.wigner import (
     FourierTableSU2,
     SpinLabel,
@@ -42,6 +48,8 @@ from lorentz_harmonics.ymap import YMapRequest, ymap_apply, ymap_convergence_rep
 
 def test_config_validation():
     ExpansionConfig(tau=0.0, m=0, epsilon=2.0, j_max=10)
+    # eps is stored as check_boost reads it, so reports carry the float
+    assert ExpansionConfig(tau=0.3, m=0, epsilon="2", j_max=20).epsilon == 2.0
     with pytest.raises(EpsilonDomainError):
         ExpansionConfig(tau=0.0, m=0, epsilon=-1.0, j_max=10)
     with pytest.raises(ValueError):
@@ -121,7 +129,7 @@ def test_triple_sum_rejects_non_finite_epsilon(eps):
 
 
 def test_coefficient_table_entries_and_ratio():
-    t = CoefficientTable(m=1, entries={1: 1.0, "2": 0.5, 3.0: 0.25})
+    t = CoefficientTable(m=1, entries={1: 1.0, 2: 0.5, 3.0: 0.25})
     assert t.entries == {1: 1 + 0j, 2: 0.5 + 0j, 3: 0.25 + 0j}
     assert all(type(j) is int and type(v) is complex for j, v in t.entries.items())
     assert t.support() == [1, 2, 3] and t.get(4) == 0j
@@ -129,6 +137,9 @@ def test_coefficient_table_entries_and_ratio():
     assert CoefficientTable(m=0).tail_ratio() is None
     with pytest.raises(ValueError):
         CoefficientTable(m=0, entries={-2: 1.0})
+    # a key is a label, read by check_label alone: no string of an integer
+    with pytest.raises(IndexRangeError, match="is not an integer"):
+        CoefficientTable(m=1, entries={"2": 0.5})
 
 
 # (call of one label or size, a value that is not an integer, an integer)
@@ -146,9 +157,11 @@ LABEL_CALLS = {
     "ratio_j_max": (lambda j: ratio_test(0, 0.3, 2.0, j), 30.7, 30),
     "boundary_j_max": (lambda j: boundary_ratio_test("m_equals_0", 0.3, 2.0, j), 30.7, 30),
     "triple_j_max": (lambda j: partial_sum_triple(0.3, 2.0, j), 30.7, 30),
+    "ratio_cauchy_window": (lambda w: ratio_test(0, 0.3, 2.0, 30, cauchy_window=w), 2.5, 2),
     "ymap_j_max": (lambda j: YMapRequest(FourierTableSU2(0, 4, {}), 0.3, j, 2.0), 6.5, 6),
     "saddle_j": (lambda j: saddle_point_2f1(j, 1, 0.2, 0.85), 200.7, 200),
     "saddle_m": (lambda m: saddle_point_2f1(200, m, 0.2, 0.85), 1.5, 1),
+    "saddle_log_j": (lambda j: saddle_point_log(100, j, 0.2, 2.0), 0.5, 0),
     "su2_band": (lambda b: su2_fourier(lambda g: 1.0, 0, b), 4.7, 4),
     "su2_p": (lambda p: su2_fourier(lambda g: 1.0, p, 4), 0.9, 0),
     "fourier_p": (lambda p: FourierTableSU2(p, 4, {(2, 0): 1.0}), 0.5, 0),
@@ -183,6 +196,9 @@ TAU_CALLS = {
     "diagonal_coefficient_large_j": lambda t: diagonal_coefficient(100, 0, t, 2.0),
     "diagonal_coefficients": lambda t: diagonal_coefficients([3, 100], [0, 0], t, 2.0),
     "predicted_diagonal_ratio": lambda t: predicted_diagonal_ratio(2.0, t),
+    "predicted_boundary_ratio_m_equals_j": lambda t: predicted_boundary_ratio("m_equals_j", 2.0, t),
+    "saddle_point_exponent": lambda t: saddle_point_exponent(t, 2.0),
+    "saddle_point_log": lambda t: saddle_point_log(100, 0, t, 2.0),
     "saddle_point_2f1": lambda t: saddle_point_2f1(100, 0, t, 2.0),
     "triple_block_log": lambda t: triple_block_log([0, 5], t, 2.0),
     "triple_blocks": lambda t: triple_blocks(t, 2.0, 5),

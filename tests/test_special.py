@@ -18,6 +18,7 @@ from lorentz_harmonics.special import (
     log_gamma,
     saddle_point_2f1,
     saddle_point_exponent,
+    saddle_point_log,
 )
 
 TWO_LN_2 = 2.0 * math.log(2.0)
@@ -268,13 +269,22 @@ def test_saddle_route_domain():
     # the coefficient pair rule, special.check_pair
     with pytest.raises(IndexRangeError, match=r"\|m\| = 5 exceeds j = 3"):
         saddle_point_2f1(3, 5, 0.2, 0.85)
+    # saddle_point_log checks as saddle_point_2f1 does
+    with pytest.raises(ValueError, match="j >= 1"):
+        saddle_point_log(0, 0, 0.2, 2.0)
+    with pytest.raises(Hyp2F1DomainError, match="eps = 1"):
+        saddle_point_log(100, 0, 0.2, 1.0)
+    with pytest.raises(IndexRangeError, match="is not an integer"):
+        saddle_point_log(100.5, 0, 0.2, 2.0)
 
 
 @pytest.mark.parametrize("eps", [0.0, -1.0, math.inf, math.nan])
 def test_saddle_route_rejects_eps_outside_its_domain(eps):
     # the rule of check_epsilon, as the coefficient routes apply it
-    with pytest.raises(EpsilonDomainError, match="positive and finite"):
-        saddle_point_2f1(65, 0, 0.0, eps)
+    for term in (lambda: saddle_point_2f1(65, 0, 0.0, eps), lambda: saddle_point_log(100, 0, 0.2, eps),
+                 lambda: saddle_point_exponent(0.0, eps)):
+        with pytest.raises(EpsilonDomainError, match="positive and finite"):
+            term()
 
 
 @given(

@@ -244,12 +244,16 @@ def test_table_json_roundtrip():
 @pytest.mark.parametrize("where, label", [
     ("p", 0.9), ("band_limit", 4.7), ("twice_j", 2.5), ("twice_m", 0.2),
     ("p", True), ("twice_j", True), ("twice_m", "0"),
+    # a second entry of key (2, 0): 2.0 is the label 2, and the table merged it
+    ("duplicate", 2.0),
 ])
 def test_table_json_rejects_labels_that_are_not_integers(where, label):
     # int() read 0.9 as 0 and true as 1, and the table loaded without a word
     data = {"p": 0, "band_limit": 4,
             "entries": [{"twice_j": 2, "twice_m": 0, "re": 1.0, "im": 0.0}]}
-    if where in data:
+    if where == "duplicate":
+        data["entries"].append({"twice_j": label, "twice_m": 0, "re": 5.0, "im": 0.0})
+    elif where in data:
         data[where] = label
     else:
         data["entries"][0][where] = label
