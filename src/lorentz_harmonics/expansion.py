@@ -16,6 +16,7 @@ synthesis weights, log|term| and phase are array operations too.
 """
 from __future__ import annotations
 
+import cmath
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -89,6 +90,8 @@ class CoefficientTable:
             if j < 0:
                 raise ValueError("coefficient labels must be non-negative")
             clean[j] = complex(v)
+            if not cmath.isfinite(clean[j]):
+                raise ValueError(f"coefficient c_{j} = {v!r} is not finite")
         object.__setattr__(self, "entries", clean)
 
     @classmethod

@@ -36,7 +36,9 @@ term's (tau, eps) parts once; it reads only its exact window one pair at a
 time, through diagonal_coefficient, because that is the seam where the
 benchmark's check moves a term.  Both hand their terms to
 reports.series_report as arrays.  Each block of a series is one cumulative
-product of its term ratios, of a length chosen by special._sum_series.
+product of its term ratios, of a length read from the series' rate alone
+(special._sum_series), so that a pair of the exact window read on its own
+pays the numpy calls of one block.
 """
 from __future__ import annotations
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, fields, is_dataclass
+from numbers import Real
 from statistics import median
 from typing import Any, Optional, Sequence
 
@@ -67,10 +68,12 @@ def to_json(obj: Any) -> Any:
 
 
 def check_cauchy(tolerance: float, window: int) -> int:
-    """The window, read by check_label; ValueError unless 0 < tolerance < inf
-    and window >= 1: any other setting makes every verdict the same."""
-    if not 0.0 < tolerance < math.inf:
-        raise ValueError(f"Cauchy tolerance {tolerance} must be positive and finite")
+    """The window, read by check_label; ValueError unless the tolerance is a
+    real number, not a bool, with 0 < tolerance < inf and window >= 1: any
+    other setting makes every verdict the same or fails inside it."""
+    real = isinstance(tolerance, Real) and not isinstance(tolerance, bool)
+    if not (real and 0.0 < tolerance < math.inf):
+        raise ValueError(f"Cauchy tolerance {tolerance!r} must be real, positive and finite")
     window = check_label(window, "cauchy_window")
     if window < 1:
         raise ValueError(f"Cauchy window {window} must be at least 1")

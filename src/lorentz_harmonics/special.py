@@ -22,26 +22,29 @@ from .logcomplex import LogComplexValue, wrap_phases
 MAX_SERIES_TERMS = 100_000
 SERIES_TAIL_REL = 1e-17
 _LOG_TAIL = math.log(SERIES_TAIL_REL)
-# Terms per block of the series kernel, a multiple of the SIMD width, so that
-# every row meets the same vector lanes whatever rows share its call; a slow
-# series (see _sum_series) takes blocks of twice this length, the slowest of
-# eight times.
-_BLOCK = 192
-_STEPS = np.arange(8 * _BLOCK, dtype=float)
+# The series kernel's blocks are a multiple of _BLOCK terms, itself a multiple
+# of the SIMD width, so that every row meets the same vector lanes whatever
+# rows share its call; _sum_series sizes them from the rate w, to at most
+# _STEPS.size terms, and its passes to as many entries (rows x terms) or two
+# rows: two or four times as many raised the peak RSS of diag-scan and
+# triple-grid by 0.3 to 1.7 MB, and one row made 64-row batches at eps 3.6
+# 12 to 20% slower.
+_BLOCK = 64
+_STEPS = np.arange(192 * _BLOCK, dtype=float)
 # the kernel's sums (Re, Im, |t|, their Kahan compensations) and unit at n = 0
 _SEED = np.array([[1.0], [0.0], [1.0], [0.0], [0.0], [0.0]])
 _UNIT = np.ones(1, dtype=complex)
-# Rows per kernel pass of _BLOCK-term blocks, which bounds the size of a
-# block's arrays: summing every row in one pass raised the peak RSS of a round
-# of the benchmark's triple-grid and diag-scan ops by 0.6 and 1.0 MB over
-# passes of 32 rows, and saved at most 5% of their time.
-_ROW_CHUNK = 32
+# Entries (rows x nodes) per pass of triple_block_log, bounding its arrays
+_PASS_ENTRIES = 6144
 _TINY = np.finfo(float).tiny
 _HUGE = 2.0**1000   # bound on a block's terms relative to the last term summed
 _ULP = 2.0**-52
 # Largest accepted 2^-52 * sum|t| / |sum t| (times the caller's weight) of a
 # series; see check_cancellation.
 CANCELLATION_LIMIT = 3e-12
+# e-folds (48.6) by which a series' terms fall below its largest before it
+# stops, if its sum cancels by as much as check_cancellation accepts
+_TAIL_FOLDS = math.log(CANCELLATION_LIMIT / _ULP) - _LOG_TAIL
 # Gauss-Legendre nodes per panel of triple_block_log, and the largest phase
 # turn (radians) of its integrand within one panel
 _GAUSS_NODES = 20
@@ -218,14 +221,16 @@ def _sum_series(a, b, c, w: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     share only the numpy calls of a block, so a row's value does not depend
     on the other rows summed with it.
 
-    Blocks are _BLOCK terms long; 2 * _BLOCK where the tail at rate w needs
-    4 * _BLOCK terms or more (w >= 0.9503); and 8 * _BLOCK where it needs
-    12 * _BLOCK or more (w >= 0.9832).  A pass sums at most
-    _ROW_CHUNK * _BLOCK / length rows, so a slow series pays the numpy calls
-    of a block less often with arrays of the same size.  The length reads
-    only w, shared by every row of a call, so a row has the same bits alone
-    and in any batch.  One row (one pair) pays the numpy calls of its blocks
-    and little more.
+    One block holds every row of the exact window (j <= 64, all m,
+    |Re tau| <= 0.3, |Im tau| <= 0.06): 65 / sqrt(1-w) - 20 terms, 45 past
+    the peak of a j = 64 row at 65 (1/sqrt(1-w) - 1), where its terms still
+    fall slowly, then _TAIL_FOLDS / -log(w), over which they fall below
+    SERIES_TAIL_REL times a sum that cancels as far as check_cancellation
+    accepts; rounded up to a multiple of _BLOCK and capped at _STEPS.size
+    (a w rounded to 1.0, whose log is 0, takes the cap).  So one pair pays
+    the numpy calls of one block, and a pass sums as many rows as fit in
+    _STEPS.size entries, at least two.  The length reads only w, shared by
+    every row of a call, so a row has the same bits alone and in any batch.
 
     Each row also sums |t|.  Every term carries a relative rounding error of
     a few ulps, so a sum is wrong by about C * 2^-52 relative times a small
@@ -233,16 +238,12 @@ def _sum_series(a, b, c, w: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     check_cancellation).
     """
     out = np.empty((3, a.size))
-    # no division by log(w): a w rounded to 1.0 sums as the slowest series
-    log_w = math.log(w)
-    if 12 * _BLOCK * log_w >= _LOG_TAIL:
-        length = 8 * _BLOCK
-    elif 4 * _BLOCK * log_w >= _LOG_TAIL:
-        length = 2 * _BLOCK
-    else:
-        length = _BLOCK
-    # equal passes of at most _ROW_CHUNK * _BLOCK / length rows
-    chunk = _ROW_CHUNK * _BLOCK // length
+    length = _STEPS.size
+    if w < 1.0:
+        need = 65.0 / math.sqrt(1.0 - w) - 20.0 - _TAIL_FOLDS / math.log(w)
+        length = min(length, _BLOCK * math.ceil(need / _BLOCK))
+    # equal passes of at most _STEPS.size / length rows, or two
+    chunk = max(2, _STEPS.size // length)
     size = -(-a.size // -(-a.size // chunk)) if a.size else 1
     with np.errstate(all="ignore"):
         for k in range(0, a.size, size):
@@ -449,7 +450,7 @@ def triple_block_log(js, tau: complex, epsilon: float) -> tuple[np.ndarray, np.n
     one; t > 1/2 is written in s = 1 - t, so nodes near t = 1 keep their
     digits.  A and B are taken once; each j is a sum over the nodes scaled by
     its largest exponent (complex tau cannot overflow it), in passes of at
-    most _ROW_CHUNK * _BLOCK entries (or one j) that skip the nodes whose
+    most _PASS_ENTRIES entries (or one j) that skip the nodes whose
     terms have fallen below e^-_NEGLIGIBLE of an end node's.  cancellation is
     sum|w f| / |sum w f| (see check_cancellation; nothing is checked here).
     At eps = 1 every block is 2j+1.
@@ -493,7 +494,7 @@ def triple_block_log(js, tau: complex, epsilon: float) -> tuple[np.ndarray, np.n
     k = 0
     while k < js.size:
         count = int(np.searchsorted(neg_reach, -js[rows_by_j[k]], side="right"))
-        chunk = rows_by_j[k:k + max(1, _ROW_CHUNK * _BLOCK // count)]
+        chunk = rows_by_j[k:k + max(1, _PASS_ENTRIES // count)]
         k += chunk.size
         j = js[chunk, None].astype(float)
         exponent = j * slope[:count] - b[:count]

@@ -4,8 +4,9 @@ the Euler reflection of the m > 0 rows, the (j, m) grid read in one call with
 each column judged on its own, how much work each caller asks of the kernel,
 of the large-j term and of the triple-block engine, the large-j term's gate
 and errors on every call and its bits at signed-zero tau, the kernel's block
-length, set by the series' rate alone, its accuracy on both sides of eps = 1,
-and the rows it sums again because their terms leave double range."""
+length, set by the series' rate alone so that every pair of the exact window
+ends in one block, its accuracy on both sides of eps = 1, and the rows it
+sums again because their terms leave double range."""
 import cmath
 import math
 import sys
@@ -78,8 +79,8 @@ SLOW_M_FRACS = [-1.0, -0.6, -0.25, -0.1, 0.0, 0.15, 0.3, 0.7, 1.0]
 )
 @example(js=[64], m_fracs=[0.0, 0.05, -0.05], tau=complex(0.5, 0.0), eps=3.6, pick=0)
 @example(js=[48, 64], m_fracs=[1.0, -1.0, 0.1], tau=complex(-0.45, 0.1), eps=0.3, pick=4)
-# 72 pairs of the slowest series (1536-term blocks), in 18 passes of 4 rows,
-# the first at the eps where that block length starts
+# 72 pairs of slow series (blocks of 3,392 to 9,024 terms), in passes of 2 or
+# 3 rows
 @example(js=SLOW_JS, m_fracs=SLOW_M_FRACS, tau=complex(0.3, 0.0), eps=0.36, pick=62)
 @example(js=SLOW_JS, m_fracs=SLOW_M_FRACS, tau=complex(0.3, 0.0), eps=0.32, pick=5)
 @example(js=SLOW_JS, m_fracs=SLOW_M_FRACS, tau=complex(-0.2, 0.05), eps=0.32, pick=40)
@@ -171,8 +172,8 @@ def test_batch_mixes_routes_and_keeps_order():
 def test_scan_read_pair_by_pair_has_the_bits_of_one_batch(m, tau, eps):
     # ratio_test reads its exact window one pair at a time and the pairs past
     # j = 64 as one batch, the sum its whole j_max = 400 scan as one batch: on
-    # the slowest series (1536-term blocks) and past j = 64 alike, every term
-    # has the same log_mag and phase bits
+    # the slowest series (blocks of 5,248 and 9,024 terms) and past j = 64
+    # alike, every term has the same log_mag and phase bits
     by_pair = ratio_test(m, tau, eps, 400).terms
     batch = partial_sum_diagonal(ExpansionConfig(tau=tau, m=m, epsilon=eps, j_max=400)).terms
     assert len(by_pair) == 400 - max(abs(m), 1) + 1
@@ -630,19 +631,18 @@ def kernel_passes(monkeypatch):
 
 
 @pytest.mark.parametrize("eps,length", [
-    # w = 1 - eps^4 below 1, 1 - eps^-4 above (after Pfaff); the tail needs
-    # at least 768 terms from w = 0.9503, between eps 0.47 and 0.48 and
-    # between eps 2.1 and 2.15, and at least 2,304 from w = 0.9832, between
-    # eps 0.360 and 0.361 and between eps 2.77 and 2.78
-    (0.32, 1536), (0.36, 1536), (0.361, 384), (0.47, 384), (0.48, 192), (0.7, 192),
-    (1.6, 192), (2.1, 192), (2.15, 384), (2.77, 384), (2.78, 1536), (3.6, 1536),
+    # 65 / sqrt(1 - w) - 20 + 48.66 / -log(w) terms, w = 1 - eps^4 below 1,
+    # 1 - eps^-4 above (after Pfaff), rounded up to a multiple of 64 and
+    # capped at 12,288 (below eps 0.2563 and above 3.902)
+    (0.25, 12288), (0.3, 6720), (0.32, 5248), (0.5, 1024), (0.75, 256), (0.85, 192),
+    (0.95, 128), (1.05, 128), (1.4, 320), (2.4, 1984), (3.6, 9024), (4.0, 12288),
 ])
 def test_block_length_and_rows_per_pass_follow_the_rate(kernel_passes, eps, length):
     js = np.repeat(np.arange(8, 65, 8), 9)
     ms = np.tile(np.arange(-4, 5), 8)
     diagonal_coefficients(js, ms, 0.2 + 0.03j, eps)
-    # a block's arrays are at most 32 x 192 entries
-    rows_per_pass = 32 * 192 // length
+    # a pass's arrays are at most 12,288 entries, or two rows
+    rows_per_pass = max(2, 12288 // length)
     assert {n for _, n in kernel_passes} == {length}
     assert max(rows for rows, _ in kernel_passes) <= rows_per_pass
     # 72 rows: passes of equal size, every row summed once
@@ -653,12 +653,43 @@ def test_block_length_and_rows_per_pass_follow_the_rate(kernel_passes, eps, leng
     assert kernel_passes == [(1, length)]
 
 
-# The accuracy grid: 11 eps on both tiers and both sides of 1, four tau, four
-# j and five m each.  Each bound is twice the worst relative error that the
-# kernel's one cumulative product of ratios per block reads against 40-digit
-# mpmath.  Sums of log|ratio| (restarted every 384 terms in 1536-term blocks)
-# read 3.7e-11, 6.3e-13, 5.8e-12, 2.1e-12, 9.6e-14, 1.3e-14, 8.4e-15,
-# 9.4e-14, 1.8e-12, 1.4e-12 and 1.3e-11 here, failing nine of the bounds.
+@pytest.fixture
+def first_block_only(monkeypatch):
+    """Cuts every series after its first block: a row that needs a second
+    one raises SeriesConvergenceError "did not reach tolerance"."""
+    original = special._sum_rows
+
+    def spied(a, b, c, w, length, out):
+        monkeypatch.setattr(special, "MAX_SERIES_TERMS", length)
+        return original(a, b, c, w, length, out)
+
+    monkeypatch.setattr(special, "_sum_rows", spied)
+
+
+# eps 0.32 to 3.6 with the ends of the benchmark's jitter, and the eps where a
+# block has the fewest terms to spare for the longest row (14 to 30 terms)
+@pytest.mark.parametrize("eps", [0.3168, 0.32, 0.6005, 0.6887, 0.8653, 1.2658, 1.3675,
+                                 1.5961, 1.7693, 1.8629, 3.6, 3.636])
+def test_every_exact_window_pair_ends_in_one_block(first_block_only, eps):
+    js = np.repeat(np.arange(65), 2 * np.arange(65) + 1)
+    ms = np.concatenate([np.arange(-j, j + 1) for j in range(65)])
+    for tau in (0.3, -0.3 + 0.06j, 0.06j):
+        try:
+            diagonal_coefficients(js, ms, tau, eps, against_largest=js)
+        except SeriesConvergenceError as exc:
+            # the rows were all summed; a pair's sum cancels too far
+            assert "cancels" in str(exc)
+
+
+# The accuracy grid: 11 eps from short blocks to the longest, on both sides
+# of 1, four tau, four j and five m each.  Each bound is twice the worst
+# relative error that the kernel's one cumulative product of ratios per block
+# read against 40-digit mpmath in blocks of 192, 384 and 1536 terms; in blocks
+# sized from w, the worst errors read 8.0e-13, 3.4e-14, 1.4e-12, 9.1e-14,
+# 1.0e-14, 5.9e-15, 5.0e-15, 1.2e-14, 1.2e-13, 8.5e-14 and 1.1e-11.  Sums of
+# log|ratio| (restarted every 384 terms in 1536-term blocks) read 3.7e-11,
+# 6.3e-13, 5.8e-12, 2.1e-12, 9.6e-14, 1.3e-14, 8.4e-15, 9.4e-14, 1.8e-12,
+# 1.4e-12 and 1.3e-11 here, failing nine of the bounds.
 ACCURACY_TAUS = [0.0, 0.3, -0.2 + 0.05j, -0.45]
 COLUMN_PAIRS = sorted({(j, m) for j in (1, 8, 32, 64) for m in (-j, -1, 0, j // 3, j)})
 # the pairs that cancel beyond CANCELLATION_LIMIT, as with the log sums
@@ -666,17 +697,17 @@ CANCELLING = [(-0.45, 64, -1), (-0.45, 64, 0)]
 
 
 ACCURACY_CASES = [
-    (0.25, 1536, 2.41e-12, CANCELLING),
-    (0.3, 1536, 6.80e-14, CANCELLING),
-    (0.32, 1536, 2.73e-12, []),
-    (0.35, 1536, 1.95e-13, []),
-    (0.5, 192, 1.99e-14, []),
+    (0.25, 12288, 2.41e-12, CANCELLING),
+    (0.3, 6720, 6.80e-14, CANCELLING),
+    (0.32, 5248, 2.73e-12, []),
+    (0.35, 3776, 1.95e-13, []),
+    (0.5, 1024, 1.99e-14, []),
     (0.85, 192, 1.19e-14, []),
     (1.2, 192, 1.01e-14, []),
-    (2.0, 192, 2.69e-14, []),
-    (2.8, 1536, 1.78e-13, []),
-    (3.6, 1536, 1.69e-13, CANCELLING),
-    (5.0, 1536, 1.68e-11, [(-0.45, 32, 0)] + CANCELLING),
+    (2.0, 1024, 2.69e-14, []),
+    (2.8, 3456, 1.78e-13, []),
+    (3.6, 9024, 1.69e-13, CANCELLING),
+    (5.0, 12288, 1.68e-11, [(-0.45, 32, 0)] + CANCELLING),
 ]
 
 
@@ -720,8 +751,8 @@ def summed_again(monkeypatch):
 
 
 # (a, b, c) at z = 0.9: rows 0 and 3 grow by more than 2^1000 within their
-# first 192-term block (2F1(500, 500; 1; 0.9) is about e^2962), the others
-# stay in range
+# first 704-term block (2F1(500, 500; 1; 0.9) is about e^2962), and within
+# 352 and 176 terms, the others stay in range
 GUARD_ROWS = [(500, 500, 1), (0.5 + 0.1j, 1, 2), (40 + 3j, 7, 90),
               (400 - 30j, 450, 1.5), (2 + 1j, 3, 5), (65 + 9.6j, 129, 130)]
 
@@ -733,8 +764,9 @@ def kernel_bits(rows, z=0.9):
 
 def test_rows_summed_again_have_their_bits_alone_and_in_a_batch(summed_again):
     batch = kernel_bits(GUARD_ROWS)
-    # each out-of-range row is summed again alone, in 96-term blocks
-    assert summed_again == [(1, 96), (1, 96)]
+    # each out-of-range row is summed again alone, in blocks of half the
+    # length until they stay in range: 88 terms
+    assert summed_again == [(1, 352), (1, 176), (1, 88)] * 2
     for row, bits in zip(GUARD_ROWS, batch.T):
         assert kernel_bits([row]).tobytes() == bits.tobytes()
     # the in-range rows keep the bits of a batch without the others
@@ -748,7 +780,7 @@ def test_rows_summed_again_have_their_bits_alone_and_in_a_batch(summed_again):
 
 def test_terms_lost_to_underflow_are_summed_again(summed_again):
     # a = -3 + 1e-200 i and b = -10 + 1e-200 i: two ratios near 1e-200 take
-    # the product of a 192-term block's ratios to zero while its last ratio
+    # the product of a 704-term block's ratios to zero while its last ratio
     # is above 1 (c + k is small near k = 150), so the row is summed again in
     # shorter blocks; its value is the terminating polynomial at a = -3,
     # b = -10 to every digit read
@@ -767,7 +799,8 @@ def test_terms_lost_to_underflow_are_summed_again(summed_again):
 def test_no_exact_route_pair_leaves_double_range(summed_again, eps):
     # every exact-route pair (j <= 64, all m) at the edges of the benchmark's
     # strata: the largest term relative to the one before its block is below
-    # 2^440 there, far inside the 2^1000 bound
+    # 2^179 there (the largest term of any such series), far inside the 2^1000
+    # bound
     js = np.repeat(np.arange(65), 2 * np.arange(65) + 1)
     ms = np.concatenate([np.arange(-j, j + 1) for j in range(65)])
     for tau in (0.5, -0.5 + 0.06j, 0.5j):

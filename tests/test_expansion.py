@@ -114,10 +114,12 @@ CAUCHY_SERIES = {
 
 @pytest.mark.parametrize("tol, window", [
     (math.inf, 10), (math.nan, 10), (0.0, 10), (-1.0, 10), (1e-6, 0), (1e-6, -3),
+    (True, 10), ("1e-6", 10),
 ])
 @pytest.mark.parametrize("series", sorted(CAUCHY_SERIES))
 def test_series_reject_invalid_cauchy_settings(series, tol, window):
-    # an infinite tolerance or a zero window made these scans "converged"
+    # an infinite tolerance or a zero window made these scans "converged";
+    # a tolerance of True ran as 1, and one of "1e-6" raised TypeError
     with pytest.raises(ValueError, match="Cauchy"):
         CAUCHY_SERIES[series](tol, window)
 
@@ -140,6 +142,16 @@ def test_coefficient_table_entries_and_ratio():
     # a key is a label, read by check_label alone: no string of an integer
     with pytest.raises(IndexRangeError, match="is not an integer"):
         CoefficientTable(m=1, entries={"2": 0.5})
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, complex(1.0, math.nan)])
+def test_coefficient_table_rejects_values_that_are_not_finite(value):
+    # synthesize read a NaN entry as NaN partial sums, verdict "inconclusive"
+    with pytest.raises(ValueError, match="not finite"):
+        synthesize(CoefficientTable(0, {3: value}), 0.3, 2.0, 30)
+    if isinstance(value, float):
+        with pytest.raises(ValueError, match="not finite"):
+            CoefficientTable.geometric(0, value, 5)
 
 
 # (call of one label or size, a value that is not an integer, an integer)
