@@ -97,7 +97,13 @@ class CoefficientTable:
     @classmethod
     def geometric(cls, m: int, ratio: float, j_max: int) -> "CoefficientTable":
         m, j_max = check_label(m, "m"), check_label(j_max, "j_max")
-        return cls(m=m, entries={j: complex(ratio**j) for j in range(max(abs(m), 1), j_max + 1)})
+        entries = {}
+        for j in range(max(abs(m), 1), j_max + 1):
+            try:
+                entries[j] = complex(ratio**j)
+            except OverflowError:
+                raise ValueError(f"coefficient c_{j} = {ratio!r}**{j} is not finite") from None
+        return cls(m=m, entries=entries)
 
     def get(self, j: int) -> complex:
         return self.entries.get(j, 0j)

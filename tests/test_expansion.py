@@ -154,6 +154,14 @@ def test_coefficient_table_rejects_values_that_are_not_finite(value):
             CoefficientTable.geometric(0, value, 5)
 
 
+@pytest.mark.parametrize("ratio,entry", [(1e200, "c_2"), (complex(1.0, -math.inf), "c_1")])
+def test_geometric_table_rejects_a_power_that_overflows(ratio, entry):
+    # ratio**j raised OverflowError (a float past double range, complex
+    # exponentiation of an infinite part) instead of naming the entry
+    with pytest.raises(ValueError, match=f"coefficient {entry} = .* is not finite"):
+        CoefficientTable.geometric(0, ratio, 5)
+
+
 # (call of one label or size, a value that is not an integer, an integer)
 LABEL_CALLS = {
     "config_j_max": (lambda j: ExpansionConfig(tau=0.3, m=0, epsilon=2.0, j_max=j), 30.7, 30),

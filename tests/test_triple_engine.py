@@ -1,7 +1,9 @@
 """The triple-sum blocks sum_{|m| <= j} D_j(m) as one Euler integral per j
 (special.triple_block_log, read by expansion.triple_blocks): against mpmath
-over eps, tau and j up to 1000, at eps = 1, against the endpoint formula
-for their large-j limit, and the Gauss rule built on first use."""
+over eps, tau and j up to 1000, both evaluated directly and carried from the
+row of j - 1, carried rows against direct ones, at eps = 1, against the
+endpoint formula for their large-j limit, and the Gauss rule built on first
+use."""
 import math
 import subprocess
 import sys
@@ -11,6 +13,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
+from lorentz_harmonics import special
 from lorentz_harmonics.expansion import triple_blocks
 from lorentz_harmonics.special import (
     EpsilonDomainError,
@@ -100,6 +103,10 @@ REFERENCE = {
     (10.0, 0.5, 1000): (-4.297639557912475, 8.003757768797421e-29),
     (10.0, -2.0, 1000): (-4.570206468897079, -3.2360244846458467e-28),
     (10.0, 1 + 0.3j, 1000): (686.652347104024, -2.5227449460471694),
+    # the worst block of np.arange(1001) over the grid: cancellation 4.7e3,
+    # and 8.7e-6 against the call's largest block, 0.092; held to 1e-12 of
+    # that largest block (test_consecutive_blocks_match_mpmath)
+    (0.1, -2.0, 813): (-11.652257689780118, 7.488630200062629e-28),
 }
 
 
@@ -133,6 +140,91 @@ def test_blocks_match_mpmath_to_j_1000(eps, tau):
                   [mp_block_sum(j, tau, eps) for j in (1, 5)] + refs)
     for j, ref in zip((65, 300, 1000), refs):
         assert_blocks([j], tau, eps, [ref])
+
+
+@pytest.mark.parametrize("tau", TAUS)
+@pytest.mark.parametrize("eps", EPS)
+def test_consecutive_blocks_match_mpmath(eps, tau):
+    # every row of np.arange(1001): the j checked are all carried from a row
+    # evaluated directly (none is a multiple of _CARRY_ROWS)
+    js = [1, 5, 65, 300, 1000]
+    assert all(j % special._CARRY_ROWS for j in js + [813])
+    log_mag, phase, cancellation = triple_block_log(np.arange(1001), tau, eps)
+    check_cancellation(cancellation[js])
+    refs = ([mp_block_sum(j, tau, eps) for j in (1, 5)]
+            + [mp.exp(mp.mpc(*REFERENCE[eps, tau, j])) for j in (65, 300, 1000)])
+    for j, ref in zip(js, refs):
+        assert rel_error(log_mag[j], phase[j], ref) <= 1e-10, (j, tau, eps)
+    if (eps, tau, 813) in REFERENCE:
+        ref = mp.exp(mp.mpc(*REFERENCE[eps, tau, 813]))
+        error = rel_error(log_mag[813], phase[813], ref) * float(abs(ref))
+        assert error <= 1e-12 * math.exp(log_mag.max())
+
+
+# at eps = 10, but for the largest slope taken out of beta, beta^16 would be
+# e^4400 at tau = 60i and beta itself e^737 at 160i; at 0.3 - 60i the t = 1
+# end falls by e^-276 a row
+@pytest.mark.parametrize("eps,tau", [(0.1, -2.0), (0.9, 1 + 0.3j), (2.0, 0.5), (10.0, 1 + 0.3j),
+                                     (10.0, 60j), (10.0, 0.3 - 60j), (10.0, 160j)])
+def test_carried_rows_match_rows_evaluated_directly(monkeypatch, eps, tau):
+    # out of order, with gaps and a repeated j
+    js = np.concatenate([np.arange(120)[::-1], np.arange(123, 161), [400],
+                         np.arange(300, 331), [5, 7, 7]])
+    carried = triple_block_log(js, tau, eps)
+    monkeypatch.setattr(special, "_CARRY_ROWS", 1)
+    direct = triple_block_log(js, tau, eps)
+    # a row evaluated directly does not depend on the other rows of its call
+    # (only j_max sets the nodes)
+    for k in (0, 119, 157):
+        alone = triple_block_log([js[k], 400], tau, eps)
+        assert [v[0] for v in alone] == [v[k] for v in direct]
+    assert np.isfinite(carried).all() and np.isfinite(direct).all()
+    # each evaluation rounds j * slope and j * twist at every node, and the
+    # carry adds a few roundings per row: a node's error grows like
+    # (j + _CARRY_ROWS) times the rate of its exponent, |slope| + |twist| <=
+    # 4 |log eps| (1 + |tau|), and a block's like that times its cancellation
+    rate = 4.0 * abs(math.log(eps)) * (1.0 + abs(tau))
+    c = 16.0 * (js + special._CARRY_ROWS) * (1.0 + rate)
+    moved = np.abs(np.expm1(carried[0] - direct[0] + 1j * (carried[1] - direct[1])))
+    assert (moved <= c * 2.0**-52 * direct[2]).all()
+
+
+def spy_sizes(monkeypatch, name):
+    """The entries of every array passed to np.<name> from now on."""
+    sizes = []
+    original = getattr(np, name)
+
+    def spied(values, *args, **kwargs):
+        sizes.append(np.size(values))
+        return original(values, *args, **kwargs)
+
+    monkeypatch.setattr(np, name, spied)
+    return sizes
+
+
+def count_nodes(monkeypatch):
+    """The nodes of every panel set built from now on."""
+    nodes = []
+    original = special._half_panels
+
+    def counted(*args):
+        u, w = original(*args)
+        nodes.append(u.size)
+        return u, w
+
+    monkeypatch.setattr(special, "_half_panels", counted)
+    return nodes
+
+
+def test_cos_and_sin_only_on_rows_evaluated_directly(monkeypatch):
+    # one row in _CARRY_ROWS is evaluated by cos and sin at each node; the
+    # others are carried from the row before by one complex multiply
+    triple_block_log(np.arange(2), 0.3, 0.5)  # the Gauss rule, built by np.cos
+    nodes = count_nodes(monkeypatch)
+    cos, sin = spy_sizes(monkeypatch, "cos"), spy_sizes(monkeypatch, "sin")
+    triple_block_log(np.arange(301), 0.3, 0.5)
+    for entries in (cos, sin):
+        assert 0 < sum(entries) <= sum(nodes) * math.ceil(301 / special._CARRY_ROWS)
 
 
 @pytest.mark.parametrize("eps,tau,j", [(2.0, 0.5, 20), (0.9, 1 + 0.3j, 20), (0.1, -2.0, 12)])
@@ -191,17 +283,13 @@ def test_blocks_tend_to_the_endpoint_formula(eps, tau):
 
 
 def test_passes_stay_small(monkeypatch):
-    # each pass over the nodes holds at most 32 x 192 array entries
-    sizes = []
-    original = np.exp
-
-    def spied(values, *args, **kwargs):
-        sizes.append(np.size(values))
-        return original(values, *args, **kwargs)
-
-    monkeypatch.setattr(np, "exp", spied)
+    # the engine holds one row of nodes at a time, however many rows its
+    # call has: no array it exponentiates is longer than the node count,
+    # here 1,580, under 32 x 192
+    nodes = count_nodes(monkeypatch)
+    sizes = spy_sizes(monkeypatch, "exp")
     triple_block_log(np.arange(301), 0.3, 0.5)
-    assert len(sizes) > 10 and max(sizes) <= 32 * 192
+    assert len(sizes) > 10 and max(sizes) <= sum(nodes) <= 32 * 192
 
 
 def test_gauss_rule_is_built_on_first_use():
