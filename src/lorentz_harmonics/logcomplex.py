@@ -75,10 +75,7 @@ class LogComplexValue:
         Raises OverflowError when the magnitude is not representable in double
         precision; callers opt into that risk explicitly.
         """
-        # numpy scalars, not 0-d arrays: the bits of to_complex_values
-        if self.log_mag > _LOG_MAX_DOUBLE:
-            raise OverflowError(f"log-magnitude {self.log_mag:.6g} exceeds double-precision range")
-        return complex(np.exp(np.float64(self.log_mag) + 1j * np.float64(self.phase)))
+        return complex(to_complex_values(np.float64(self.log_mag), np.float64(self.phase)))
 
 
 def log_sum(values: Iterable[LogComplexValue]) -> LogComplexValue:

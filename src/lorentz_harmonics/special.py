@@ -51,6 +51,10 @@ _TAIL_FOLDS = math.log(CANCELLATION_LIMIT / _ULP) - _LOG_TAIL
 # turn (radians) of its integrand within one panel
 _GAUSS_NODES = 20
 _PANEL_TURN = 3.0
+# Largest node count of a triple_block_log call (it grows like |Re tau| j_max
+# |log eps|; 246,700 at tau = -2, eps = 0.1, j_max = 4000): at about 200 bytes
+# per node (tracemalloc peak, 12.6 MB at j_max = 1000 there), 210 MB at most
+_MAX_NODES = 2**20
 # triple_block_log skips a node whose term is below e^-_NEGLIGIBLE of its
 # row's largest (with weights summing to 1, far below the row's sum|w f|)
 _NEGLIGIBLE = 60.0
@@ -414,16 +418,22 @@ def gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
     return x, weights
 
 
-def _half_panels(c: float, start: float, turn: float) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss nodes and weights in u on [0, 1/2]: panels [0, start], [start,
-    2 start], ... up to 1/2, each split into equal steps of log1p(c u) so
-    that the phase turn * log1p(c u) turns by at most _PANEL_TURN in one."""
+def _half_splits(c: float, start: float, turn: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Panels [0, start], [start, 2 start], ... up to 1/2 in u as (ends, logs =
+    log1p(c ends), splits): splits[i] (a float) equal steps of log1p(c u) in
+    panel i, so that the phase turn * log1p(c u) turns by at most _PANEL_TURN."""
     count = max(0, math.ceil(math.log2(0.5 / start))) + 1
     ends = np.minimum(start * 2.0 ** np.arange(-1, count), 0.5)
     ends[0] = 0.0
     logs = np.log1p(c * ends)
-    splits = np.maximum(np.ceil(turn * np.abs(np.diff(logs)) / _PANEL_TURN), 1.0).astype(int)
-    panel = np.repeat(np.arange(count), splits)
+    with np.errstate(over="ignore"):  # an infinite count is refused by the node cap
+        return ends, logs, np.maximum(np.ceil(turn * np.abs(np.diff(logs)) / _PANEL_TURN), 1.0)
+
+
+def _half_panels(c: float, ends, logs, splits) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss nodes and weights in u on [0, 1/2] of the panels of _half_splits."""
+    splits = splits.astype(int)
+    panel = np.repeat(np.arange(splits.size), splits)
     step = np.arange(panel.size) - np.repeat(np.cumsum(splits) - splits, splits)
     lo, hi = (logs[panel] + (logs[panel + 1] - logs[panel]) * ((step + k) / splits[panel])
               for k in (0, 1))
@@ -457,7 +467,8 @@ def triple_block_log(js, tau: complex, epsilon: float) -> tuple[np.ndarray, np.n
     exp(A - i tau B/2) over its largest modulus (so every row stays in double
     range).  cancellation is
     sum|w f| / |sum w f| (see check_cancellation; nothing is checked here).
-    At eps = 1 every block is 2j+1.
+    At eps = 1 every block is 2j+1.  Raises SeriesConvergenceError, before
+    building any node, where the panels need more than _MAX_NODES nodes.
     """
     js = check_labels(js, "j")
     if js.size and js.min() < 0:
@@ -474,10 +485,16 @@ def triple_block_log(js, tau: complex, epsilon: float) -> tuple[np.ndarray, np.n
     turn = 0.5 * abs(tau.real) * j_max
     # t <= 1/2 in t, t > 1/2 in s = 1 - t, where 1-t+xt = x (1 + (1/x - 1) s)
     # and 1 - zt = x^2 (1 + (1/x^2 - 1) s)
+    coefficients = ((x - 1.0, x * x - 1.0, 0.0),
+                    (1.0 / x - 1.0, 1.0 / (x * x) - 1.0, 2.0 * math.log(x)))
+    splits = [_half_splits(c2, start, turn) for _, c2, _ in coefficients]
+    nodes = _GAUSS_NODES * math.fsum(float(split[2].sum()) for split in splits)
+    if not nodes <= _MAX_NODES:
+        raise SeriesConvergenceError(f"triple blocks to j = {j_max} need {nodes:.3g} "
+                                     f"quadrature nodes, above the cap of {_MAX_NODES}")
     halves = []
-    for c1, c2, offset in ((x - 1.0, x * x - 1.0, 0.0),
-                           (1.0 / x - 1.0, 1.0 / (x * x) - 1.0, 2.0 * math.log(x))):
-        u, w = _half_panels(c2, start, turn)
+    for (c1, c2, offset), split in zip(coefficients, splits):
+        u, w = _half_panels(c2, *split)
         log_2 = np.log1p(c2 * u)
         halves.append((2.0 * np.log1p(c1 * u) - log_2, log_2 + offset, w))
     a, b, w = (np.concatenate(v) for v in zip(*halves))

@@ -52,49 +52,28 @@ class SpinLabel:
 
 
 @functools.lru_cache(maxsize=128)
-def _jy_eigenbasis(twice_j: int) -> tuple[tuple[float, ...], ...]:
-    """Rows of the eigenbasis of J_y in the J_z basis, in a real gauge.
-
-    J_y = P J_x P^H with P = diag((-i)^a), so V = P W diagonalises J_y, where
-    W is the real orthogonal eigenbasis of J_x returned here. Row a is the
-    state m = -j + a; column k has eigenvalue -j + k (eigh sorts ascending).
+def _jy_eigenbasis(twice_j: int) -> np.ndarray:
+    """The eigenbasis V of J_y = (J_+ - J_-) / 2i in the J_z basis, read-only:
+    row a is the state m = -j + a, column k has eigenvalue m_k = -j + k (eigh
+    sorts ascending), so d^j(beta) = V diag(e^{-i m_k beta}) V^H.
     """
     tms = np.arange(-twice_j, twice_j, 2, dtype=float)
-    # <m+1| J_+ |m> = sqrt((j - m)(j + m + 1)), and J_x = (J_+ + J_-) / 2
-    half_ladder = 0.25 * np.sqrt((twice_j - tms) * (twice_j + tms + 2.0))
-    w = np.linalg.eigh(np.diag(half_ladder, -1) + np.diag(half_ladder, 1))[1]
-    return tuple(map(tuple, w.tolist()))
-
-
-_POWERS_OF_MINUS_I = (1.0, -1j, -1.0, 1j)
-
-
-def _small_d(twice_j: int, twice_m: int, twice_n: int, beta: float) -> float:
-    """d^{j}_{m n}(beta).
-
-    With V the eigenbasis of J_y, d^j(beta) = V diag(e^{-i m_k beta}) V^H, so
-    an entry is the trigonometric polynomial sum_k V[m, k] conj(V[n, k])
-    e^{-i m_k beta} with m_k = -j..j, summed by Horner's rule in e^{-i beta}.
-    The rows of V are unit vectors, so the absolute error stays near
-    (2j + 1) machine epsilon at any spin.
-    """
-    rows = _jy_eigenbasis(twice_j)
-    a, b = (twice_j + twice_m) // 2, (twice_j + twice_n) // 2
-    z = cmath.exp(-1j * beta)
-    total = 0j
-    for x, y in zip(reversed(rows[a]), reversed(rows[b])):
-        total = total * z + x * y
-    # V[a, k] conj(V[b, k]) = (-i)^(a - b) W[a, k] W[b, k]
-    return (_POWERS_OF_MINUS_I[(a - b) % 4] * total * cmath.exp(0.5j * twice_j * beta)).real
+    # <m+1| J_y |m> = <m+1| J_+ |m> / 2i, <m+1| J_+ |m> = sqrt((j - m)(j + m + 1))
+    half_ladder = 0.25j * np.sqrt((twice_j - tms) * (twice_j + tms + 2.0))
+    v = np.linalg.eigh(np.diag(-half_ladder, -1) + np.diag(half_ladder, 1))[1]
+    v.setflags(write=False)
+    return v
 
 
 @functools.lru_cache(maxsize=128)
 def _d_row_weights(twice_j: int, twice_m: int) -> np.ndarray:
-    """The weights V[m, k] conj(V[n, k]) of _small_d for row m, n on axis 0 and k
-    on axis 1, read-only: (weights @ phases).real is d^{j}_{m n}(beta) for every
-    n, from phases[k] = e^{-i m_k beta} (m_k = -j..j) with betas on further axes."""
-    w, a = np.array(_jy_eigenbasis(twice_j)), (twice_j + twice_m) // 2
-    weights = np.array(_POWERS_OF_MINUS_I)[(a - np.arange(twice_j + 1)) % 4, None] * w * w[a]
+    """The weights V[m, k] conj(V[n, k]) of d^j's row m, n on axis 0 and k on
+    axis 1, read-only: (weights @ phases).real is d^{j}_{m n}(beta) for every
+    n, from phases[k] = e^{-i m_k beta} (m_k = -j..j) with betas on further
+    axes.  The rows of V are unit vectors, so the absolute error of a d value
+    stays near (2j + 1) machine epsilon at any spin."""
+    v = _jy_eigenbasis(twice_j)
+    weights = v[(twice_j + twice_m) // 2] * v.conj()
     weights.setflags(write=False)
     return weights
 
@@ -102,7 +81,9 @@ def _d_row_weights(twice_j: int, twice_m: int) -> np.ndarray:
 def wigner_small_d(spin: SpinLabel, twice_m: int, twice_n: int, beta: float) -> float:
     """d^{j}_{m n}(beta) for spin j = twice_j / 2 and indices m, n = twice_m/2, twice_n/2."""
     twice_m, twice_n = spin.check_index(twice_m), spin.check_index(twice_n)
-    return _small_d(spin.twice_j, twice_m, twice_n, float(beta))
+    tj = spin.twice_j
+    phases = np.exp(-0.5j * float(beta) * np.arange(-tj, tj + 1, 2))
+    return float((_d_row_weights(tj, twice_m)[(tj + twice_n) // 2] @ phases).real)
 
 
 def wigner_D(spin: SpinLabel, twice_m: int, twice_n: int, u: SU2Element) -> complex:
@@ -140,7 +121,9 @@ class FourierTableSU2:
                 raise WignerIndexError(f"twice_j = {tj} outside [|p|, band_limit]")
             if (tj - abs(p)) % 2 != 0:
                 raise WignerIndexError(f"twice_j = {tj} has wrong parity for p = {p}")
-            clean[tj, _check_twice_m(tj, tm)] = complex(v)
+            clean[tj, _check_twice_m(tj, tm)] = v = complex(v)
+            if not cmath.isfinite(v):
+                raise ValueError(f"Fourier entry ({tj}, {tm}) = {v!r} is not finite")
         for name, value in (("p", p), ("band_limit", band), ("entries", clean)):
             object.__setattr__(self, name, value)
 

@@ -527,6 +527,33 @@ def test_file_errors_exit_2_with_one_line(tmp_path, capsys, table, text, out):
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
 
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize("value", ["NaN", "Infinity"])
+def test_non_finite_table_entry_exits_2_with_one_line(tmp_path, capsys, fmt, value):
+    # json reads both; the table was loaded, and json output then failed as a
+    # NaN report (exit 1) while csv wrote NaN rows (exit 0)
+    table = tmp_path / "t.json"
+    table.write_text('{"p": 0, "band_limit": 4, "entries": '
+                     f'[{{"twice_j": 2, "twice_m": 0, "re": {value}, "im": 0.0}}]}}')
+    code = main(["ymap", "--table", str(table), "--tau", "0.3", "--eps", "2", "--jmax", "3",
+                 "--format", fmt])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("tau", ["1e9", "1e300"])
+def test_triple_sum_past_the_node_cap_is_one_line(capsys, tau):
+    # 2.8e11 quadrature nodes at tau = 1e9 (a 79.7 GiB allocation failed),
+    # and a split count overflowed its cast to int at 1e300
+    code = main(["sum", "--mode", "triple", "--tau", tau, "--eps", "2", "--jmax", "30"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.startswith("numerical failure: ") and captured.err.count("\n") == 1
+
+
 def test_repeated_checkpoints_exit_2(capsys):
     # a repeated checkpoint gave a zero model increment to divide by (exit 1)
     code = main(["diverge", "--tau", "0", "--checkpoints", "5,5"])

@@ -250,6 +250,23 @@ def test_unit_boost_gives_2j_plus_1(tau):
     assert not phase.any() and (cancellation == 1.0).all()
 
 
+@pytest.mark.parametrize("tau", [1e6, 1e20, 1e300, 1e308])
+def test_node_cap_refuses_before_building_nodes(monkeypatch, tau):
+    # the node count grows like |Re tau| j_max |log eps|: 2.8e8 nodes at
+    # tau = 1e6 ran out of memory, and at 1e20 and 1e300 the split counts
+    # overflowed their cast to int; at 1e308 they overflow to inf
+    nodes = count_nodes(monkeypatch)
+    with pytest.raises(special.SeriesConvergenceError, match="quadrature nodes"):
+        triple_block_log(np.arange(31), tau, 2.0)
+    assert nodes == []
+
+
+def test_node_cap_admits_j_4000():
+    # 246,700 nodes at tau = -2, eps = 0.1, where the node count is largest
+    log_mag, phase, cancellation = triple_block_log(np.arange(4001), -2.0, 0.1)
+    assert np.isfinite(log_mag).all() and np.isfinite(cancellation).all()
+
+
 @pytest.mark.parametrize("eps", [0.0, -1.0, math.inf, math.nan])
 def test_epsilon_domain(eps):
     with pytest.raises(EpsilonDomainError):

@@ -158,11 +158,11 @@ SEEDED_BETAS = np.concatenate([[0.0, math.pi], np.random.default_rng(24).uniform
 @pytest.mark.parametrize("tj", [0, 1, 2, 3, 4, 5, 8, 11, 16, 23, 24, 31, 40, 47, 48])
 def test_small_d_row_matches_entries(tj):
     # rows |p|/2 <= 3/2, as su2_fourier reads them, and the extreme rows; over
-    # an array of betas as in the beta stage
+    # an array of betas as in the beta stage, against the 50-digit factorial sum
     phases = np.exp(-0.5j * np.outer(np.arange(-tj, tj + 1, 2), SEEDED_BETAS))
     for tm in sorted({-tj, tj} | {r for r in range(4) if r <= tj and (tj - r) % 2 == 0}):
         got = (wigner._d_row_weights(tj, tm) @ phases).real
-        want = [[wigner._small_d(tj, tm, tn, b) for b in SEEDED_BETAS.tolist()]
+        want = [[mpmath_factorial_sum_d(tj, tm, tn, b) for b in SEEDED_BETAS.tolist()]
                 for tn in range(-tj, tj + 1, 2)]
         assert np.max(np.abs(got - np.array(want))) < 1e-14
 
@@ -232,6 +232,23 @@ def test_table_validation_and_zero_extension():
         FourierTableSU2(1, 4, {(3, 5): 1.0})  # column out of range
     with pytest.raises(WignerIndexError):
         FourierTableSU2(2, 4, {(0, 0): 1.0})  # row below |p|
+
+
+@pytest.mark.parametrize("value", [complex(math.nan, 0.0), complex(math.inf, 0.0),
+                                   complex(1.0, -math.inf)])
+def test_table_rejects_non_finite_entries(value):
+    # json reads NaN and Infinity, and such a table was loaded and mapped
+    with pytest.raises(ValueError, match=r"entry \(2, 0\) .* is not finite"):
+        FourierTableSU2(0, 4, {(2, 0): value})
+    data = {"p": 0, "band_limit": 4,
+            "entries": [{"twice_j": 2, "twice_m": 0, "re": value.real, "im": value.imag}]}
+    with pytest.raises(ValueError, match="is not finite"):
+        FourierTableSU2.from_json_dict(data)
+
+
+def test_fourier_of_a_nan_function_raises():
+    with pytest.raises(ValueError, match="is not finite"):
+        su2_fourier(lambda u: math.nan, p=0, band_limit=4)
 
 
 def test_table_json_roundtrip():
@@ -424,9 +441,9 @@ def test_fourier_accepts_a_full_grid_or_its_own_row_only():
 
 @pytest.mark.parametrize("p", [0, 1, 2, 3])
 def test_fourier_beta_stage_matches_per_entry_small_d(p):
-    # the whole transform as one sum over the nodes per entry, with _small_d
-    # per entry and node, the contraction order of a per-entry transform, on a
-    # phi that is not band-limited
+    # the whole transform as one sum over the nodes per entry, with the
+    # 50-digit factorial sum per entry and node, the contraction order of a
+    # per-entry transform, on a phi that is not band-limited
     band = 12
     grid = QuadratureGrid(band, row=p)
 
@@ -437,7 +454,7 @@ def test_fourier_beta_stage_matches_per_entry_small_d(p):
     weighted = grid.sample(phi) * grid.weight_array()
     ea = np.exp(0.5j * p * grid.alphas)[:, None, None]
     for (tj, tm), v in tab.entries.items():
-        d = np.array([wigner._small_d(tj, p, tm, b) for b in grid.betas.tolist()])
+        d = np.array([mpmath_factorial_sum_d(tj, p, tm, b) for b in grid.betas.tolist()])
         eg = np.exp(0.5j * tm * grid.gammas)
         want = math.sqrt(tj + 1.0) * np.sum(weighted * ea * d[None, :, None] * eg[None, None, :])
         assert abs(v - want) < 1e-14
